@@ -8,6 +8,7 @@ fixed config; manifest.json carries the wall time and is not.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import os
@@ -205,12 +206,14 @@ def load_config(path) -> RunConfig:
 
 
 def _write_csv(path, header, rows):
-    with open(path, "w", newline="\n") as fh:
+    """Header line, then one line per row: numbers as repr(float), text quoted
+    only when it contains a comma or a quote."""
+    with open(path, "w", newline="") as fh:
         fh.write(header + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
         for row in rows:
-            fh.write(",".join(repr(float(v)) if isinstance(v, (int, float, np.floating))
-                              and not isinstance(v, bool) else str(v) for v in row))
-            fh.write("\n")
+            writer.writerow(repr(float(v)) if isinstance(v, (int, float, np.floating))
+                            and not isinstance(v, bool) else str(v) for v in row)
 
 
 def _fit_json(sweep: SweepResult) -> dict:
@@ -334,8 +337,7 @@ def _execute(cfg: RunConfig, outdir: Path, jobs: int) -> dict:
     elif cfg.command == "diagnose":
         rep = full_report(cfg.domain, inclusion, cfg.sigma_c, cfg.target_h,
                           eta=cfg.eta, refine_levels=cfg.refine_levels)
-        with open(outdir / "report.csv", "w", newline="\n") as fh:
-            fh.write(CSV_HEADER + "\n" + rep.csv_row() + "\n")
+        _write_csv(outdir / "report.csv", CSV_HEADER, [rep.csv_row().split(",")])
         summary["gap"] = rep.gap
     elif cfg.command == "verify-identity":
         rep0 = full_report(cfg.domain, inclusion, cfg.sigma_c, cfg.target_h)
@@ -350,10 +352,8 @@ def _execute(cfg: RunConfig, outdir: Path, jobs: int) -> dict:
     elif cfg.command == "nonexistence":
         th = nonexistence_threshold(cfg.domain, cfg.fitted_C2, cfg.fitted_C3,
                                     cfg.target_h)
-        with open(outdir / "report.csv", "w", newline="\n") as fh:
-            fh.write("gap,sigma_threshold,area_threshold,label\n")
-            fh.write(f"{th.gap!r},{th.sigma_threshold!r},{th.area_threshold!r},"
-                     f"{th.label}\n")
+        _write_csv(outdir / "report.csv", "gap,sigma_threshold,area_threshold,label",
+                   [[th.gap, th.sigma_threshold, th.area_threshold, th.label]])
         summary["sigma_threshold"] = th.sigma_threshold
     else:
         sweep, columns = _run_sweep(cfg, inclusion, jobs)

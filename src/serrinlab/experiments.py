@@ -29,13 +29,12 @@ from .geometry import (
     InclusionSpec,
     exact_area,
     exact_perimeter,
-    inclusion_margin,
     polygonize,
     rho_bounds,
     serrin_constant,
 )
 from .meshgen import generate
-from .serrin_diagnostics import max_point
+from .serrin_diagnostics import deviation_norms, max_point
 
 FLOOR_FACTOR = 10.0
 
@@ -123,9 +122,7 @@ def _stability_member(args):
     v = solve_one_phase(mesh, cfg)
     tr = normal_derivative(mesh, v)
     c = serrin_constant(exact_area(domain), exact_perimeter(domain))
-    resid = tr.values - c
-    dev_l2 = math.sqrt(float((resid ** 2 * tr.weights).sum()))
-    dev_linf = float(np.abs(resid).max())
+    dev_l2, dev_linf = deviation_norms(tr, c)
     z = max_point(mesh, v)
     rho_i, rho_e = rho_bounds(polygonize(domain, domain.boundary_samples), z)
     return {"gap": rho_e - rho_i, "dev_L2": dev_l2, "dev_Linf": dev_linf,
@@ -172,9 +169,7 @@ def _sigma_member(args):
     u = solve_two_phase(mesh, 1.0 + t, cfg)
     tr = normal_derivative(mesh, u)
     diff = float(np.abs(tr.values - base_trace).max())
-    resid = tr.values - c
-    dev_l2 = math.sqrt(float((resid ** 2 * tr.weights).sum()))
-    dev_linf = float(np.abs(resid).max())
+    dev_l2, dev_linf = deviation_norms(tr, c)
     # triangle inequality of the deviation chain, exact in the nodal sup norm
     base_dev = float(np.abs(base_trace - c).max())
     if dev_linf > diff + base_dev + 1e-13:
@@ -183,8 +178,7 @@ def _sigma_member(args):
             "dev_Linf": dev_linf}
 
 
-def sigma_sweep(domain, inclusion, t_values, target_h, window=4,
-                one_phase_constant=None, jobs=1) -> SweepResult:
+def sigma_sweep(domain, inclusion, t_values, target_h, window=4, jobs=1) -> SweepResult:
     """||dn u(t) - dn u(0)||_inf against |t| for sigma_c = 1 + t.
 
     Differentiability of the solution branch makes the slope approach 1; the
@@ -219,8 +213,6 @@ def sigma_sweep(domain, inclusion, t_values, target_h, window=4,
         fit = slope_fit(pts, window)
         constants["C7_empirical"] = max(rows[i]["delta_trace_Linf"] / abs(rows[i]["t"])
                                         for i in kept)
-        if one_phase_constant is not None:
-            constants["C2_empirical"] = one_phase_constant * constants["C7_empirical"]
         status = "ok"
     else:
         fit = None
@@ -272,17 +264,11 @@ def frechet_check(domain, inclusion, t0, eps_values, target_h, window=4,
 def _grad_w_boundary(mesh, u, v):
     """sup over the outer boundary of |grad(u - v)|.
 
-    Normal component from the two variational traces; tangential component by
-    centered differences of the (zero) Dirichlet data, kept for generality.
+    Both fields vanish on the boundary, so the gradient of w = u - v there is
+    its normal derivative, the difference of the two variational traces.
     """
-    tr_u = normal_derivative(mesh, u)
-    tr_v = normal_derivative(mesh, v)
-    dn_w = tr_u.values - tr_v.values
-    w_b = u.values[mesh.boundary_loop] - v.values[mesh.boundary_loop]
-    p = tr_u.points
-    ds = np.hypot(*(np.roll(p, -1, axis=0) - p).T)
-    dt_w = (np.roll(w_b, -1) - np.roll(w_b, 1)) / (ds + np.roll(ds, 1))
-    return float(np.hypot(dn_w, dt_w).max())
+    dn_w = normal_derivative(mesh, u).values - normal_derivative(mesh, v).values
+    return float(np.abs(dn_w).max())
 
 
 def _inclusion_member(args):
@@ -293,7 +279,7 @@ def _inclusion_member(args):
     v = solve_one_phase(mesh, cfg)
     return {"radius": r, "area_D": inclusion.area(),
             "grad_w_boundary_Linf": _grad_w_boundary(mesh, u, v),
-            "margin": inclusion_margin(domain, inclusion).margin,
+            "margin": mesh.margin.margin, "M": mesh.margin.M,
             "h_max": mesh.h_max}
 
 
@@ -307,11 +293,10 @@ def inclusion_sweep(domain, sigma_c, radii, target_h, window=4, jobs=1) -> Sweep
     if any(radii[i] <= radii[i + 1] for i in range(len(radii) - 1)):
         raise ValidationError("inclusion sweep: radii must decrease toward 0")
     cfg = SolverConfig()
-    m0 = inclusion_margin(domain, InclusionSpec("disk", center=domain.center,
-                                                radius=radii[0]))
     rows = _parallel_map(_inclusion_member,
                          [(domain, sigma_c, r, target_h, cfg) for r in radii], jobs)
-    if any(r["margin"] < m0.margin - 1e-12 for r in rows):
+    m0 = rows[0]
+    if any(r["margin"] < m0["margin"] - 1e-12 for r in rows):
         raise ValidationError("inclusion sweep: margin shrank below the fixed 1/M")
 
     # floor: concentric disks where the boundary flux is radius-independent
@@ -321,7 +306,7 @@ def inclusion_sweep(domain, sigma_c, radii, target_h, window=4, jobs=1) -> Sweep
     floors = {"grad_w_boundary_Linf": floor}
     excluded = [r["grad_w_boundary_Linf"] <= FLOOR_FACTOR * floor for r in rows]
     kept = [i for i, ex in enumerate(excluded) if not ex]
-    constants = {"M": m0.M, "slope_floor_coarse": 0.5, "slope_improved": 1.0}
+    constants = {"M": m0["M"], "slope_floor_coarse": 0.5, "slope_improved": 1.0}
     if len(kept) >= 3:
         fit = slope_fit([(rows[i]["area_D"], rows[i]["grad_w_boundary_Linf"])
                          for i in kept], window)

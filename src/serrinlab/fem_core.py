@@ -16,7 +16,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .errors import SolverError, ValidationError
-from .meshgen import Mesh
+from .meshgen import Mesh, edge_table
 
 
 @dataclass(frozen=True)
@@ -25,7 +25,6 @@ class SolverConfig:
 
     cg_rel_tolerance: float = 1e-10
     cg_max_iterations: Optional[int] = None
-    diagonal_preconditioning: bool = True
 
     def __post_init__(self):
         if not (0.0 < self.cg_rel_tolerance <= 1e-4):
@@ -112,20 +111,16 @@ def load_constant(mesh: Mesh) -> np.ndarray:
     return b
 
 
-def _pcg(A, b, tol, max_iter, precondition):
-    """Deterministic preconditioned CG; stops on the unpreconditioned residual."""
+def _pcg(A, b, tol, max_iter):
+    """Deterministic Jacobi-preconditioned CG; stops on the unpreconditioned residual."""
     n = len(b)
     normb = float(np.linalg.norm(b))
     if normb == 0.0:
         return np.zeros(n), 0, 0.0
     x = np.zeros(n)
     r = b.copy()
-    if precondition:
-        dinv = 1.0 / A.diagonal()
-        z = dinv * r
-    else:
-        dinv = None
-        z = r.copy()
+    dinv = 1.0 / A.diagonal()
+    z = dinv * r
     p = z.copy()
     rz = float(r @ z)
     for it in range(1, max_iter + 1):
@@ -136,7 +131,7 @@ def _pcg(A, b, tol, max_iter, precondition):
         resid = float(np.linalg.norm(r))
         if resid <= tol * normb:
             return x, it, resid / normb
-        z = dinv * r if precondition else r
+        z = dinv * r
         rz_new = float(r @ z)
         p = z + (rz_new / rz) * p
         rz = rz_new
@@ -153,8 +148,7 @@ def _solve_dirichlet(mesh, K, load, boundary_values, cfg):
     x[bnd] = boundary_values
     rhs = load[interior] - K[interior][:, bnd] @ x[bnd]
     Kii = K[interior][:, interior].tocsr()
-    xi, _, _ = _pcg(Kii, rhs, cfg.cg_rel_tolerance, cfg.max_iters(len(interior)),
-                    cfg.diagonal_preconditioning)
+    xi, _, _ = _pcg(Kii, rhs, cfg.cg_rel_tolerance, cfg.max_iters(len(interior)))
     x[interior] = xi
     return x
 
@@ -211,8 +205,7 @@ def solve_linearized(mesh: Mesh, sigma_c: float, u_base: Field,
 
 def boundary_weights(mesh: Mesh) -> np.ndarray:
     """Arc-length weights int phi_i over the boundary loop (sum = perimeter)."""
-    p = mesh.vertices[mesh.boundary_loop]
-    ell = np.hypot(*(np.roll(p, -1, axis=0) - p).T)
+    ell = mesh.boundary_edge_lengths()
     return 0.5 * (ell + np.roll(ell, 1))
 
 
@@ -222,7 +215,7 @@ def vertex_normals(mesh: Mesh) -> np.ndarray:
     return vn / np.hypot(vn[:, 0], vn[:, 1])[:, None]
 
 
-def normal_derivative(mesh: Mesh, f: Field, sigma_c: Optional[float] = None) -> BoundaryTrace:
+def normal_derivative(mesh: Mesh, f: Field) -> BoundaryTrace:
     """Variational flux recovery on the outer boundary.
 
     Solves the boundary mass system  int_b (dn f) phi = int sigma grad f grad phi
@@ -232,88 +225,77 @@ def normal_derivative(mesh: Mesh, f: Field, sigma_c: Optional[float] = None) -> 
         raise ValidationError("normal_derivative: field belongs to a different mesh")
     if f.load is None:
         raise ValidationError("normal_derivative: field does not carry its load vector")
-    sigma_c = f.sigma_c if sigma_c is None else sigma_c
-    K = stiffness(mesh, element_sigma(mesh, sigma_c))
+    K = stiffness(mesh, element_sigma(mesh, f.sigma_c))
     r = (K @ f.values - f.load)[mesh.boundary_loop]
-    p = mesh.vertices[mesh.boundary_loop]
-    ell = np.hypot(*(np.roll(p, -1, axis=0) - p).T)
+    ell = mesh.boundary_edge_lengths()
     nb = len(ell)
     diag = (ell + np.roll(ell, 1)) / 3.0
     upper = ell / 6.0
     M = sp.diags([diag, upper, upper, upper[-1:], upper[-1:]],
                  [0, 1, -1, nb - 1, -(nb - 1)], shape=(nb, nb), format="csc")
     lam = splu(M).solve(r)
-    return BoundaryTrace(mesh.key, mesh.boundary_loop.copy(), p, lam,
+    return BoundaryTrace(mesh.key, mesh.boundary_loop.copy(),
+                         mesh.vertices[mesh.boundary_loop], lam,
                          boundary_weights(mesh), vertex_normals(mesh))
+
+
+def _patch_fit(owner, d, values, n):
+    """Batched least-squares linear fits, one per patch.
+
+    Sample k belongs to patch owner[k], sits at offset d[k] from the patch
+    center and carries the row values[k].  The normal equations of the design
+    rows (1, dx, dy) are summed with bincount, one product at a time, and
+    solved together.  Returns the (n, 3, m) coefficients, rows 1, x, y.
+    """
+    cols = (np.ones(len(d)), d[:, 0], d[:, 1])
+    AtA = np.empty((n, 3, 3))
+    Atb = np.empty((n, 3, values.shape[1]))
+    for i in range(3):
+        for j in range(i, 3):
+            AtA[:, i, j] = AtA[:, j, i] = np.bincount(owner, cols[i] * cols[j], minlength=n)
+        for k in range(values.shape[1]):
+            Atb[:, i, k] = np.bincount(owner, cols[i] * values[:, k], minlength=n)
+    return np.linalg.solve(AtA, Atb)
+
+
+def _closed_adjacency(mesh):
+    """Sparse A + I of the mesh's vertex adjacency."""
+    edges = edge_table(mesh.triangles)[0]
+    n = len(mesh.vertices)
+    rows = np.concatenate([edges[:, 0], edges[:, 1], np.arange(n)])
+    cols = np.concatenate([edges[:, 1], edges[:, 0], np.arange(n)])
+    return sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+
+
+def _csr_pairs(M):
+    """(row, column) of every stored entry of a CSR matrix, columns sorted."""
+    M.sort_indices()
+    return np.repeat(np.arange(M.shape[0]), np.diff(M.indptr)), M.indices
 
 
 def recovered_gradient(mesh: Mesh, values: np.ndarray) -> np.ndarray:
     """Superconvergent patch recovery of the gradient at each vertex.
 
     Least-squares linear fit of the element-centroid gradients over the
-    incident elements, evaluated at the vertex.  Exact for quadratic fields on
-    any patch geometry (the P1 element gradient equals the true gradient at
-    the centroid there), unlike plain area-weighted averaging whose
-    consistency error does not vanish on irregular patches.
+    incident elements, evaluated at the vertex.  Exact for linear fields on
+    any patch, and for quadratic fields on point-symmetric patches, where
+    the element gradient errors cancel.
     """
     n = len(mesh.vertices)
     _, grads = _element_geometry(mesh)
     ge = np.einsum("tie,ti->te", grads, values[mesh.triangles])
     centroids = mesh.vertices[mesh.triangles].mean(axis=1)
 
-    tri_idx = mesh.triangles.ravel()
-    d = np.repeat(centroids, 3, axis=0) - mesh.vertices[tri_idx]
-    rows = np.column_stack([np.ones(len(d)), d])          # (3T, 3) design rows
-    gvals = np.repeat(ge, 3, axis=0)                      # (3T, 2)
-
-    AtA = np.zeros((n, 3, 3))
-    Atb = np.zeros((n, 3, 2))
-    np.add.at(AtA, tri_idx, rows[:, :, None] * rows[:, None, :])
-    np.add.at(Atb, tri_idx, rows[:, :, None] * gvals[:, None, :])
-
-    counts = np.zeros(n, dtype=np.int64)
-    np.add.at(counts, tri_idx, 1)
-    ok = counts >= 3
-    out = np.zeros((n, 2))
-    out[ok] = np.linalg.solve(AtA[ok], Atb[ok])[:, 0, :]
-
-    if not np.all(ok):
+    corners = mesh.triangles.ravel()
+    patches = sp.csr_matrix((np.ones(len(corners)),
+                             (corners, np.repeat(np.arange(len(ge)), 3))), shape=(n, len(ge)))
+    starved = np.diff(patches.indptr) < 3
+    if np.any(starved):
         # starved vertices (2 incident elements on the boundary): widen to the
         # elements touching any neighbor vertex
-        incident = [[] for _ in range(n)]
-        for t, tri in enumerate(mesh.triangles):
-            for v in tri:
-                incident[v].append(t)
-        for v in np.where(~ok)[0]:
-            tris = set(incident[v])
-            for t in list(tris):
-                for w in mesh.triangles[t]:
-                    tris.update(incident[w])
-            tris = sorted(tris)
-            dd = centroids[tris] - mesh.vertices[v]
-            A = np.column_stack([np.ones(len(tris)), dd])
-            coef, *_ = np.linalg.lstsq(A, ge[tris], rcond=None)
-            out[v] = coef[0]
-    return out
-
-
-def _vertex_patches(mesh, rings=2):
-    n = len(mesh.vertices)
-    neigh = [set() for _ in range(n)]
-    for a, b, c in mesh.triangles:
-        neigh[a].update((b, c))
-        neigh[b].update((a, c))
-        neigh[c].update((a, b))
-    patches = []
-    for v in range(n):
-        patch = {v} | neigh[v]
-        for _ in range(rings - 1):
-            extra = set()
-            for w in patch:
-                extra |= neigh[w]
-            patch |= extra
-        patches.append(np.fromiter(sorted(patch), dtype=np.int64))
-    return patches
+        patches = patches + sp.diags(starved * 1.0) @ _closed_adjacency(mesh) @ patches
+    owner, tris = _csr_pairs(patches)
+    return _patch_fit(owner, centroids[tris] - mesh.vertices[owner], ge[tris], n)[:, 0, :]
 
 
 def hessian_recovery(mesh: Mesh, f: Field) -> np.ndarray:
@@ -322,18 +304,15 @@ def hessian_recovery(mesh: Mesh, f: Field) -> np.ndarray:
     if f.mesh_key != mesh.key:
         raise ValidationError("hessian_recovery: field belongs to a different mesh")
     g = recovered_gradient(mesh, f.values)
-    patches = _vertex_patches(mesh)
-    H = np.zeros((len(mesh.vertices), 2, 2))
-    for v, patch in enumerate(patches):
-        if len(patch) < 3:
-            raise ValidationError("hessian_recovery: degenerate vertex patch")
-        d = mesh.vertices[patch] - mesh.vertices[v]
-        A = np.column_stack([np.ones(len(patch)), d[:, 0], d[:, 1]])
-        AtA = A.T @ A
-        coef = np.linalg.solve(AtA, A.T @ g[patch])  # (3, 2): rows 1, x, y
-        Hv = coef[1:, :].T  # [[dgx/dx, dgx/dy], [dgy/dx, dgy/dy]]
-        H[v] = 0.5 * (Hv + Hv.T)
-    return H
+    adj = _closed_adjacency(mesh)
+    two_ring = adj @ adj
+    if np.any(np.diff(two_ring.indptr) < 3):
+        raise ValidationError("hessian_recovery: degenerate vertex patch")
+    owner, w = _csr_pairs(two_ring)
+    n = len(mesh.vertices)
+    Hv = _patch_fit(owner, mesh.vertices[w] - mesh.vertices[owner], g[w], n)[:, 1:, :]
+    # Hv[v, i, j] = d g_j / d x_i
+    return 0.5 * (Hv + Hv.transpose(0, 2, 1))
 
 
 def evaluate(mesh: Mesh, f: Field, point) -> float:

@@ -129,9 +129,6 @@ class DomainSpec:
         phi = np.arctan2(d[:, 1], d[:, 0])
         return self.radial(phi) - rho
 
-    def contains(self, pts, tol=0.0):
-        return self.signed_radial_margin(pts) > tol
-
 
 @dataclass(frozen=True)
 class InclusionSpec:

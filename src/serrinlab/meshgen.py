@@ -17,7 +17,8 @@ import numpy as np
 from scipy.spatial import Delaunay
 
 from .errors import MeshQualityError, ValidationError
-from .geometry import TWO_PI, DomainSpec, InclusionSpec, exact_perimeter, inclusion_margin
+from .geometry import (TWO_PI, DomainSpec, InclusionSpec, Margin, exact_perimeter,
+                       inclusion_margin)
 
 # lattice pitch and ring spacing relative to target_h; clearance band half-width
 # relative to local ring spacing (tuned so the worst band triangle keeps its
@@ -50,6 +51,7 @@ class Mesh:
     inclusion: Optional[InclusionSpec]
     target_h: float
     level: int = 0
+    margin: Optional[Margin] = None
     h_max: float = field(init=False)
     key: str = field(init=False)
 
@@ -66,9 +68,10 @@ class Mesh:
         pairs = np.stack([loop, np.roll(loop, -1)], axis=1)
         return pairs, self.boundary_normals
 
-    @property
-    def boundary_vertex_ids(self):
-        return self.boundary_loop
+    def boundary_edge_lengths(self):
+        """Length of each CCW boundary edge i -> i+1."""
+        p = self.vertices[self.boundary_loop]
+        return np.hypot(*(np.roll(p, -1, axis=0) - p).T)
 
     def triangle_areas(self):
         p = self.vertices[self.triangles]
@@ -120,8 +123,8 @@ def generate(domain: DomainSpec, inclusion: Optional[InclusionSpec],
         raise ValidationError("target_h: must be positive")
     if inclusion is not None and inclusion.is_none:
         inclusion = None
-    if inclusion is not None:
-        inclusion_margin(domain, inclusion)  # raises if D touches/exits Omega
+    # raises if D touches/exits Omega
+    margin = inclusion_margin(domain, inclusion) if inclusion is not None else None
 
     last_report = ""
     for offset in _OFFSETS:
@@ -130,6 +133,7 @@ def generate(domain: DomainSpec, inclusion: Optional[InclusionSpec],
         except MeshQualityError as exc:
             last_report = str(exc)
             continue
+        mesh.margin = margin
         return mesh
     raise MeshQualityError(
         f"mesh quality unreachable for target_h={target_h}: {last_report}")
@@ -244,7 +248,8 @@ def _generate_once(domain, inclusion, target_h, offset):
     loop = remap[np.arange(n_omega)]
     iface_loop = remap[n_omega + np.arange(n_d)] if inclusion is not None else None
 
-    _check_boundary_loop(points, triangles, loop)
+    edges, _, counts = edge_table(triangles)
+    _check_boundary_loop(edges, counts, loop)
     normals = _loop_edge_normals(points, loop)
 
     mesh = Mesh(vertices=points, triangles=triangles, region=region,
@@ -271,13 +276,36 @@ def _orient_ccw(points, triangles):
     return triangles
 
 
-def _edge_set(triangles):
-    edges = set()
-    for a, b, c in triangles:
-        edges.add(frozenset((int(a), int(b))))
-        edges.add(frozenset((int(b), int(c))))
-        edges.add(frozenset((int(c), int(a))))
-    return edges
+def edge_table(triangles):
+    """Edges of a triangle array, numbered by first appearance.
+
+    The sides of each triangle (a, b, c) are visited as (a, b), (b, c), (c, a),
+    triangle by triangle, and each edge keeps the orientation of its first
+    visit.  Returns the (E, 2) edges, the (T, 3) edge id of each side, and the
+    number of triangles on each edge.
+    """
+    sides = np.stack([triangles, np.roll(triangles, -1, axis=1)], axis=-1).reshape(-1, 2)
+    _, first, inverse, counts = np.unique(_pair_keys(sides), return_index=True,
+                                          return_inverse=True, return_counts=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return sides[first[order]], rank[inverse].reshape(-1, 3), counts[order]
+
+
+def _pair_keys(pairs):
+    """Orientation-free int64 key of each vertex pair."""
+    pairs = np.sort(np.asarray(pairs, dtype=np.int64), axis=1)
+    return (pairs[:, 0] << 32) | pairs[:, 1]
+
+
+def _edge_ids(edges, pairs):
+    """Id in an edge table of each vertex pair, -1 where the pair is no edge."""
+    keys = _pair_keys(edges)
+    query = _pair_keys(pairs)
+    order = np.argsort(keys)
+    found = order[np.searchsorted(keys, query, sorter=order) % len(keys)]
+    return np.where(keys[found] == query, found, -1)
 
 
 def _enforce_edges(points, triangles, required):
@@ -286,54 +314,37 @@ def _enforce_edges(points, triangles, required):
     Fine curve sampling makes required edges Gabriel (hence Delaunay) in almost
     every case; this path exists for the rare tie near coarse inclusions.
     """
-    edges = _edge_set(triangles)
-    missing = [tuple(e) for e in required if frozenset((int(e[0]), int(e[1]))) not in edges]
+    missing = required[_edge_ids(edge_table(triangles)[0], required) < 0]
     for u, v in missing:
         for _ in range(200):
-            edges_map = _edge_to_tris(triangles)
-            if frozenset((u, v)) in edges_map:
+            edges, tri_edges, counts = edge_table(triangles)
+            if _edge_ids(edges, [(u, v)])[0] >= 0:
                 break
-            flipped = False
-            for edge, tris in edges_map.items():
-                if len(tris) != 2:
-                    continue
-                a, b = tuple(edge)
-                if not _segments_cross(points[u], points[v], points[a], points[b]):
-                    continue
-                t1, t2 = tris
-                c = _opposite_vertex(triangles[t1], a, b)
-                d = _opposite_vertex(triangles[t2], a, b)
+            crossing = (counts == 2) & _segments_cross(points[u], points[v],
+                                                       points[edges[:, 0]],
+                                                       points[edges[:, 1]])
+            for e in np.flatnonzero(crossing):
+                a, b = edges[e]
+                # the two sides on edge e, as (triangle, side); side k is
+                # opposite the triangle's vertex (k + 2) % 3
+                (t1, t2), (k1, k2) = np.divmod(np.flatnonzero(tri_edges == e), 3)
+                c = triangles[t1, (k1 + 2) % 3]
+                d = triangles[t2, (k2 + 2) % 3]
                 if not _quad_convex(points[a], points[c], points[b], points[d]):
                     continue
                 triangles[t1] = _orient_ccw(points, np.array([[c, d, a]]))[0]
                 triangles[t2] = _orient_ccw(points, np.array([[d, c, b]]))[0]
-                flipped = True
                 break
-            if not flipped:
+            else:
                 raise MeshQualityError(f"cannot recover constraint edge ({u},{v})")
         else:
             raise MeshQualityError(f"edge recovery did not terminate for ({u},{v})")
     return triangles
 
 
-def _edge_to_tris(triangles):
-    mapping = {}
-    for t, (a, b, c) in enumerate(triangles):
-        for e in (frozenset((int(a), int(b))), frozenset((int(b), int(c))),
-                  frozenset((int(c), int(a)))):
-            mapping.setdefault(e, []).append(t)
-    return mapping
-
-
-def _opposite_vertex(tri, a, b):
-    for v in tri:
-        if v != a and v != b:
-            return int(v)
-    raise AssertionError("degenerate triangle")
-
-
 def _cross(o, p, q):
-    return (p[0] - o[0]) * (q[1] - o[1]) - (p[1] - o[1]) * (q[0] - o[0])
+    return ((p[..., 0] - o[..., 0]) * (q[..., 1] - o[..., 1])
+            - (p[..., 1] - o[..., 1]) * (q[..., 0] - o[..., 0]))
 
 
 def _segments_cross(p1, p2, q1, q2):
@@ -341,7 +352,7 @@ def _segments_cross(p1, p2, q1, q2):
     d2 = _cross(p1, p2, q2)
     d3 = _cross(q1, q2, p1)
     d4 = _cross(q1, q2, p2)
-    return (d1 * d2 < 0) and (d3 * d4 < 0)
+    return (d1 * d2 < 0) & (d3 * d4 < 0)
 
 
 def _quad_convex(a, c, b, d):
@@ -357,16 +368,11 @@ def _drop_orphans(points, triangles):
     return points[used], remap[triangles], remap
 
 
-def _check_boundary_loop(points, triangles, loop):
-    counts = {}
-    for a, b, c in triangles:
-        for e in (frozenset((int(a), int(b))), frozenset((int(b), int(c))),
-                  frozenset((int(c), int(a)))):
-            counts[e] = counts.get(e, 0) + 1
-    hull = {e for e, c in counts.items() if c == 1}
-    expected = {frozenset((int(loop[i]), int(loop[(i + 1) % len(loop)])))
-                for i in range(len(loop))}
-    if hull != expected:
+def _check_boundary_loop(edges, counts, loop):
+    """The edges on one triangle must be exactly the edges of the loop."""
+    ids = _edge_ids(edges, np.stack([loop, np.roll(loop, -1)], axis=1))
+    if (np.any(ids < 0) or np.any(counts[ids] != 1)
+            or len(np.unique(ids)) != np.count_nonzero(counts == 1)):
         raise MeshQualityError("mesh boundary does not coincide with the sampled curve")
 
 
@@ -379,101 +385,53 @@ def _loop_edge_normals(points, loop):
 
 def _circular_midpoint(t1, t2):
     d = (t2 - t1) % TWO_PI
-    if d > math.pi:
-        return (t2 + (TWO_PI - d) / 2.0) % TWO_PI
-    return (t1 + d / 2.0) % TWO_PI
+    return np.where(d > math.pi, (t2 + (TWO_PI - d) / 2.0) % TWO_PI,
+                    (t1 + d / 2.0) % TWO_PI)
 
 
 def refine(mesh: Mesh) -> Mesh:
-    """Uniform 1:4 red refinement with curve projection of loop-edge midpoints."""
+    """Uniform 1:4 red refinement with curve projection of loop-edge midpoints.
+
+    The midpoint of edge e of edge_table(mesh.triangles) becomes vertex V + e.
+    """
     V = len(mesh.vertices)
-    param_omega = dict(zip(mesh.boundary_loop.tolist(), mesh.boundary_params.tolist()))
-    param_iface = (dict(zip(mesh.interface_loop.tolist(), mesh.interface_params.tolist()))
-                   if mesh.interface_loop is not None else {})
-    bnd_edges = {frozenset((int(mesh.boundary_loop[i]),
-                            int(mesh.boundary_loop[(i + 1) % len(mesh.boundary_loop)])))
-                 for i in range(len(mesh.boundary_loop))}
+    edges, tri_edges, _ = edge_table(mesh.triangles)
+    vertices = np.vstack([mesh.vertices, 0.5 * (mesh.vertices[edges[:, 0]]
+                                                + mesh.vertices[edges[:, 1]])])
+    loop, loop_params = _split_loop(mesh.boundary_loop, mesh.boundary_params,
+                                    edges, vertices, mesh.domain)
+    iloop, iparams = None, None
     if mesh.interface_loop is not None:
-        il = mesh.interface_loop
-        ifc_edges = {frozenset((int(il[i]), int(il[(i + 1) % len(il)])))
-                     for i in range(len(il))}
-        curve_d = mesh.inclusion.to_domain()
-    else:
-        ifc_edges = set()
-        curve_d = None
-
-    new_pts = [mesh.vertices]
-    midpoint_of = {}
-    new_param_omega = dict(param_omega)
-    new_param_iface = dict(param_iface)
-
-    def midpoint(iv, jv):
-        e = frozenset((int(iv), int(jv)))
-        if e in midpoint_of:
-            return midpoint_of[e]
-        idx = V + len(midpoint_of)
-        if e in bnd_edges:
-            tm = _circular_midpoint(param_omega[int(iv)], param_omega[int(jv)])
-            if mesh.domain is not None:
-                p = mesh.domain.point(tm)
-            else:
-                p = 0.5 * (mesh.vertices[int(iv)] + mesh.vertices[int(jv)])
-            new_param_omega[idx] = tm
-        elif e in ifc_edges:
-            tm = _circular_midpoint(param_iface[int(iv)], param_iface[int(jv)])
-            p = curve_d.point(tm)
-            new_param_iface[idx] = tm
-        else:
-            p = 0.5 * (mesh.vertices[int(iv)] + mesh.vertices[int(jv)])
-        midpoint_of[e] = (idx, p)
-        return midpoint_of[e]
-
-    tris = []
-    regions = []
-    for t, (a, b, c) in enumerate(mesh.triangles):
-        mab, pab = midpoint(a, b)
-        mbc, pbc = midpoint(b, c)
-        mca, pca = midpoint(c, a)
-        tris.extend([(a, mab, mca), (b, mbc, mab), (c, mca, mbc), (mab, mbc, mca)])
-        regions.extend([mesh.region[t]] * 4)
-
-    mids = sorted(midpoint_of.values(), key=lambda kv: kv[0])
-    new_pts.append(np.array([p for _, p in mids]))
-    vertices = np.vstack(new_pts)
-    triangles = np.array(tris, dtype=np.int64)
-    region = np.array(regions, dtype=np.int8)
-
-    loop = []
-    loop_params = []
-    for i in range(len(mesh.boundary_loop)):
-        a = int(mesh.boundary_loop[i])
-        b = int(mesh.boundary_loop[(i + 1) % len(mesh.boundary_loop)])
-        m, _ = midpoint_of[frozenset((a, b))]
-        loop.extend([a, m])
-        loop_params.extend([new_param_omega[a], new_param_omega[m]])
-    loop = np.array(loop, dtype=np.int64)
-    loop_params = np.array(loop_params)
-
-    if mesh.interface_loop is not None:
-        iloop = []
-        iparams = []
-        il = mesh.interface_loop
-        for i in range(len(il)):
-            a, b = int(il[i]), int(il[(i + 1) % len(il)])
-            m, _ = midpoint_of[frozenset((a, b))]
-            iloop.extend([a, m])
-            iparams.extend([new_param_iface[a], new_param_iface[m]])
-        iloop = np.array(iloop, dtype=np.int64)
-        iparams = np.array(iparams)
-    else:
-        iloop, iparams = None, None
-
-    return Mesh(vertices=vertices, triangles=triangles, region=region,
+        iloop, iparams = _split_loop(mesh.interface_loop, mesh.interface_params,
+                                     edges, vertices, mesh.inclusion.to_domain())
+    a, b, c = mesh.triangles.T
+    mab, mbc, mca = (V + tri_edges).T
+    triangles = np.stack([a, mab, mca, b, mbc, mab, c, mca, mbc, mab, mbc, mca],
+                         axis=1).reshape(-1, 3)
+    return Mesh(vertices=vertices, triangles=triangles,
+                region=np.repeat(mesh.region, 4),
                 boundary_loop=loop, boundary_params=loop_params,
                 boundary_normals=_loop_edge_normals(vertices, loop),
                 interface_loop=iloop, interface_params=iparams,
                 domain=mesh.domain, inclusion=mesh.inclusion,
-                target_h=mesh.target_h / 2.0, level=mesh.level + 1)
+                target_h=mesh.target_h / 2.0, level=mesh.level + 1,
+                margin=mesh.margin)
+
+
+def _split_loop(loop, params, edges, vertices, curve):
+    """Refined loop and its curve parameters: each loop edge gains its midpoint.
+
+    The midpoint vertex moves onto the curve at the parameter midpoint (it stays
+    the straight midpoint when curve is None).
+    """
+    ids = _edge_ids(edges, np.stack([loop, np.roll(loop, -1)], axis=1))
+    param_of = np.zeros(len(vertices))
+    param_of[loop] = params
+    tm = _circular_midpoint(param_of[edges[ids, 0]], param_of[edges[ids, 1]])
+    mid = len(vertices) - len(edges) + ids
+    if curve is not None:
+        vertices[mid] = curve.point(tm)
+    return np.stack([loop, mid], axis=1).ravel(), np.stack([params, tm], axis=1).ravel()
 
 
 def validate_mesh(mesh: Mesh, angle_floor=20.0):
@@ -481,29 +439,25 @@ def validate_mesh(mesh: Mesh, angle_floor=20.0):
     areas = mesh.triangle_areas()
     if np.any(areas <= 0):
         raise MeshQualityError("non-positive triangle area")
-    counts = {}
-    for a, b, c in mesh.triangles:
-        for e in (frozenset((int(a), int(b))), frozenset((int(b), int(c))),
-                  frozenset((int(c), int(a)))):
-            counts[e] = counts.get(e, 0) + 1
-    if any(c > 2 for c in counts.values()):
+    edges, _, counts = edge_table(mesh.triangles)
+    if np.any(counts > 2):
         raise MeshQualityError("edge shared by more than two triangles")
-    _check_boundary_loop(mesh.vertices, mesh.triangles, mesh.boundary_loop)
-    n_edges = len(counts)
-    euler = len(mesh.vertices) - n_edges + len(mesh.triangles)
+    _check_boundary_loop(edges, counts, mesh.boundary_loop)
+    euler = len(mesh.vertices) - len(edges) + len(mesh.triangles)
     if euler != 1:
         raise MeshQualityError(f"Euler relation violated: V-E+T = {euler}")
     if mesh.min_angle_deg() < angle_floor:
         raise MeshQualityError(f"min angle {mesh.min_angle_deg():.2f} below {angle_floor}")
     if mesh.inclusion is not None and not mesh.inclusion.is_none:
-        curve_d = mesh.inclusion.to_domain()
-        for t, tri in enumerate(mesh.triangles):
-            pts = np.vstack([mesh.vertices[tri], mesh.vertices[tri].mean(axis=0)[None, :]])
-            m = curve_d.signed_radial_margin(pts)
-            if mesh.region[t] == 1 and np.any(m < -1e-9):
-                raise MeshQualityError("inside-tagged triangle leaks outside D")
-            if mesh.region[t] == 0 and np.any(m > 1e-9) and not np.all(m[:3] <= 1e-9):
-                raise MeshQualityError("outside-tagged triangle straddles D")
+        # margins of the three corners and the centroid of every triangle
+        p = mesh.vertices[mesh.triangles]
+        p = np.concatenate([p, p.mean(axis=1, keepdims=True)], axis=1)
+        m = mesh.inclusion.to_domain().signed_radial_margin(p.reshape(-1, 2)).reshape(-1, 4)
+        if np.any((mesh.region == 1) & np.any(m < -1e-9, axis=1)):
+            raise MeshQualityError("inside-tagged triangle leaks outside D")
+        if np.any((mesh.region == 0) & np.any(m > 1e-9, axis=1)
+                  & ~np.all(m[:, :3] <= 1e-9, axis=1)):
+            raise MeshQualityError("outside-tagged triangle straddles D")
     if mesh.domain is not None:
         onb = mesh.domain.signed_radial_margin(mesh.vertices[mesh.boundary_loop])
         if np.max(np.abs(onb)) > 1e-12 * max(1.0, float(np.abs(mesh.vertices).max())):

@@ -34,7 +34,7 @@ from .geometry import (
     rho_bounds,
     serrin_constant,
 )
-from .meshgen import Mesh, generate, refine
+from .meshgen import Mesh, edge_table, generate, refine
 
 CSV_HEADER = ("c,dev_L2,dev_Linf,z_x,z_y,rho_i,rho_e,gap,osc_h,"
               "FI_lhs,FI_rhs,FI_gap,growth_min,h_max")
@@ -94,17 +94,11 @@ def max_point(mesh: Mesh, v: Field) -> np.ndarray:
     i = int(np.argmax(v.values))
     if i in set(mesh.boundary_loop.tolist()):
         raise ValidationError("max_point: maximum on the boundary")
-    neigh = set()
-    for tri in mesh.triangles:
-        if i in tri:
-            neigh.update(int(t) for t in tri)
-    patch = np.fromiter(sorted(neigh), dtype=np.int64)
+    # i with its neighbors, widened to the two-ring when too few for the fit
+    edges = edge_table(mesh.triangles)[0]
+    patch = np.unique(edges[np.any(edges == i, axis=1)])
     if len(patch) < 6:
-        extra = set(patch.tolist())
-        for tri in mesh.triangles:
-            if extra & set(int(t) for t in tri):
-                extra.update(int(t) for t in tri)
-        patch = np.fromiter(sorted(extra), dtype=np.int64)
+        patch = np.unique(edges[np.any(np.isin(edges, patch), axis=1)])
     x0 = mesh.vertices[i]
     d = mesh.vertices[patch] - x0
     A = np.column_stack([np.ones(len(patch)), d[:, 0], d[:, 1],
@@ -165,10 +159,8 @@ def fundamental_identity(mesh: Mesh, v: Field, z):
     lhs = float((areas * per_vertex[mesh.triangles].mean(axis=1)).sum())
 
     area = exact_area(mesh.domain) if mesh.domain is not None else float(areas.sum())
-    perim = exact_perimeter(mesh.domain) if mesh.domain is not None else None
-    if perim is None:
-        p = mesh.vertices[mesh.boundary_loop]
-        perim = float(np.hypot(*(np.roll(p, -1, axis=0) - p).T).sum())
+    perim = (exact_perimeter(mesh.domain) if mesh.domain is not None
+             else float(mesh.boundary_edge_lengths().sum()))
     c = serrin_constant(area, perim)
 
     tr = normal_derivative(mesh, v)
@@ -176,7 +168,7 @@ def fundamental_identity(mesh: Mesh, v: Field, z):
     dnq_at = lambda p, n: -((p - z) * n).sum(axis=1) / 2.0
     loop_next = np.roll(np.arange(len(pts)), -1)
     edge_n = mesh.boundary_normals
-    ell = np.hypot(*(pts[loop_next] - pts).T)
+    ell = mesh.boundary_edge_lengths()
     # per-edge trapezoid with the edge normal at both endpoints
     f_start = (c ** 2 - tr.values ** 2) * (tr.values - dnq_at(pts, edge_n))
     f_end = (c ** 2 - tr.values[loop_next] ** 2) * (

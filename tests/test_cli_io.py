@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import re
@@ -147,6 +148,18 @@ class TestRun:
         cfg = config_from_dict(dict(DIAG_CFG, name="envd"))
         assert run(cfg) == 0
         assert (tmp_path / "envroot" / "envd" / "report.csv").exists()
+
+    def test_nonexistence_label_is_one_csv_field(self, tmp_path):
+        cfg = config_from_dict({
+            "command": "nonexistence", "domain": {"kind": "ellipse", "a": 1.2, "b": 1.0},
+            "fitted_C2": 4.0, "fitted_C3": 2.0, "target_h": 0.08, "name": "nonex",
+            "output_dir": str(tmp_path)})
+        assert run(cfg) == 0
+        with open(tmp_path / "nonex" / "report.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 1
+        assert list(rows[0]) == ["gap", "sigma_threshold", "area_threshold", "label"]
+        assert rows[0]["label"] == "empirical, conditional on fitted constants"
 
     def test_all_zero_sweep_plot_skipped_exit_zero(self, tmp_path):
         # sigma_c = 1 makes every sweep value vanish: no plot, still exit 0

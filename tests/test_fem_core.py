@@ -16,6 +16,7 @@ from serrinlab.fem_core import (
     hessian_recovery,
     l2_norm,
     normal_derivative,
+    recovered_gradient,
     residual_norm,
     solve_harmonic_dirichlet,
     solve_linearized,
@@ -25,6 +26,46 @@ from serrinlab.fem_core import (
 from serrinlab.meshgen import refine
 
 from conftest import make_square_mesh
+
+
+def reference_gradient(mesh, values):
+    """Per-vertex least-squares fits of the element gradients, for comparison."""
+    p = mesh.vertices[mesh.triangles]
+    A = np.concatenate([np.ones((len(p), 3, 1)), p], axis=2)
+    ge = np.linalg.solve(A, values[mesh.triangles][..., None])[:, 1:, 0]
+    centroids = p.mean(axis=1)
+    incident = [[] for _ in range(len(mesh.vertices))]
+    for t, tri in enumerate(mesh.triangles):
+        for v in tri:
+            incident[v].append(t)
+    out = np.zeros((len(mesh.vertices), 2))
+    for v, tris in enumerate(incident):
+        if len(tris) < 3:
+            tris = sorted({s for w in mesh.triangles[tris].ravel() for s in incident[w]})
+        A = np.column_stack([np.ones(len(tris)), centroids[tris] - mesh.vertices[v]])
+        out[v] = np.linalg.lstsq(A, ge[tris], rcond=None)[0][0]
+    return out
+
+
+def reference_hessian(mesh, f):
+    """Per-vertex two-ring least-squares Hessian fits, for comparison."""
+    g = recovered_gradient(mesh, f.values)
+    neigh = [set() for _ in range(len(mesh.vertices))]
+    for a, b, c in mesh.triangles:
+        neigh[a].update((b, c))
+        neigh[b].update((a, c))
+        neigh[c].update((a, b))
+    H = np.zeros((len(mesh.vertices), 2, 2))
+    for v in range(len(mesh.vertices)):
+        patch = {v} | neigh[v]
+        for w in list(patch):
+            patch |= neigh[w]
+        patch = np.fromiter(sorted(patch), dtype=np.int64)
+        d = mesh.vertices[patch] - mesh.vertices[v]
+        A = np.column_stack([np.ones(len(patch)), d[:, 0], d[:, 1]])
+        coef = np.linalg.solve(A.T @ A, A.T @ g[patch])
+        H[v] = 0.5 * (coef[1:, :].T + coef[1:, :])
+    return H
 
 
 def square_torsion_center(side=2.0, terms=25):
@@ -260,6 +301,32 @@ class TestNormalDerivative:
             normal_derivative(disk_mesh, bogus)
 
 
+class TestRecoveredGradient:
+    def test_exactness_with_starved_corners(self):
+        # two square corners lie on two triangles and two on one, so they
+        # take the widened patch
+        mesh = make_square_mesh()
+        counts = np.bincount(mesh.triangles.ravel(), minlength=len(mesh.vertices))
+        assert np.count_nonzero(counts < 3) == 4
+        x, y = mesh.vertices.T
+        g = recovered_gradient(mesh, 1.0 + 2.0 * x - y)
+        assert np.abs(g - [2.0, -1.0]).max() < 1e-10
+        # a quadratic is recovered exactly where the patch is point-symmetric
+        g = recovered_gradient(mesh, 3.0 * x ** 2 + x * y - 2.0 * y ** 2)
+        exact = np.column_stack([6.0 * x + y, x - 4.0 * y])
+        interior = np.setdiff1d(np.arange(len(x)), mesh.boundary_loop)
+        assert np.abs(g - exact)[interior].max() < 1e-10
+
+    @pytest.mark.parametrize("name", ["square", "disk_mesh"])
+    def test_matches_reference_loop(self, name, request):
+        mesh = make_square_mesh() if name == "square" else request.getfixturevalue(name)
+        x, y = mesh.vertices.T
+        values = np.sin(2.0 * x) * np.cos(y) + x * y ** 2
+        ref = reference_gradient(mesh, values)
+        np.testing.assert_allclose(recovered_gradient(mesh, values), ref, rtol=1e-10,
+                                   atol=1e-10 * np.abs(ref).max())
+
+
 class TestHessianRecovery:
     def test_quadratic_x2(self, disk_mesh):
         from serrinlab.fem_core import Field
@@ -278,6 +345,14 @@ class TestHessianRecovery:
                   - 2.0 * disk_mesh.vertices[:, 1], "custom")
         H = hessian_recovery(disk_mesh, f)
         assert np.abs(H).max() < 1e-10
+
+    @pytest.mark.parametrize("name", ["ellipse_mesh", "concentric_mesh", "square"])
+    def test_matches_reference_loop(self, name, request):
+        mesh = make_square_mesh() if name == "square" else request.getfixturevalue(name)
+        v = solve_one_phase(mesh)
+        ref = reference_hessian(mesh, v)
+        np.testing.assert_allclose(hessian_recovery(mesh, v), ref, rtol=1e-10,
+                                   atol=1e-10 * np.abs(ref).max())
 
     def test_ellipse_torsion_hessian(self, ellipse_mesh):
         v = solve_one_phase(ellipse_mesh)

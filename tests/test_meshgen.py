@@ -3,9 +3,93 @@ import math
 import numpy as np
 import pytest
 
-from serrinlab.errors import ValidationError
-from serrinlab.geometry import DomainSpec, InclusionSpec
-from serrinlab.meshgen import dump_mesh, generate, refine, region_areas, validate_mesh
+from scipy.spatial import Delaunay
+
+from serrinlab.errors import MeshQualityError, ValidationError
+from serrinlab.geometry import TWO_PI, DomainSpec, InclusionSpec
+from serrinlab.meshgen import (
+    Mesh,
+    _enforce_edges,
+    _orient_ccw,
+    dump_mesh,
+    edge_table,
+    generate,
+    refine,
+    region_areas,
+    validate_mesh,
+)
+
+from conftest import make_square_mesh
+
+
+def _circular_midpoint(t1, t2):
+    d = (t2 - t1) % TWO_PI
+    if d > math.pi:
+        return (t2 + (TWO_PI - d) / 2.0) % TWO_PI
+    return (t1 + d / 2.0) % TWO_PI
+
+
+def reference_refine(mesh):
+    """Per-triangle 1:4 refinement with a dict of midpoints, for comparison.
+
+    Returns (vertices, triangles, region, boundary_loop, boundary_params,
+    interface_loop, interface_params).
+    """
+    V = len(mesh.vertices)
+    param_omega = dict(zip(mesh.boundary_loop.tolist(), mesh.boundary_params.tolist()))
+    param_iface = (dict(zip(mesh.interface_loop.tolist(), mesh.interface_params.tolist()))
+                   if mesh.interface_loop is not None else {})
+
+    def loop_edges(loop):
+        return {frozenset((int(loop[i]), int(loop[(i + 1) % len(loop)])))
+                for i in range(len(loop))}
+
+    bnd_edges = loop_edges(mesh.boundary_loop)
+    ifc_edges = loop_edges(mesh.interface_loop) if mesh.interface_loop is not None else set()
+    curve_d = mesh.inclusion.to_domain() if mesh.interface_loop is not None else None
+    midpoint_of = {}
+    new_param = {}
+
+    def midpoint(iv, jv):
+        e = frozenset((int(iv), int(jv)))
+        if e in midpoint_of:
+            return midpoint_of[e]
+        idx = V + len(midpoint_of)
+        p = 0.5 * (mesh.vertices[int(iv)] + mesh.vertices[int(jv)])
+        if e in bnd_edges:
+            tm = _circular_midpoint(param_omega[int(iv)], param_omega[int(jv)])
+            if mesh.domain is not None:
+                p = mesh.domain.point(tm)
+            new_param[idx] = tm
+        elif e in ifc_edges:
+            tm = _circular_midpoint(param_iface[int(iv)], param_iface[int(jv)])
+            p = curve_d.point(tm)
+            new_param[idx] = tm
+        midpoint_of[e] = (idx, p)
+        return midpoint_of[e]
+
+    tris, regions = [], []
+    for t, (a, b, c) in enumerate(mesh.triangles):
+        mab, mbc, mca = midpoint(a, b)[0], midpoint(b, c)[0], midpoint(c, a)[0]
+        tris.extend([(a, mab, mca), (b, mbc, mab), (c, mca, mbc), (mab, mbc, mca)])
+        regions.extend([mesh.region[t]] * 4)
+    mids = sorted(midpoint_of.values(), key=lambda kv: kv[0])
+    vertices = np.vstack([mesh.vertices, np.array([p for _, p in mids])])
+
+    def split(loop, params):
+        if loop is None:
+            return None, None
+        out, out_params = [], []
+        for i in range(len(loop)):
+            a, b = int(loop[i]), int(loop[(i + 1) % len(loop)])
+            m = midpoint_of[frozenset((a, b))][0]
+            out.extend([a, m])
+            out_params.extend([params[i], new_param[m]])
+        return np.array(out, dtype=np.int64), np.array(out_params)
+
+    return (vertices, np.array(tris, dtype=np.int64), np.array(regions, dtype=np.int8),
+            *split(mesh.boundary_loop, mesh.boundary_params),
+            *split(mesh.interface_loop, mesh.interface_params))
 
 
 class TestGenerate:
@@ -89,6 +173,61 @@ class TestRefine:
         fine = refine(concentric_mesh)
         np.testing.assert_array_equal(fine.region,
                                       np.repeat(concentric_mesh.region, 4))
+
+    @pytest.mark.parametrize("name", ["disk_mesh", "concentric_mesh", "ellipse_mesh",
+                                      "square"])
+    def test_matches_reference_refine(self, name, request):
+        mesh = make_square_mesh() if name == "square" else request.getfixturevalue(name)
+        fine = refine(mesh)
+        got = (fine.vertices, fine.triangles, fine.region, fine.boundary_loop,
+               fine.boundary_params, fine.interface_loop, fine.interface_params)
+        for a, b in zip(got, reference_refine(mesh)):
+            if b is None:
+                assert a is None
+            else:
+                assert a.dtype == b.dtype
+                np.testing.assert_array_equal(a, b)
+
+    def test_margin_carried_over(self, concentric_mesh):
+        assert concentric_mesh.margin.margin == pytest.approx(0.5, abs=1e-8)
+        assert refine(concentric_mesh).margin == concentric_mesh.margin
+
+
+def _undirected_edges(triangles):
+    return {tuple(e) for e in np.sort(edge_table(triangles)[0], axis=1).tolist()}
+
+
+class TestConnectivity:
+    def test_edge_table_first_appearance(self):
+        tris = np.array([[0, 1, 2], [2, 1, 3]])
+        edges, tri_edges, counts = edge_table(tris)
+        np.testing.assert_array_equal(edges, [[0, 1], [1, 2], [2, 0], [1, 3], [3, 2]])
+        np.testing.assert_array_equal(tri_edges, [[0, 1, 2], [1, 3, 4]])
+        np.testing.assert_array_equal(counts, [1, 2, 1, 1, 1])
+
+    def test_enforce_edges_restores_missed_diagonal(self):
+        # a rhombus whose Delaunay triangulation takes the short diagonal 1-3
+        points = np.array([[-1.0, 0.0], [0.0, -0.5], [1.0, 0.0], [0.0, 0.5]])
+        tris = _orient_ccw(points, Delaunay(points).simplices.astype(np.int64))
+        assert (0, 2) not in _undirected_edges(tris)
+        out = _enforce_edges(points, tris.copy(), np.array([[0, 2]]))
+        assert (0, 2) in _undirected_edges(out) and (1, 3) not in _undirected_edges(out)
+        p = points[out]
+        det = ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
+               - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
+        assert len(out) == 2 and np.all(det > 0)
+
+    def test_validate_rejects_edge_on_three_triangles(self):
+        vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0], [0.5, 2.0]])
+        triangles = np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]])
+        loop = np.array([0, 3, 1, 4])
+        mesh = Mesh(vertices=vertices, triangles=triangles,
+                    region=np.zeros(3, dtype=np.int8), boundary_loop=loop,
+                    boundary_params=np.zeros(4), boundary_normals=np.zeros((4, 2)),
+                    interface_loop=None, interface_params=None, domain=None,
+                    inclusion=None, target_h=1.0)
+        with pytest.raises(MeshQualityError, match="more than two"):
+            validate_mesh(mesh)
 
 
 class TestDump:
