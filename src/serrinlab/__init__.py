@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .errors import MeshQualityError, SolverError, ValidationError
+from .errors import DiagnosticError, MeshQualityError, SolverError, ValidationError
 from .geometry import (
     DomainSpec,
     InclusionSpec,
@@ -21,6 +21,7 @@ __all__ = [
     "DomainSpec",
     "InclusionSpec",
     "PolygonalBoundary",
+    "DiagnosticError",
     "MeshQualityError",
     "SolverError",
     "ValidationError",

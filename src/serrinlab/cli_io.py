@@ -1,8 +1,9 @@
 """Batch entry point: JSON configs in, CSV/JSON/SVG artifacts plus a manifest out.
 
-Exit codes: 0 success, 2 validation error, 3 solver/mesh failure.  Artifact
-files (report.csv, fit.json, plot.svg, field.txt) are byte-deterministic for a
-fixed config; manifest.json carries the wall time and is not.
+Exit codes: 0 success, 2 validation error, 3 solver/mesh failure or failed
+numerical self-check.  Artifact files (report.csv, fit.json, plot.svg,
+field.txt) are byte-deterministic for a fixed config; manifest.json carries the
+wall time and is not.
 """
 
 from __future__ import annotations
@@ -14,9 +15,10 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from functools import partial
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -47,53 +49,76 @@ FIT_AXES = {
 }
 
 
-def domain_to_dict(spec: DomainSpec) -> dict:
-    d = {"kind": spec.kind, "center": list(spec.center),
-         "boundary_samples": spec.boundary_samples}
-    if spec.kind == "disk":
-        d["radius"] = spec.radius
-    elif spec.kind == "ellipse":
-        d["a"], d["b"] = spec.a, spec.b
-    else:
-        d["r0"], d["eps"], d["k"] = spec.r0, spec.eps, spec.k
-    return d
+def _join(path, name):
+    return f"{path}.{name}" if path else name
 
 
-def domain_from_dict(d: dict) -> DomainSpec:
-    if not isinstance(d, dict) or "kind" not in d:
-        raise ValidationError("domain.kind: required")
-    allowed = {"kind", "center", "radius", "a", "b", "r0", "eps", "k",
-               "boundary_samples"}
-    unknown = set(d) - allowed
+_JSON_NAMES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string",
+               list: "a list", dict: "an object", type(None): "null"}
+
+
+def _ill_typed(path, expected, value):
+    got = (f"a list of {len(value)}" if type(value) is list
+           else _JSON_NAMES.get(type(value), type(value).__name__))
+    return ValidationError(f"{path}: expected {expected}, got {got}")
+
+
+def _decode(tp, value, path):
+    """One JSON value checked against annotation tp (see spec_from_dict)."""
+    args = get_args(tp)
+    if get_origin(tp) is Union:  # Optional[X]
+        return None if value is None else _decode(args[0], value, path)
+    if is_dataclass(tp):
+        return spec_from_dict(tp, value, path)
+    if get_origin(tp) is list:
+        if type(value) is not list:
+            raise _ill_typed(path, "a list", value)
+        return [_decode(args[0], v, f"{path}[{i}]") for i, v in enumerate(value)]
+    if tp is tuple:  # a point [x, y]
+        if type(value) is not list or len(value) != 2:
+            raise _ill_typed(path, "a point [x, y]", value)
+        return tuple(_decode(float, v, f"{path}[{i}]") for i, v in enumerate(value))
+    if tp is float and type(value) is int:
+        value = float(value)
+    if type(value) is not tp:
+        raise _ill_typed(path, _JSON_NAMES[tp], value)
+    if tp is float and not math.isfinite(value):
+        raise ValidationError(f"{path}: expected a finite number, got {value}")
+    return value
+
+
+def spec_from_dict(cls, d, path=""):
+    """Decode the JSON object d into dataclass cls, field by field.
+
+    Each value is checked against its annotation: float takes a finite number
+    (an int is converted), int rejects floats and bools, bool and str are
+    strict, tuple is a point [x, y], list[X] and nested dataclasses decode
+    recursively, Optional allows null.  Unknown, missing and ill-typed fields
+    raise ValidationError naming their JSON path (domain.radius, family[1].a).
+    """
+    if type(d) is not dict:
+        raise _ill_typed(path or "config", "an object", d)
+    unknown = sorted(set(d) - {f.name for f in fields(cls)})
     if unknown:
-        raise ValidationError(f"domain.{sorted(unknown)[0]}: unknown field")
-    kwargs = dict(d)
-    if "center" in kwargs:
-        kwargs["center"] = tuple(float(v) for v in kwargs["center"])
-    return DomainSpec(**kwargs)
+        raise ValidationError(f"{_join(path, unknown[0])}: unknown field")
+    hints = get_type_hints(cls)
+    kwargs = {}
+    for f in fields(cls):
+        if f.name in d:
+            kwargs[f.name] = _decode(hints[f.name], d[f.name], _join(path, f.name))
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ValidationError(f"{_join(path, f.name)}: required")
+    return cls(**kwargs)
 
 
-def inclusion_to_dict(spec: InclusionSpec) -> dict:
-    d = {"kind": spec.kind}
-    if spec.kind != "none":
-        d["center"] = list(spec.center)
-        if spec.kind == "disk":
-            d["radius"] = spec.radius
-        else:
-            d["a"], d["b"] = spec.a, spec.b
-    return d
-
-
-def inclusion_from_dict(d: dict) -> InclusionSpec:
-    if not isinstance(d, dict) or "kind" not in d:
-        raise ValidationError("inclusion.kind: required")
-    unknown = set(d) - {"kind", "center", "radius", "a", "b"}
-    if unknown:
-        raise ValidationError(f"inclusion.{sorted(unknown)[0]}: unknown field")
-    kwargs = dict(d)
-    if "center" in kwargs:
-        kwargs["center"] = tuple(float(v) for v in kwargs["center"])
-    return InclusionSpec(**kwargs)
+def spec_to_dict(spec) -> dict:
+    """JSON object of a spec dataclass: every field that is not None."""
+    def encode(v):
+        if is_dataclass(v):
+            return spec_to_dict(v)
+        return [encode(x) for x in v] if isinstance(v, (list, tuple)) else v
+    return {f.name: encode(getattr(spec, f.name)) for f in fields(spec)
+            if getattr(spec, f.name) is not None}
 
 
 @dataclass
@@ -104,11 +129,11 @@ class RunConfig:
     sigma_c: float = 1.0
     target_h: float = 0.05
     refine_levels: int = 0
-    t_values: Optional[list] = None
+    t_values: Optional[list[float]] = None
     t0: Optional[float] = None
-    epsilon_values: Optional[list] = None
-    inclusion_radii: Optional[list] = None
-    family: Optional[list] = None
+    epsilon_values: Optional[list[float]] = None
+    inclusion_radii: Optional[list[float]] = None
+    family: Optional[list[DomainSpec]] = None
     eta: Optional[EtaSpec] = None
     fitted_C2: Optional[float] = None
     fitted_C3: Optional[float] = None
@@ -141,54 +166,10 @@ class RunConfig:
                 raise ValidationError("fitted_C2/fitted_C3: required for nonexistence")
 
 
-def config_to_dict(cfg: RunConfig) -> dict:
-    d = {"command": cfg.command,
-         "inclusion": inclusion_to_dict(cfg.inclusion),
-         "sigma_c": cfg.sigma_c, "target_h": cfg.target_h,
-         "refine_levels": cfg.refine_levels, "window": cfg.window,
-         "plot": cfg.plot}
-    if cfg.domain is not None:
-        d["domain"] = domain_to_dict(cfg.domain)
-    for key in ("t_values", "t0", "epsilon_values", "inclusion_radii",
-                "fitted_C2", "fitted_C3", "output_dir", "name"):
-        val = getattr(cfg, key)
-        if val is not None:
-            d[key] = val
-    if cfg.family is not None:
-        d["family"] = [domain_to_dict(s) for s in cfg.family]
-    if cfg.eta is not None:
-        d["eta"] = {"amplitude": cfg.eta.amplitude, "mode": cfg.eta.mode,
-                    "phase": cfg.eta.phase}
-    return d
-
-
-def config_from_dict(d: dict) -> RunConfig:
-    if not isinstance(d, dict):
-        raise ValidationError("config: must be a JSON object")
-    if "command" not in d:
-        raise ValidationError("command: required")
-    allowed = {"command", "domain", "inclusion", "sigma_c", "target_h",
-               "refine_levels", "t_values", "t0", "epsilon_values",
-               "inclusion_radii", "family", "eta", "fitted_C2", "fitted_C3",
-               "window", "output_dir", "plot", "name"}
-    unknown = set(d) - allowed
-    if unknown:
-        raise ValidationError(f"{sorted(unknown)[0]}: unknown field")
-    kwargs = dict(d)
-    if "domain" in kwargs:
-        kwargs["domain"] = domain_from_dict(kwargs["domain"])
-    if "inclusion" in kwargs:
-        kwargs["inclusion"] = inclusion_from_dict(kwargs["inclusion"])
-    if "family" in kwargs:
-        kwargs["family"] = [domain_from_dict(s) for s in kwargs["family"]]
-    if kwargs.get("eta") is not None:
-        e = kwargs["eta"]
-        unknown_eta = set(e) - {"amplitude", "mode", "phase"}
-        if unknown_eta:
-            raise ValidationError(f"eta.{sorted(unknown_eta)[0]}: unknown field")
-        kwargs["eta"] = EtaSpec(float(e["amplitude"]), int(e.get("mode", 1)),
-                                float(e.get("phase", 0.0)))
-    return RunConfig(**kwargs)
+config_from_dict = partial(spec_from_dict, RunConfig)
+domain_from_dict = partial(spec_from_dict, DomainSpec, path="domain")
+inclusion_from_dict = partial(spec_from_dict, InclusionSpec, path="inclusion")
+config_to_dict = domain_to_dict = spec_to_dict
 
 
 def load_config(path) -> RunConfig:

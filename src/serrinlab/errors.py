@@ -11,3 +11,7 @@ class SolverError(RuntimeError):
 
 class MeshQualityError(RuntimeError):
     """Mesh generation could not reach the required element quality."""
+
+
+class DiagnosticError(SolverError):
+    """A numerical self-check failed: computed numbers broke a bound they must obey."""

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import DiagnosticError, ValidationError
 from .fem_core import (
     SolverConfig,
     l2_norm,
@@ -173,7 +173,7 @@ def _sigma_member(args):
     # triangle inequality of the deviation chain, exact in the nodal sup norm
     base_dev = float(np.abs(base_trace - c).max())
     if dev_linf > diff + base_dev + 1e-13:
-        raise AssertionError("sigma sweep: discrete triangle inequality violated")
+        raise DiagnosticError("sigma sweep: discrete triangle inequality violated")
     return {"t": t, "delta_trace_Linf": diff, "dev_L2": dev_l2,
             "dev_Linf": dev_linf}
 

@@ -13,7 +13,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import DiagnosticError, ValidationError
 from .fem_core import (
     BoundaryTrace,
     Field,
@@ -250,7 +250,7 @@ def full_report(domain: DomainSpec, inclusion: Optional[InclusionSpec],
     osc = osc_check(h.values[mesh.boundary_loop], rho_i, rho_e, d_omega,
                     slack=10.0 * mesh.h_max ** 2)
     if not osc.bound_holds:
-        raise ValidationError("osc_check: oscillation bound violated beyond mesh slack")
+        raise DiagnosticError("osc_check: oscillation bound violated beyond mesh slack")
     growth = growth_check(mesh, v)
 
     report = SerrinReport(
@@ -261,5 +261,5 @@ def full_report(domain: DomainSpec, inclusion: Optional[InclusionSpec],
         growth_ratio_min=growth.ratio_min, h_max=mesh.h_max, eta=eta_desc)
     # the L2/Linf deviation bridge holds exactly in the discrete norms
     if report.deviation_L2 > math.sqrt(float(tr_u.weights.sum())) * report.deviation_Linf + 1e-12:
-        raise ValidationError("report: discrete L2/Linf deviation bridge violated")
+        raise DiagnosticError("report: discrete L2/Linf deviation bridge violated")
     return report

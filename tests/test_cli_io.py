@@ -1,3 +1,4 @@
+import copy
 import csv
 import json
 import math
@@ -17,10 +18,11 @@ from serrinlab.cli_io import (
     main,
     run,
 )
+from serrinlab import experiments, serrin_diagnostics
 from serrinlab.errors import ValidationError
 from serrinlab.experiments import FitResult, SweepResult
 from serrinlab.geometry import DomainSpec, InclusionSpec
-from serrinlab.serrin_diagnostics import CSV_HEADER, EtaSpec
+from serrinlab.serrin_diagnostics import CSV_HEADER, EtaSpec, OscCheck
 
 
 def _write(tmp_path, name, obj):
@@ -91,6 +93,111 @@ class TestConfigRoundTrip:
         with pytest.raises(ValidationError, match="t_values"):
             config_from_dict({"command": "sweep-sigma",
                               "domain": {"kind": "disk", "radius": 1.0}})
+
+
+DISK = {"kind": "disk", "radius": 1.0}
+
+# every field set, each to a valid value of its type
+FULL_CFG = {
+    "command": "sweep-sigma", "name": "typed", "output_dir": "out", "plot": False,
+    "domain": {"kind": "star", "center": [0.0, 0.0], "r0": 1.0, "eps": 0.1, "k": 3,
+               "boundary_samples": 256},
+    "inclusion": {"kind": "disk", "center": [0.1, 0.0], "radius": 0.3},
+    "sigma_c": 2.0, "target_h": 0.05, "refine_levels": 0, "window": 4,
+    "t_values": [0.2, 0.1], "t0": 0.5, "epsilon_values": [0.1, 0.05],
+    "inclusion_radii": [0.3, 0.2],
+    "family": [dict(DISK, center=[0.0, 0.0], boundary_samples=128),
+               {"kind": "ellipse", "center": [0.0, 0.0], "a": 1.2, "b": 1.0,
+                "boundary_samples": 256}],
+    "eta": {"amplitude": 0.01, "mode": 2, "phase": 0.0},
+    "fitted_C2": 4.0, "fitted_C3": 2.0}
+
+
+def _leaves(obj, keys=()):
+    """(key path, value) of every field and list element in a JSON value."""
+    for k, v in (obj.items() if isinstance(obj, dict) else enumerate(obj)):
+        yield keys + (k,), v
+        if isinstance(v, (dict, list)):
+            yield from _leaves(v, keys + (k,))
+
+
+def _json_path(keys):
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys)[1:]
+
+
+def _wrong_values(valid):
+    """JSON values of the wrong type for a field holding `valid`."""
+    if isinstance(valid, bool):
+        return [1, "true", 0.0]
+    if isinstance(valid, int):
+        return [1.5, "3", True]  # float-for-int, string, bool
+    if isinstance(valid, float):
+        return ["1.0", True, [1.0]]
+    if isinstance(valid, str):
+        return [1, True, [valid]]
+    if isinstance(valid, list):
+        return [0.1, "abc", True]  # scalar-for-list
+    return [1.0, "disk", []]
+
+
+# ill-typed configs that once escaped as TypeError/KeyError/ValueError tracebacks
+ILL_TYPED = [
+    ({"command": "solve", "domain": {"kind": "disk", "radius": "1"}}, "domain.radius"),
+    (dict(DIAG_CFG, eta={}), "eta.amplitude"),
+    ({"command": "solve", "domain": DISK, "target_h": "0.05"}, "target_h"),
+    ({"command": "solve", "domain": DISK, "refine_levels": 1.5}, "refine_levels"),
+    ({"command": "sweep-sigma", "domain": DISK, "t_values": "abc"}, "t_values"),
+    ({"command": "solve", "domain": dict(DISK, center=[0])}, "domain.center"),
+]
+
+
+class TestTypedConfig:
+    def test_full_config_decodes(self):
+        cfg = config_from_dict(FULL_CFG)
+        assert cfg.domain.center == (0.0, 0.0) and cfg.family[1].a == 1.2
+        assert cfg.eta == EtaSpec(0.01, 2, 0.0)
+        assert config_to_dict(cfg) == FULL_CFG
+
+    def test_int_accepted_for_float(self):
+        cfg = config_from_dict({"command": "solve", "sigma_c": 2,
+                                "domain": {"kind": "disk", "radius": 1, "center": [0, 1]}})
+        assert type(cfg.sigma_c) is float and type(cfg.domain.radius) is float
+        assert cfg.domain.center == (0.0, 1.0)
+
+    def test_null_only_where_optional(self):
+        assert config_from_dict(dict(DIAG_CFG, eta=None, name=None)).eta is None
+        with pytest.raises(ValidationError, match="^target_h: expected a number, got null"):
+            config_from_dict(dict(DIAG_CFG, target_h=None))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_number_rejected(self, value, tmp_path, capsys):
+        p = _write(tmp_path, "c.json", dict(DIAG_CFG, domain=dict(DISK, radius=value)))
+        assert main(["diagnose", "--config", str(p)]) == 2
+        assert "error: domain.radius: expected a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cfg,path", ILL_TYPED, ids=[p for _, p in ILL_TYPED])
+    def test_ill_typed_exit_2_names_field(self, cfg, path, tmp_path, capsys):
+        p = _write(tmp_path, "c.json", dict(cfg, output_dir=str(tmp_path)))
+        assert main([cfg["command"], "--config", str(p), "--jobs", "1"]) == 2
+        assert f"error: {path}: " in capsys.readouterr().err
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_wrong_type_names_field(self, data):
+        keys, valid = data.draw(st.sampled_from(list(_leaves(FULL_CFG))))
+        cfg = copy.deepcopy(FULL_CFG)
+        parent = cfg
+        for k in keys[:-1]:
+            parent = parent[k]
+        parent[keys[-1]] = data.draw(st.sampled_from(_wrong_values(valid)))
+        with pytest.raises(ValidationError) as exc:
+            config_from_dict(cfg)
+        assert str(exc.value).startswith(_json_path(keys) + ": expected ")
+
+    def test_unknown_nested_field_named(self):
+        bad = dict(FULL_CFG, family=[DISK, dict(DISK, wibble=1)])
+        with pytest.raises(ValidationError, match=r"^family\[1\]\.wibble: unknown field"):
+            config_from_dict(bad)
 
 
 class TestRun:
@@ -173,6 +280,24 @@ class TestRun:
         assert not (tmp_path / "zero" / "plot.svg").exists()
         manifest = json.loads((tmp_path / "zero" / "manifest.json").read_text())
         assert "skipped" in manifest["summary"]["plot"]
+
+
+    @pytest.mark.parametrize("module,name,fake,cfg", [
+        (serrin_diagnostics, "osc_check", lambda *a, **k: OscCheck(0.0, 0.0, False),
+         DIAG_CFG),
+        (serrin_diagnostics, "deviation_norms", lambda *a: (1.0, 1e-6), DIAG_CFG),
+        (experiments, "deviation_norms", lambda *a: (1e3, 1e3),
+         {"command": "sweep-sigma", "domain": DIAG_CFG["domain"], "target_h": 0.1,
+          "t_values": [0.2, 0.1, 0.05]}),
+    ], ids=["osc-bound", "L2-Linf-bridge", "sigma-triangle"])
+    def test_failed_self_check_exit_3_with_manifest(self, module, name, fake, cfg,
+                                                    tmp_path, monkeypatch):
+        monkeypatch.setattr(module, name, fake)
+        cfg = config_from_dict(dict(cfg, name="check", output_dir=str(tmp_path)))
+        assert run(cfg, jobs=1) == 3
+        manifest = json.loads((tmp_path / "check" / "manifest.json").read_text())
+        assert manifest["status"] == "solver-failure"
+        assert "violated" in manifest["error"]
 
 
 class TestMain:

@@ -45,3 +45,21 @@ def test_example_config_matches_committed_outputs(config, tmp_path, monkeypatch)
         assert len(numbers) == len(ref_numbers), f"{cfg.name}/{name}: number count"
         np.testing.assert_allclose(numbers, ref_numbers, rtol=1e-9, atol=1e-14,
                                    equal_nan=True, err_msg=f"{cfg.name}/{name}")
+
+
+SWEEPS = [ROOT / "configs" / f"{stem}.json"
+          for stem in ("sweep_inclusion", "sweep_sigma", "sweep_stability")]
+
+
+@pytest.mark.parametrize("config", SWEEPS, ids=lambda p: p.stem)
+def test_sweep_artifacts_independent_of_jobs(config, tmp_path, monkeypatch):
+    """The process pool (jobs=2) writes the same bytes as the serial path."""
+    cfg = load_config(config)
+    artifacts = {}
+    for jobs in (1, 2):
+        monkeypatch.setenv("SERRIN_LAB_OUT", str(tmp_path / f"jobs{jobs}"))
+        assert run(cfg, jobs=jobs) == 0
+        out = tmp_path / f"jobs{jobs}" / cfg.name
+        artifacts[jobs] = {name: (out / name).read_bytes()
+                           for name in ("report.csv", "fit.json", "plot.svg")}
+    assert artifacts[1] == artifacts[2]
