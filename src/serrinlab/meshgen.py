@@ -103,13 +103,14 @@ def _hex_lattice(center, extent, pitch, offset):
     dy = pitch * math.sqrt(3.0) / 2.0
     jmax = int(math.ceil(extent / dy)) + 1
     imax = int(math.ceil(extent / pitch)) + 2
-    pts = []
-    for j in range(-jmax, jmax + 1):
-        y = center[1] + offset[1] * pitch + j * dy
-        xoff = 0.5 * pitch if (j % 2) else 0.0
-        for i in range(-imax, imax + 1):
-            pts.append((center[0] + offset[0] * pitch + xoff + i * pitch, y))
-    return np.array(pts)
+    j = np.arange(-jmax, jmax + 1)
+    i = np.arange(-imax, imax + 1)
+    # rows by j, points within a row by i; x is summed as ((c + o p) + xoff) + i p,
+    # the order that fixes each point's rounding and so the mesh
+    xoff = np.where(j % 2 == 1, 0.5 * pitch, 0.0)
+    x = (center[0] + offset[0] * pitch + xoff)[:, None] + i * pitch
+    y = center[1] + offset[1] * pitch + j * dy
+    return np.stack([x, np.broadcast_to(y[:, None], x.shape)], axis=-1).reshape(-1, 2)
 
 
 def generate(domain: DomainSpec, inclusion: Optional[InclusionSpec],

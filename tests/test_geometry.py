@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,12 +8,15 @@ from hypothesis import strategies as st
 
 from serrinlab.errors import ValidationError
 from serrinlab.geometry import (
+    TWO_PI,
     DomainSpec,
     InclusionSpec,
     PolygonalBoundary,
+    _golden_min_vec,
     area_perimeter,
     curvature_max,
     diameter,
+    distance_to_boundary,
     exact_area,
     exact_perimeter,
     inclusion_margin,
@@ -184,6 +188,120 @@ class TestRhoBounds:
             assert rho_e <= diameter(spec) + 1e-12
 
 
+def reference_distance_to_boundary(spec, pts):
+    """Chunked scan of the curve samples plus golden-section refinement
+    (parameter tolerance 1e-10), for comparison."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    n = max(spec.boundary_samples, 256)
+    t = TWO_PI * np.arange(n) / n
+    curve = spec.point(t)
+    out = np.empty(len(pts))
+    step = max(1, 200_000 // n)
+    for lo in range(0, len(pts), step):
+        chunk = pts[lo:lo + step]
+        d2 = ((chunk[:, None, :] - curve[None, :, :]) ** 2).sum(axis=-1)
+        jstar = np.argmin(d2, axis=1)
+        a = t[jstar] - TWO_PI / n
+        b = t[jstar] + TWO_PI / n
+
+        def f(theta, chunk=chunk):
+            return ((chunk - spec.point(theta)) ** 2).sum(axis=-1)
+
+        tbest = _golden_min_vec(f, a, b)
+        out[lo:lo + step] = np.sqrt(f(tbest))
+    return out
+
+
+def brute_force_distance(spec, pts, n=200_000):
+    """min over n equispaced curve samples, one point at a time."""
+    curve = spec.point(TWO_PI * np.arange(n) / n)
+    return np.array([np.hypot(*(curve - x).T).min() for x in pts])
+
+
+def brute_force_curve_distance(outer, inner, n=2_000):
+    """Curve-to-curve distance by scans only.
+
+    A point's distance to outer is the closest of 4000 samples, rescanned at
+    2001 parameters spanning that sample's two neighbours.  inner is scanned
+    at n samples, then at n parameters spanning two spacings about the best.
+    """
+    def to_outer(pts):
+        t = TWO_PI * np.arange(4000) / 4000
+        d2 = ((pts[:, None, :] - outer.point(t)[None, :, :]) ** 2).sum(axis=-1)
+        fine = t[np.argmin(d2, axis=1)][:, None] + np.linspace(-1, 1, 2001) * (t[1] - t[0])
+        return np.sqrt(((pts[:, None, :] - outer.point(fine)) ** 2).sum(axis=-1).min(axis=1))
+
+    def scan(s):
+        pts = inner.point(s)
+        return np.concatenate([to_outer(pts[i:i + 100]) for i in range(0, len(s), 100)])
+
+    s = TWO_PI * np.arange(n) / n
+    s0 = s[np.argmin(scan(s))]
+    return float(scan(s0 + np.linspace(-2, 2, n) * (s[1] - s[0])).min())
+
+
+def _interior_points(spec, n, seed):
+    """n points inside spec, each 0.05 or more short of the boundary along its
+    ray from the centre."""
+    rng = np.random.default_rng(seed)
+    phi = rng.uniform(0, TWO_PI, n)
+    frac = rng.uniform(0.0, 1.0, n)
+    rho = frac * (spec.radial(phi) - 0.05)
+    return np.asarray(spec.center) + np.stack([rho * np.cos(phi), rho * np.sin(phi)], -1)
+
+
+class TestDistanceToBoundary:
+    def test_disk_closed_form_and_centre(self):
+        spec = DomainSpec("disk", center=(0.2, -0.1), radius=0.7)
+        pts = np.vstack([[spec.center], _interior_points(spec, 400, 0),
+                         [[0.2 + 0.35, -0.1], [0.2, -0.1 - 0.6999]]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # g' = 0 at the centre: no 0/0
+            d = distance_to_boundary(spec, pts)
+        exact = np.abs(0.7 - np.hypot(*(pts - spec.center).T))
+        np.testing.assert_allclose(d, exact, rtol=1e-13, atol=1e-15)
+
+    @pytest.mark.parametrize("spec", [DomainSpec("ellipse", a=1.2, b=1.0),
+                                      DomainSpec("star", r0=1.0, eps=0.1, k=3)],
+                             ids=["ellipse", "star"])
+    def test_against_brute_force(self, spec):
+        # oracle: dense 200k-sample scan, an upper bound on the distance and
+        # within 1e-8 of it for points this far from the curve
+        pts = _interior_points(spec, 150, 1)
+        if spec.kind == "ellipse":
+            # inside the evolute (|x| < (a^2 - b^2)/a ~ 0.367) each point has
+            # two nearest points, cos(theta) = a x / (a^2 - b^2), and the
+            # squared distance four critical points
+            pts = np.vstack([pts, np.stack([np.linspace(-0.36, 0.36, 13),
+                                            np.zeros(13)], -1)])
+        else:
+            # on the ray to the peak at 2 pi/3, just inside the evolute's cusp:
+            # g' < 0 at the nearest sample, where a bare Newton step climbs
+            # towards the local maximum of the distance at the peak
+            pts = np.vstack([pts, [[-0.24741901898041835, 0.42854385937534445]]])
+        d = distance_to_boundary(spec, pts)
+        brute = brute_force_distance(spec, pts)
+        assert np.all(d <= brute + 1e-14)
+        np.testing.assert_allclose(d, brute, atol=1e-8, rtol=0)
+
+    @pytest.mark.parametrize("spec", [DomainSpec("disk", radius=1.0),
+                                      DomainSpec("ellipse", a=1.2, b=1.0),
+                                      DomainSpec("star", r0=1.0, eps=0.1, k=3)],
+                             ids=["disk", "ellipse", "star"])
+    def test_on_boundary(self, spec):
+        theta = np.random.default_rng(2).uniform(0, TWO_PI, 200)
+        theta = np.concatenate([theta, TWO_PI * np.arange(16) / 16])
+        assert np.all(distance_to_boundary(spec, spec.point(theta)) <= 1e-12)
+
+    def test_matches_scan_and_golden_search(self, ellipse_mesh):
+        interior = np.setdiff1d(np.arange(len(ellipse_mesh.vertices)),
+                                ellipse_mesh.boundary_loop)
+        pts = ellipse_mesh.vertices[interior]
+        np.testing.assert_allclose(
+            distance_to_boundary(ellipse_mesh.domain, pts),
+            reference_distance_to_boundary(ellipse_mesh.domain, pts), rtol=1e-12)
+
+
 class TestInclusionMargin:
     def test_concentric(self):
         m = inclusion_margin(DomainSpec("disk", radius=1.0),
@@ -196,6 +314,28 @@ class TestInclusionMargin:
                              InclusionSpec("disk", center=(0.5, 0.0), radius=0.3))
         assert m.margin == pytest.approx(0.2, abs=1e-8)
         assert m.M == pytest.approx(5.0, abs=1e-6)
+
+    @pytest.mark.parametrize("R,center,r", [(1.3, (-0.2, 0.35), 0.4),
+                                            (1.0, (0.0, -0.6), 0.1),
+                                            (2.0, (0.9, 0.9), 0.5)])
+    def test_offcentre_disk_in_disk(self, R, center, r):
+        m = inclusion_margin(DomainSpec("disk", radius=R),
+                             InclusionSpec("disk", center=center, radius=r))
+        assert m.margin == pytest.approx(R - math.hypot(*center) - r, abs=1e-12)
+
+    @pytest.mark.parametrize("domain,inclusion", [
+        (DomainSpec("ellipse", a=1.5, b=1.0),
+         InclusionSpec("ellipse", center=(0.3, 0.2), a=0.5, b=0.3)),
+        (DomainSpec("ellipse", a=1.2, b=1.0),
+         InclusionSpec("ellipse", center=(-0.1, 0.0), a=0.4, b=0.35)),
+        (DomainSpec("star", r0=1.0, eps=0.1, k=3),
+         InclusionSpec("disk", center=(0.3, 0.2), radius=0.25)),
+    ], ids=["ellipse-in-ellipse", "centred-ellipse-in-ellipse", "disk-in-star"])
+    def test_against_brute_force(self, domain, inclusion):
+        m = inclusion_margin(domain, inclusion)
+        brute = brute_force_curve_distance(domain, inclusion.to_domain())
+        assert m.margin == pytest.approx(brute, abs=1e-10)
+        assert m.M == max(1.0, 1.0 / m.margin)
 
     def test_exits_domain(self):
         with pytest.raises(ValidationError):
@@ -218,3 +358,24 @@ class TestMisc:
     def test_curvature_max(self):
         assert curvature_max(DomainSpec("disk", radius=2.0)) == pytest.approx(0.5)
         assert curvature_max(DomainSpec("ellipse", a=1.2, b=1.0)) == pytest.approx(1.2)
+
+    @pytest.mark.parametrize("eps,k", [(0.0, 5), (0.05, 4), (0.1, 3), (0.3, 6)])
+    def test_curvature_max_star_polar_formula(self, eps, k):
+        # oracle: the polar-graph curvature |r^2 + 2 r'^2 - r r''| / (r^2 + r'^2)^1.5
+        spec = DomainSpec("star", r0=1.0, eps=eps, k=k)
+        t = TWO_PI * np.arange(4096) / 4096
+        r = 1.0 + eps * np.cos(k * t)
+        dr = -eps * k * np.sin(k * t)
+        ddr = -eps * k ** 2 * np.cos(k * t)
+        kappa = np.abs(r ** 2 + 2 * dr ** 2 - r * ddr) / (r ** 2 + dr ** 2) ** 1.5
+        assert curvature_max(spec) == pytest.approx(float(kappa.max()), rel=1e-14)
+
+    @pytest.mark.parametrize("spec", [DomainSpec("disk", center=(0.1, 0.2), radius=0.8),
+                                      DomainSpec("ellipse", a=1.5, b=1.0),
+                                      DomainSpec("star", r0=1.0, eps=0.2, k=5)],
+                             ids=["disk", "ellipse", "star"])
+    def test_acceleration_is_derivative_of_velocity(self, spec):
+        t = np.linspace(0.0, TWO_PI, 97)
+        h = 1e-5
+        fd = (spec.velocity(t + h) - spec.velocity(t - h)) / (2 * h)
+        np.testing.assert_allclose(spec.acceleration(t), fd, atol=1e-8)

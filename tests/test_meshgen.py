@@ -8,7 +8,9 @@ from scipy.spatial import Delaunay
 from serrinlab.errors import MeshQualityError, ValidationError
 from serrinlab.geometry import TWO_PI, DomainSpec, InclusionSpec
 from serrinlab.meshgen import (
+    _OFFSETS,
     Mesh,
+    _hex_lattice,
     _enforce_edges,
     _orient_ccw,
     dump_mesh,
@@ -27,6 +29,20 @@ def _circular_midpoint(t1, t2):
     if d > math.pi:
         return (t2 + (TWO_PI - d) / 2.0) % TWO_PI
     return (t1 + d / 2.0) % TWO_PI
+
+
+def reference_hex_lattice(center, extent, pitch, offset):
+    """Row-by-row loop over the lattice points, for comparison."""
+    dy = pitch * math.sqrt(3.0) / 2.0
+    jmax = int(math.ceil(extent / dy)) + 1
+    imax = int(math.ceil(extent / pitch)) + 2
+    pts = []
+    for j in range(-jmax, jmax + 1):
+        y = center[1] + offset[1] * pitch + j * dy
+        xoff = 0.5 * pitch if (j % 2) else 0.0
+        for i in range(-imax, imax + 1):
+            pts.append((center[0] + offset[0] * pitch + xoff + i * pitch, y))
+    return np.array(pts)
 
 
 def reference_refine(mesh):
@@ -136,6 +152,14 @@ class TestGenerate:
         assert np.array_equal(m1.vertices, m2.vertices)
         assert np.array_equal(m1.triangles, m2.triangles)
         assert np.array_equal(m1.region, m2.region)
+
+    @pytest.mark.parametrize("center,extent,pitch", [((0.0, 0.0), 1.3, 0.025),
+                                                     ((0.3, -0.2), 1.05, 0.0375),
+                                                     ((-1.0, 2.5), 0.4, 0.1)])
+    @pytest.mark.parametrize("offset", _OFFSETS)
+    def test_hex_lattice_matches_loop(self, center, extent, pitch, offset):
+        got = _hex_lattice(center, extent, pitch, offset)
+        assert np.array_equal(got, reference_hex_lattice(center, extent, pitch, offset))
 
     def test_star_and_offcenter_inclusion(self):
         star = DomainSpec("star", r0=1.0, eps=0.08, k=3)
