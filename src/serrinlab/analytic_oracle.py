@@ -95,7 +95,9 @@ def disk_green(x, y):
         raise ValidationError("disk_green: x == y hits the singularity")
     if ay == 0.0:
         return float(-INV_2PI * math.log(ax))
-    yhat = y / ay
+    # scale before normalising: for subnormal y, y / ay is not a unit vector
+    ys = y / np.abs(y).max()
+    yhat = ys / math.hypot(ys[0], ys[1])
     image = ay * x - yhat
     return float(INV_2PI * (math.log(math.hypot(image[0], image[1])) - math.log(ad)))
 
@@ -123,42 +125,3 @@ def disk_green_mixed(x, y):
     dystar = (eye - 2.0 * np.outer(y, y) / ay2) / ay2
     image = -INV_2PI * (eye / ae2 - 2.0 * np.outer(e, e) / ae2 ** 2) @ dystar
     return direct + image
-
-
-def bessel_j0(x):
-    """J0 by its power series: sum (-1)^m (x^2/4)^m / (m!)^2 (adequate for |x| <= 12)."""
-    x = float(x)
-    z = -x * x / 4.0
-    term, total = 1.0, 1.0
-    for m in range(1, 60):
-        term *= z / (m * m)
-        total += term
-        if abs(term) < 1e-18 * max(1.0, abs(total)):
-            break
-    return total
-
-
-def bessel_j0_first_zero():
-    """First positive zero of J0 by bisection on the power series, tol 1e-12."""
-    lo, hi = 2.0, 3.0
-    flo = bessel_j0(lo)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = bessel_j0(mid)
-        if flo * fm <= 0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-        if hi - lo < 1e-13:
-            break
-    return 0.5 * (lo + hi)
-
-
-_J01 = bessel_j0_first_zero()
-
-
-def disk_lambda1(R):
-    """First Dirichlet Laplacian eigenvalue of a disk: (j01/R)^2."""
-    if R <= 0:
-        raise ValidationError("disk_lambda1: radius must be positive")
-    return (_J01 / R) ** 2

@@ -147,6 +147,8 @@ class RunConfig:
             raise ValidationError(f"command: unknown command {self.command!r}")
         if self.target_h is None or self.target_h <= 0:
             raise ValidationError("target_h: must be positive")
+        if self.window < 0:
+            raise ValidationError("window: must be >= 0 (0 fits all points)")
         needs_domain = self.command != "sweep-stability"
         if needs_domain and self.domain is None:
             raise ValidationError("domain: required")

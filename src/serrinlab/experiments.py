@@ -8,9 +8,13 @@ fitted slopes are never contaminated by discretization noise.
 
 from __future__ import annotations
 
+import ctypes
+import importlib.util
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -70,10 +74,12 @@ class SweepResult:
 
 
 def slope_fit(points, window=4) -> FitResult:
-    """Least squares on (log x, log y) over the trailing window.
+    """Least squares on (log x, log y) over the trailing window (0: all points).
 
     Nonpositive coordinates exclude the point (flagged via used_indices).
     """
+    if window < 0:
+        raise ValidationError("window: must be >= 0 (0 fits all points)")
     pts = [(float(x), float(y)) for x, y in points]
     if len(pts) < 3:
         raise ValidationError("slope_fit: need at least 3 points")
@@ -105,10 +111,49 @@ def slope_fit(points, window=4) -> FitResult:
     return FitResult(slope, intercept, r2, n, used)
 
 
+def _blas_calls(stem):
+    """`scipy_openblas_<stem>` of each scipy-openblas library bundled in the
+    numpy and scipy wheels (none where there is no such library)."""
+    calls = []
+    for pkg in ("numpy", "scipy"):
+        libdir = Path(importlib.util.find_spec(pkg).origin).parents[1] / f"{pkg}.libs"
+        for path in sorted(libdir.glob("libscipy_openblas*.so*")):
+            lib = ctypes.CDLL(str(path))
+            for name in (f"scipy_openblas_{stem}64_", f"scipy_openblas_{stem}"):
+                if hasattr(lib, name):
+                    calls.append(getattr(lib, name))
+                    break
+    return calls
+
+
+def single_blas_thread():
+    """Set every bundled OpenBLAS to one thread in this process (the pool
+    initializer: `jobs` workers do not each start a thread per core)."""
+    for set_threads in _blas_calls("set_num_threads"):
+        set_threads(1)
+
+
+@contextmanager
+def one_blas_thread():
+    """One OpenBLAS thread in this process for the duration, then the old counts.
+
+    Every sweep runs under it, so its base solves in this process sum their dot
+    products in the same order as its members in the pool workers, and its
+    artifacts do not depend on `jobs` at any mesh size.
+    """
+    before = [get() for get in _blas_calls("get_num_threads")]
+    single_blas_thread()
+    try:
+        yield
+    finally:
+        for set_threads, n in zip(_blas_calls("set_num_threads"), before):
+            set_threads(n)
+
+
 def _parallel_map(fn, items, jobs):
     if jobs is None or jobs <= 1 or len(items) <= 1:
         return [fn(it) for it in items]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=jobs, initializer=single_blas_thread) as pool:
         return list(pool.map(fn, items))
 
 
@@ -129,6 +174,7 @@ def _stability_member(args):
             "h_max": mesh.h_max}
 
 
+@one_blas_thread()
 def one_phase_stability_sweep(family, target_h, window=4, jobs=1) -> SweepResult:
     """gap = rho_e - rho_i against the flux deviation across a domain family.
 
@@ -178,6 +224,7 @@ def _sigma_member(args):
             "dev_Linf": dev_linf}
 
 
+@one_blas_thread()
 def sigma_sweep(domain, inclusion, t_values, target_h, window=4, jobs=1) -> SweepResult:
     """||dn u(t) - dn u(0)||_inf against |t| for sigma_c = 1 + t.
 
@@ -224,12 +271,15 @@ def sigma_sweep(domain, inclusion, t_values, target_h, window=4, jobs=1) -> Swee
 # -- Frechet derivative -----------------------------------------------------
 
 
+@one_blas_thread()
 def frechet_check(domain, inclusion, t0, eps_values, target_h, window=4,
                   jobs=1) -> SweepResult:
     """||(u(t0+eps) - u(t0))/eps - u'(t0)||_L2 against eps (slope ~ 1)."""
     eps_values = list(eps_values)
     if t0 <= -1.0 or any(t0 + e <= -1.0 for e in eps_values):
         raise ValidationError("frechet check: sigma_c must stay positive")
+    if 0.0 in eps_values:
+        raise ValidationError("epsilon_values: entries must be nonzero")
     cfg = SolverConfig()
     mesh = generate(domain, inclusion, target_h)
     u_t0 = solve_two_phase(mesh, 1.0 + t0, cfg)
@@ -283,6 +333,7 @@ def _inclusion_member(args):
             "h_max": mesh.h_max}
 
 
+@one_blas_thread()
 def inclusion_sweep(domain, sigma_c, radii, target_h, window=4, jobs=1) -> SweepResult:
     """sup_boundary |grad w| against |D| for a shrinking centered disk inclusion.
 

@@ -2,13 +2,15 @@
 
 All solves share one assembly path (exact P1 stiffness, centroid rule for the
 constant load, elementwise-constant conductivity) and one deterministic
-Jacobi-preconditioned conjugate-gradient kernel.
+Jacobi-preconditioned conjugate-gradient kernel.  Each solve assembles its
+stiffness matrix once and keeps the residual K u - b on the boundary rows,
+which is all that variational flux recovery needs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -42,28 +44,25 @@ class SolverConfig:
 class Field:
     """Nodal scalar field tied to a mesh.
 
-    load is the fully-assembled load vector of the variational problem the
-    field solves (zero for harmonic extensions); it is what variational flux
-    recovery subtracts from the stiffness action.
+    boundary_residual is (K u - b)[boundary_loop] of the variational problem the
+    field solves, the boundary load that variational flux recovery inverts;
+    None for derived fields, which solve no problem.
     """
 
     mesh_key: str
     values: np.ndarray
     label: str
     sigma_c: float = 1.0
-    load: Optional[np.ndarray] = None
+    boundary_residual: Optional[np.ndarray] = None
 
 
 @dataclass
 class BoundaryTrace:
     """Per-boundary-node values in CCW loop order with arc-length weights."""
 
-    mesh_key: str
-    node_ids: np.ndarray
     points: np.ndarray
     values: np.ndarray
     weights: np.ndarray
-    vertex_normals: np.ndarray
 
 
 def _element_geometry(mesh):
@@ -139,8 +138,10 @@ def _pcg(A, b, tol, max_iter):
         f"CG stalled after {max_iter} iterations (relative residual {resid/normb:.3e})")
 
 
-def _solve_dirichlet(mesh, K, load, boundary_values, cfg):
-    """Eliminate Dirichlet rows and solve the reduced SPD system by CG."""
+def _solve_dirichlet(mesh, sigma, load, boundary_values, cfg, label, sigma_c=1.0):
+    """Assemble the stiffness of conductivity sigma, eliminate the Dirichlet rows
+    and solve the reduced SPD system by CG; the Field keeps its boundary residual."""
+    K = stiffness(mesh, sigma)
     n = len(mesh.vertices)
     bnd = mesh.boundary_loop
     interior = np.setdiff1d(np.arange(n), bnd)
@@ -150,37 +151,31 @@ def _solve_dirichlet(mesh, K, load, boundary_values, cfg):
     Kii = K[interior][:, interior].tocsr()
     xi, _, _ = _pcg(Kii, rhs, cfg.cg_rel_tolerance, cfg.max_iters(len(interior)))
     x[interior] = xi
-    return x
+    return Field(mesh.key, x, label, sigma_c, (K @ x - load)[bnd])
 
 
 def solve_two_phase(mesh: Mesh, sigma_c: float, cfg: Optional[SolverConfig] = None) -> Field:
     """Galerkin solution of -div(sigma grad u) = 1, u = 0 on the outer boundary."""
     if sigma_c <= 0:
         raise ValidationError("sigma_c: must be positive")
-    cfg = cfg or SolverConfig()
-    K = stiffness(mesh, element_sigma(mesh, sigma_c))
-    b = load_constant(mesh)
-    x = _solve_dirichlet(mesh, K, b, 0.0, cfg)
-    return Field(mesh.key, x, "u", sigma_c=sigma_c, load=b)
+    return _solve_dirichlet(mesh, element_sigma(mesh, sigma_c), load_constant(mesh), 0.0,
+                            cfg or SolverConfig(), "u", sigma_c)
 
 
 def solve_one_phase(mesh: Mesh, cfg: Optional[SolverConfig] = None) -> Field:
     """Torsion function: -Laplace(v) = 1 with zero Dirichlet data."""
-    f = solve_two_phase(mesh, 1.0, cfg)
-    return Field(f.mesh_key, f.values, "v", sigma_c=1.0, load=f.load)
+    return replace(solve_two_phase(mesh, 1.0, cfg), label="v")
 
 
 def solve_harmonic_dirichlet(mesh: Mesh, g: Union[Callable, np.ndarray],
                              cfg: Optional[SolverConfig] = None) -> Field:
     """Discrete harmonic field with nodal boundary trace g."""
-    cfg = cfg or SolverConfig()
     pts = mesh.vertices[mesh.boundary_loop]
     gb = np.asarray(g(pts) if callable(g) else g, dtype=float)
     if gb.shape != (len(mesh.boundary_loop),) or not np.all(np.isfinite(gb)):
         raise ValidationError("harmonic data: need finite values at all boundary vertices")
-    K = stiffness(mesh, 1.0)
-    x = _solve_dirichlet(mesh, K, np.zeros(len(mesh.vertices)), gb, cfg)
-    return Field(mesh.key, x, "h", sigma_c=1.0, load=np.zeros(len(mesh.vertices)))
+    return _solve_dirichlet(mesh, 1.0, np.zeros(len(mesh.vertices)), gb,
+                            cfg or SolverConfig(), "h")
 
 
 def solve_linearized(mesh: Mesh, sigma_c: float, u_base: Field,
@@ -195,48 +190,31 @@ def solve_linearized(mesh: Mesh, sigma_c: float, u_base: Field,
         raise ValidationError("solve_linearized: u_base belongs to a different mesh")
     if u_base.sigma_c != sigma_c:
         raise ValidationError("solve_linearized: u_base was solved with another sigma_c")
-    cfg = cfg or SolverConfig()
-    K = stiffness(mesh, element_sigma(mesh, sigma_c))
     K_d = stiffness(mesh, np.where(mesh.region == 1, 1.0, 0.0))
-    b = -(K_d @ u_base.values)
-    x = _solve_dirichlet(mesh, K, b, 0.0, cfg)
-    return Field(mesh.key, x, "u_prime", sigma_c=sigma_c, load=b)
-
-
-def boundary_weights(mesh: Mesh) -> np.ndarray:
-    """Arc-length weights int phi_i over the boundary loop (sum = perimeter)."""
-    ell = mesh.boundary_edge_lengths()
-    return 0.5 * (ell + np.roll(ell, 1))
-
-
-def vertex_normals(mesh: Mesh) -> np.ndarray:
-    en = mesh.boundary_normals
-    vn = en + np.roll(en, 1, axis=0)
-    return vn / np.hypot(vn[:, 0], vn[:, 1])[:, None]
+    return _solve_dirichlet(mesh, element_sigma(mesh, sigma_c), -(K_d @ u_base.values),
+                            0.0, cfg or SolverConfig(), "u_prime", sigma_c)
 
 
 def normal_derivative(mesh: Mesh, f: Field) -> BoundaryTrace:
     """Variational flux recovery on the outer boundary.
 
     Solves the boundary mass system  int_b (dn f) phi = int sigma grad f grad phi
-    - (load, phi)  over boundary test functions; superconvergent on smooth data.
+    - (load, phi)  over boundary test functions, whose right-hand side is the
+    residual the solve kept; superconvergent on smooth data.
     """
     if f.mesh_key != mesh.key:
         raise ValidationError("normal_derivative: field belongs to a different mesh")
-    if f.load is None:
-        raise ValidationError("normal_derivative: field does not carry its load vector")
-    K = stiffness(mesh, element_sigma(mesh, f.sigma_c))
-    r = (K @ f.values - f.load)[mesh.boundary_loop]
+    if f.boundary_residual is None:
+        raise ValidationError("normal_derivative: field does not carry its boundary residual")
     ell = mesh.boundary_edge_lengths()
     nb = len(ell)
-    diag = (ell + np.roll(ell, 1)) / 3.0
+    lumped = ell + np.roll(ell, 1)
     upper = ell / 6.0
-    M = sp.diags([diag, upper, upper, upper[-1:], upper[-1:]],
+    M = sp.diags([lumped / 3.0, upper, upper, upper[-1:], upper[-1:]],
                  [0, 1, -1, nb - 1, -(nb - 1)], shape=(nb, nb), format="csc")
-    lam = splu(M).solve(r)
-    return BoundaryTrace(mesh.key, mesh.boundary_loop.copy(),
-                         mesh.vertices[mesh.boundary_loop], lam,
-                         boundary_weights(mesh), vertex_normals(mesh))
+    lam = splu(M).solve(f.boundary_residual)
+    # arc-length weights int phi_i over the boundary loop (sum = perimeter)
+    return BoundaryTrace(mesh.vertices[mesh.boundary_loop], lam, 0.5 * lumped)
 
 
 def _patch_fit(owner, d, values, n):
@@ -339,25 +317,6 @@ def evaluate(mesh: Mesh, f: Field, point) -> float:
 def l2_norm(mesh: Mesh, values: np.ndarray) -> float:
     M = mass_matrix(mesh)
     return math.sqrt(max(0.0, float(values @ (M @ values))))
-
-
-def rayleigh_quotient(mesh: Mesh, f: Field) -> float:
-    """(grad f, grad f) / (f, f) with unit conductivity."""
-    K = stiffness(mesh, 1.0)
-    M = mass_matrix(mesh)
-    return float(f.values @ (K @ f.values)) / float(f.values @ (M @ f.values))
-
-
-def residual_norm(mesh: Mesh, f: Field) -> float:
-    """Relative residual of the reduced (Dirichlet-eliminated) system."""
-    K = stiffness(mesh, element_sigma(mesh, f.sigma_c))
-    n = len(mesh.vertices)
-    interior = np.setdiff1d(np.arange(n), mesh.boundary_loop)
-    r = (K @ f.values - f.load)[interior]
-    rhs = f.load[interior] - (K[interior][:, mesh.boundary_loop]
-                              @ f.values[mesh.boundary_loop])
-    nb = float(np.linalg.norm(rhs))
-    return float(np.linalg.norm(r)) / nb if nb > 0 else float(np.linalg.norm(r))
 
 
 def dump_field(mesh: Mesh, f: Field, fh):

@@ -8,7 +8,7 @@ one-phase diagnostics built from the torsion function.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -138,7 +138,7 @@ def h_field(mesh: Mesh, v: Field, z) -> Field:
     """h = v + |x-z|^2/4, the harmonic companion of the torsion function (N=2)."""
     z = np.asarray(z, dtype=float)
     q = ((mesh.vertices - z) ** 2).sum(axis=1) / 4.0
-    return Field(mesh.key, v.values + q, "h", sigma_c=1.0, load=None)
+    return Field(mesh.key, v.values + q, "h")
 
 
 def fundamental_identity(mesh: Mesh, v: Field, z):
@@ -224,7 +224,7 @@ def full_report(domain: DomainSpec, inclusion: Optional[InclusionSpec],
 
     v = solve_one_phase(mesh, cfg)
     if inclusion is None or inclusion.is_none or sigma_c == 1.0:
-        u = Field(v.mesh_key, v.values, "u", sigma_c=1.0, load=v.load)
+        u = replace(v, label="u")
     else:
         u = solve_two_phase(mesh, sigma_c, cfg)
 

@@ -3,16 +3,14 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from serrinlab.analytic_oracle import (
     RadialTwoPhaseSolution,
-    bessel_j0_first_zero,
     concentric_two_phase,
     disk_green,
     disk_green_mixed,
-    disk_lambda1,
     ellipse_torsion,
 )
 from serrinlab.errors import ValidationError
@@ -101,6 +99,7 @@ class TestDiskGreen:
 
     @given(st.floats(-0.7, 0.7), st.floats(-0.55, 0.55),
            st.floats(-0.7, 0.7), st.floats(-0.55, 0.55))
+    @example(5e-324, 5e-324, 0.0, 0.5)  # subnormal y in the swapped call
     @settings(max_examples=40)
     def test_symmetry(self, x0, x1, y0, y1):
         x, y = np.array([x0, x1]), np.array([y0, y1])
@@ -164,24 +163,3 @@ class TestDiskGreen:
         slope = np.polyfit(logM, np.log(sups), 1)[0]
         assert slope <= 3.5
 
-
-class TestLambda1:
-    def test_first_bessel_zero(self):
-        assert bessel_j0_first_zero() == pytest.approx(
-            float(mp.besseljzero(0, 1)), abs=1e-12)
-
-    def test_unit_disk(self):
-        assert disk_lambda1(1.0) == pytest.approx(5.7832, abs=1e-4)
-
-    def test_scaling(self):
-        assert disk_lambda1(2.0) == pytest.approx(disk_lambda1(1.0) / 4, rel=1e-12)
-        with pytest.raises(ValidationError):
-            disk_lambda1(0.0)
-
-    def test_faber_krahn_vs_fem_rayleigh(self, ellipse_mesh):
-        from serrinlab.fem_core import rayleigh_quotient, solve_one_phase
-
-        v = solve_one_phase(ellipse_mesh)
-        rq = rayleigh_quotient(ellipse_mesh, v)
-        r_star = math.sqrt(1.2)  # |B*| = |ellipse| = pi*a*b
-        assert disk_lambda1(r_star) <= rq

@@ -310,6 +310,25 @@ class TestMain:
         p = _write(tmp_path, "c.json", dict(DIAG_CFG, output_dir=str(tmp_path)))
         assert main(["solve", "--config", str(p)]) == 2
 
+    def test_negative_window_exit_2(self, tmp_path, capsys):
+        p = _write(tmp_path, "c.json", {
+            "command": "sweep-sigma", "domain": DIAG_CFG["domain"], "target_h": 0.1,
+            "t_values": [0.2, 0.1, 0.05], "window": -1, "output_dir": str(tmp_path)})
+        assert main(["sweep-sigma", "--config", str(p), "--jobs", "1"]) == 2
+        assert "error: window: must be >= 0" in capsys.readouterr().err
+
+    def test_zero_epsilon_exit_2_with_manifest(self, tmp_path):
+        p = _write(tmp_path, "c.json", {
+            "command": "frechet-check", "domain": DIAG_CFG["domain"], "target_h": 0.1,
+            "inclusion": {"kind": "disk", "radius": 0.3}, "t0": 0.5,
+            "epsilon_values": [0.1, 0.05, 0.0], "name": "fc",
+            "output_dir": str(tmp_path)})
+        assert main(["frechet-check", "--config", str(p), "--jobs", "1"]) == 2
+        manifest = json.loads((tmp_path / "fc" / "manifest.json").read_text())
+        assert manifest["status"] == "validation-error"
+        assert manifest["error"].startswith("epsilon_values: ")
+        assert not (tmp_path / "fc" / "report.csv").exists()
+
     def test_ok_path(self, tmp_path):
         p = _write(tmp_path, "c.json",
                    dict(DIAG_CFG, name="m", output_dir=str(tmp_path)))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from serrinlab import fem_core
 from serrinlab.errors import ValidationError
 from serrinlab.fem_core import normal_derivative, solve_one_phase, stiffness
 from serrinlab.geometry import DomainSpec, InclusionSpec
@@ -190,7 +191,7 @@ class TestGrowthCheck:
         from serrinlab.fem_core import Field
 
         v = solve_one_phase(disk_mesh)
-        doubled = Field(v.mesh_key, 2.0 * v.values, "v", 1.0, v.load)
+        doubled = Field(v.mesh_key, 2.0 * v.values, "v")
         assert growth_check(disk_mesh, doubled).ratio_min == pytest.approx(
             2 * growth_check(disk_mesh, v).ratio_min, rel=1e-12)
 
@@ -234,6 +235,15 @@ class TestFullReport:
                                         InclusionSpec("disk", radius=0.5),
                                         2.0, 0.08), 2 * math.pi)):
             assert rep.deviation_L2 <= math.sqrt(perim) * rep.deviation_Linf + 1e-12
+
+    @pytest.mark.parametrize("inclusion,assemblies", [
+        (None, 1), (InclusionSpec("disk", radius=0.5), 2)])
+    def test_one_assembly_per_solve(self, inclusion, assemblies, monkeypatch):
+        calls = []
+        monkeypatch.setattr(fem_core, "stiffness",
+                            lambda *a: calls.append(a) or stiffness(*a))
+        full_report(DomainSpec("disk", radius=1.0), inclusion, 2.0, 0.1)
+        assert len(calls) == assemblies
 
     def test_csv_row_shape(self):
         rep = full_report(DomainSpec("disk", radius=1.0), None, 1.0, 0.1)

@@ -1,10 +1,12 @@
 import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from serrinlab import experiments
 from serrinlab.errors import ValidationError
 from serrinlab.experiments import (
     frechet_check,
@@ -52,6 +54,12 @@ class TestSlopeFit:
             slope_fit([(1, 1), (2, 2)])
         with pytest.raises(ValidationError):
             slope_fit([(1, 1), (3, 2), (2, 3)])
+
+    def test_negative_window_rejected(self):
+        pts = [(1, 1), (2, 2), (4, 4), (8, 8)]
+        with pytest.raises(ValidationError, match="^window: "):
+            slope_fit(pts, window=-1)
+        assert slope_fit(pts, window=0).used_indices == [0, 1, 2, 3]
 
     @given(c=st.floats(0.1, 10), k=st.floats(-2, 2))
     @settings(max_examples=40)
@@ -183,3 +191,42 @@ class TestNonexistence:
     def test_nonpositive_constants_rejected(self):
         with pytest.raises(ValidationError):
             nonexistence_threshold(ELLIPSE, 0.0, 2.0, 0.05)
+
+
+def _blas_threads(_=None):
+    """(pid, OpenBLAS thread count of every bundled library) in this process."""
+    return os.getpid(), [get() for get in experiments._blas_calls("get_num_threads")]
+
+
+class TestBlasThreads:
+    @pytest.fixture(autouse=True)
+    def _two_threads(self):
+        """Start each test at two threads and restore the counts after it."""
+        if not experiments._blas_calls("get_num_threads"):
+            pytest.skip("no bundled scipy-openblas library")
+        before = _blas_threads()[1]
+        for set_threads in experiments._blas_calls("set_num_threads"):
+            set_threads(2)
+        yield
+        for set_threads, n in zip(experiments._blas_calls("set_num_threads"), before):
+            set_threads(n)
+
+    def test_pool_workers_use_one_blas_thread(self):
+        results = experiments._parallel_map(_blas_threads, range(4), jobs=2)
+        assert all(pid != os.getpid() for pid, _ in results)
+        assert all(counts and set(counts) == {1} for _, counts in results)
+
+    def test_sweep_solves_on_one_blas_thread_then_restores(self, monkeypatch):
+        """The base solves of a sweep run in this process: it must match the
+        pool workers, or results above ~10k unknowns would depend on jobs."""
+        seen = []
+        parallel_map = experiments._parallel_map
+
+        def spy(fn, items, jobs):
+            seen.append(set(_blas_threads()[1]))
+            return parallel_map(fn, items, jobs)
+
+        monkeypatch.setattr(experiments, "_parallel_map", spy)
+        sigma_sweep(DISK, InclusionSpec("disk", radius=0.5), [0.4, 0.2, 0.1], 0.2)
+        assert seen == [{1}]
+        assert set(_blas_threads()[1]) == {2}

@@ -9,19 +9,22 @@ from serrinlab.analytic_oracle import (
     ellipse_torsion,
     ellipse_torsion_gradient,
 )
+from serrinlab import fem_core
 from serrinlab.errors import ValidationError
 from serrinlab.fem_core import (
     SolverConfig,
+    element_sigma,
     evaluate,
     hessian_recovery,
     l2_norm,
+    load_constant,
     normal_derivative,
     recovered_gradient,
-    residual_norm,
     solve_harmonic_dirichlet,
     solve_linearized,
     solve_one_phase,
     solve_two_phase,
+    stiffness,
 )
 from serrinlab.meshgen import refine
 
@@ -108,8 +111,14 @@ class TestTwoPhase:
             solve_two_phase(concentric_mesh, 0.0)
 
     def test_residual_certificate(self, concentric_mesh):
-        u = solve_two_phase(concentric_mesh, 2.0)
-        assert residual_norm(concentric_mesh, u) <= 1e-10
+        # relative residual of the reduced (Dirichlet-eliminated) system
+        mesh = concentric_mesh
+        u = solve_two_phase(mesh, 2.0)
+        K = stiffness(mesh, element_sigma(mesh, 2.0))
+        b = load_constant(mesh)
+        interior = np.setdiff1d(np.arange(len(mesh.vertices)), mesh.boundary_loop)
+        r = (K @ u.values - b)[interior]
+        assert np.linalg.norm(r) <= 1e-10 * np.linalg.norm(b[interior])
 
     def test_monotone_in_sigma(self, concentric_mesh):
         # u(center) strictly decreases in sigma_c; matches the closed form
@@ -241,6 +250,41 @@ class TestLinearized:
         u = solve_two_phase(disk_mesh, 2.0)
         with pytest.raises(ValidationError):
             solve_linearized(concentric_mesh, 2.0, u)
+
+
+class TestBoundaryResidual:
+    """Each solve keeps (K u - b) on the boundary rows, bit for bit."""
+
+    @staticmethod
+    def reference(mesh, sigma, f, load):
+        return (stiffness(mesh, sigma) @ f.values - load)[mesh.boundary_loop]
+
+    def test_two_phase(self, concentric_mesh):
+        mesh = concentric_mesh
+        u = solve_two_phase(mesh, 2.0)
+        ref = self.reference(mesh, element_sigma(mesh, 2.0), u, load_constant(mesh))
+        assert np.array_equal(u.boundary_residual, ref)
+
+    def test_harmonic(self, disk_mesh):
+        h = solve_harmonic_dirichlet(disk_mesh, lambda p: p[:, 0] * p[:, 1])
+        ref = self.reference(disk_mesh, 1.0, h, np.zeros(len(disk_mesh.vertices)))
+        assert np.array_equal(h.boundary_residual, ref)
+
+    def test_linearized(self, concentric_mesh):
+        mesh = concentric_mesh
+        u = solve_two_phase(mesh, 2.0)
+        up = solve_linearized(mesh, 2.0, u)
+        b = -(stiffness(mesh, np.where(mesh.region == 1, 1.0, 0.0)) @ u.values)
+        ref = self.reference(mesh, element_sigma(mesh, 2.0), up, b)
+        assert np.array_equal(up.boundary_residual, ref)
+
+    def test_flux_recovery_assembles_nothing(self, concentric_mesh, monkeypatch):
+        u = solve_two_phase(concentric_mesh, 2.0)
+        calls = []
+        monkeypatch.setattr(fem_core, "stiffness",
+                            lambda *a: calls.append(a) or stiffness(*a))
+        normal_derivative(concentric_mesh, u)
+        assert calls == []
 
 
 class TestNormalDerivative:
