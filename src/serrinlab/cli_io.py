@@ -1,7 +1,8 @@
 """Batch entry point: JSON configs in, CSV/JSON/SVG artifacts plus a manifest out.
 
 Exit codes: 0 success, 2 validation error, 3 solver/mesh failure or failed
-numerical self-check.  Artifact files (report.csv, fit.json, plot.svg,
+numerical self-check, 4 internal error (any other exception, with its
+traceback in the manifest).  Artifact files (report.csv, fit.json, plot.svg,
 field.txt) are byte-deterministic for a fixed config; manifest.json carries the
 wall time and is not.
 """
@@ -15,6 +16,7 @@ import math
 import os
 import sys
 import time
+import traceback
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from functools import partial
 from pathlib import Path
@@ -387,6 +389,10 @@ def run(cfg: RunConfig, jobs: int = 1) -> int:
     except (SolverError, MeshQualityError) as exc:
         manifest.update(status="solver-failure", error=str(exc))
         code = 3
+    except Exception as exc:
+        manifest.update(status="internal-error", error=repr(exc),
+                        traceback=traceback.format_exc())
+        code = 4
     else:
         manifest.update(status="ok", summary=summary)
         code = 0

@@ -2,15 +2,19 @@
 
 All solves share one assembly path (exact P1 stiffness, centroid rule for the
 constant load, elementwise-constant conductivity) and one deterministic
-Jacobi-preconditioned conjugate-gradient kernel.  Each solve assembles its
-stiffness matrix once and keeps the residual K u - b on the boundary rows,
-which is all that variational flux recovery needs.
+preconditioned conjugate-gradient kernel.  On a mesh made by refine() the
+preconditioner is one symmetric multigrid V-cycle down the parent chain;
+on a generated mesh it is Jacobi.  Either way CG stops on the same
+unpreconditioned residual.  Each solve assembles its stiffness matrix once
+and keeps the residual K u - b on the boundary rows, which is all that
+variational flux recovery needs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -46,7 +50,9 @@ class Field:
 
     boundary_residual is (K u - b)[boundary_loop] of the variational problem the
     field solves, the boundary load that variational flux recovery inverts;
-    None for derived fields, which solve no problem.
+    iterations and residual are the CG iteration count and final relative
+    residual of that solve.  All three are None for derived fields, which
+    solve no problem.
     """
 
     mesh_key: str
@@ -54,6 +60,8 @@ class Field:
     label: str
     sigma_c: float = 1.0
     boundary_residual: Optional[np.ndarray] = None
+    iterations: Optional[int] = None
+    residual: Optional[float] = None
 
 
 @dataclass
@@ -110,16 +118,25 @@ def load_constant(mesh: Mesh) -> np.ndarray:
     return b
 
 
-def _pcg(A, b, tol, max_iter):
-    """Deterministic Jacobi-preconditioned CG; stops on the unpreconditioned residual."""
+def _pcg(A, b, tol, max_iter, precond=None):
+    """Deterministic preconditioned CG; stops on the unpreconditioned residual.
+
+    precond maps a residual to a search correction (the V-cycle of a refined
+    mesh); None preconditions with the diagonal (Jacobi).  Returns the
+    solution, the iteration count and the final relative residual.
+    """
     n = len(b)
     normb = float(np.linalg.norm(b))
     if normb == 0.0:
         return np.zeros(n), 0, 0.0
+    if precond is None:
+        dinv = 1.0 / A.diagonal()
+
+        def precond(r):
+            return dinv * r
     x = np.zeros(n)
     r = b.copy()
-    dinv = 1.0 / A.diagonal()
-    z = dinv * r
+    z = precond(r)
     p = z.copy()
     rz = float(r @ z)
     for it in range(1, max_iter + 1):
@@ -130,7 +147,7 @@ def _pcg(A, b, tol, max_iter):
         resid = float(np.linalg.norm(r))
         if resid <= tol * normb:
             return x, it, resid / normb
-        z = dinv * r
+        z = precond(r)
         rz_new = float(r @ z)
         p = z + (rz_new / rz) * p
         rz = rz_new
@@ -138,20 +155,86 @@ def _pcg(A, b, tol, max_iter):
         f"CG stalled after {max_iter} iterations (relative residual {resid/normb:.3e})")
 
 
+# damped-Jacobi smoothing of the V-cycle: weight and sweeps before and after
+# the coarse correction
+_OMEGA = 0.7
+_SWEEPS = 2
+
+
+def _interior(mesh):
+    return np.setdiff1d(np.arange(len(mesh.vertices)), mesh.boundary_loop)
+
+
+def _prolongation(mesh):
+    """Interpolation from the interior of mesh.parent to the interior of mesh.
+
+    refine() keeps parent vertex i as vertex i and puts the midpoint of edge e
+    of the parent's edge table at V + e, so that row is half of each end of e.
+    Dirichlet rows and columns are dropped.
+    """
+    coarse = mesh.parent
+    V = len(coarse.vertices)
+    edges = edge_table(coarse.triangles)[0]
+    rows = np.concatenate([np.arange(V), np.repeat(V + np.arange(len(edges)), 2)])
+    cols = np.concatenate([np.arange(V), edges.ravel()])
+    vals = np.concatenate([np.ones(V), np.full(2 * len(edges), 0.5)])
+    P = sp.csr_matrix((vals, (rows, cols)), shape=(len(mesh.vertices), V))
+    return P[_interior(mesh)][:, _interior(coarse)].tocsr()
+
+
+def _vcycle(mesh, A):
+    """Symmetric V-cycle for the interior system A of a refined mesh.
+
+    One level per refine() step: damped-Jacobi smoothing around the Galerkin
+    coarse operator P^T A P, factored by sparse LU on the generated mesh at
+    the bottom of the chain.  refine() moves interface midpoints onto the
+    curve, where P still interpolates linearly; that weakens the cycle a
+    little, never the solution.  Returns the preconditioner r -> B r.
+    """
+    levels = []
+    while mesh.parent is not None:
+        P = _prolongation(mesh)
+        R = P.T.tocsr()
+        levels.append((A, _OMEGA / A.diagonal(), P, R))
+        A = (R @ A @ P).tocsr()
+        mesh = mesh.parent
+    # a partial, not a closure that calls itself: that would be a reference
+    # cycle, and each solve's factors would wait for the cyclic collector
+    return partial(_cycle, levels, splu(A.tocsc(), permc_spec="COLAMD"))
+
+
+def _cycle(levels, bottom, r, k=0):
+    """B r on level k: smooth, correct from level k + 1, smooth again."""
+    if k == len(levels):
+        return bottom.solve(r)
+    A, wdinv, P, R = levels[k]
+    x = wdinv * r
+    for _ in range(_SWEEPS - 1):
+        x += wdinv * (r - A @ x)
+    x += P @ _cycle(levels, bottom, R @ (r - A @ x), k + 1)
+    for _ in range(_SWEEPS):
+        x += wdinv * (r - A @ x)
+    return x
+
+
 def _solve_dirichlet(mesh, sigma, load, boundary_values, cfg, label, sigma_c=1.0):
     """Assemble the stiffness of conductivity sigma, eliminate the Dirichlet rows
-    and solve the reduced SPD system by CG; the Field keeps its boundary residual."""
+    and solve the reduced SPD system by CG, V-cycle-preconditioned on a refined
+    mesh; the Field keeps its boundary residual and its CG record."""
     K = stiffness(mesh, sigma)
     n = len(mesh.vertices)
     bnd = mesh.boundary_loop
-    interior = np.setdiff1d(np.arange(n), bnd)
+    interior = _interior(mesh)
     x = np.zeros(n)
     x[bnd] = boundary_values
-    rhs = load[interior] - K[interior][:, bnd] @ x[bnd]
-    Kii = K[interior][:, interior].tocsr()
-    xi, _, _ = _pcg(Kii, rhs, cfg.cg_rel_tolerance, cfg.max_iters(len(interior)))
+    Ki = K[interior]
+    rhs = load[interior] - Ki[:, bnd] @ x[bnd]
+    Kii = Ki[:, interior].tocsr()
+    precond = _vcycle(mesh, Kii) if mesh.parent is not None else None
+    xi, its, res = _pcg(Kii, rhs, cfg.cg_rel_tolerance, cfg.max_iters(len(interior)),
+                        precond)
     x[interior] = xi
-    return Field(mesh.key, x, label, sigma_c, (K @ x - load)[bnd])
+    return Field(mesh.key, x, label, sigma_c, (K @ x - load)[bnd], its, res)
 
 
 def solve_two_phase(mesh: Mesh, sigma_c: float, cfg: Optional[SolverConfig] = None) -> Field:

@@ -37,6 +37,8 @@ class Mesh:
     boundary_* arrays follow one CCW loop around the outer boundary; interface_*
     likewise around the inclusion (when present).  Curve parameters of on-curve
     vertices are kept so refinement can project midpoints back onto the curves.
+    parent is the mesh that refine() split into this one (None for a generated
+    mesh); the solver builds its multigrid hierarchy from that chain.
     """
 
     vertices: np.ndarray
@@ -52,6 +54,7 @@ class Mesh:
     target_h: float
     level: int = 0
     margin: Optional[Margin] = None
+    parent: Optional["Mesh"] = field(default=None, repr=False, compare=False)
     h_max: float = field(init=False)
     key: str = field(init=False)
 
@@ -393,7 +396,8 @@ def _circular_midpoint(t1, t2):
 def refine(mesh: Mesh) -> Mesh:
     """Uniform 1:4 red refinement with curve projection of loop-edge midpoints.
 
-    The midpoint of edge e of edge_table(mesh.triangles) becomes vertex V + e.
+    The midpoint of edge e of edge_table(mesh.triangles) becomes vertex V + e;
+    the refined mesh records mesh as its parent.
     """
     V = len(mesh.vertices)
     edges, tri_edges, _ = edge_table(mesh.triangles)
@@ -416,7 +420,7 @@ def refine(mesh: Mesh) -> Mesh:
                 interface_loop=iloop, interface_params=iparams,
                 domain=mesh.domain, inclusion=mesh.inclusion,
                 target_h=mesh.target_h / 2.0, level=mesh.level + 1,
-                margin=mesh.margin)
+                margin=mesh.margin, parent=mesh)
 
 
 def _split_loop(loop, params, edges, vertices, curve):

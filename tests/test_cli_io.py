@@ -18,7 +18,7 @@ from serrinlab.cli_io import (
     main,
     run,
 )
-from serrinlab import experiments, serrin_diagnostics
+from serrinlab import cli_io, experiments, serrin_diagnostics
 from serrinlab.errors import ValidationError
 from serrinlab.experiments import FitResult, SweepResult
 from serrinlab.geometry import DomainSpec, InclusionSpec
@@ -298,6 +298,19 @@ class TestRun:
         manifest = json.loads((tmp_path / "check" / "manifest.json").read_text())
         assert manifest["status"] == "solver-failure"
         assert "violated" in manifest["error"]
+
+    def test_internal_error_exit_4_with_traceback(self, tmp_path, monkeypatch):
+        def broken(*args):
+            raise RuntimeError("wires crossed")
+
+        monkeypatch.setattr(cli_io, "_execute", broken)
+        cfg = config_from_dict(dict(DIAG_CFG, name="oops", output_dir=str(tmp_path)))
+        assert run(cfg) == 4
+        manifest = json.loads((tmp_path / "oops" / "manifest.json").read_text())
+        assert manifest["status"] == "internal-error"
+        assert "wires crossed" in manifest["error"]
+        assert "RuntimeError: wires crossed" in manifest["traceback"]
+        assert "wall_time_s" in manifest
 
 
 class TestMain:

@@ -1,7 +1,9 @@
+import gc
 import math
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
 from serrinlab.analytic_oracle import (
     RadialTwoPhaseSolution,
@@ -26,7 +28,8 @@ from serrinlab.fem_core import (
     solve_two_phase,
     stiffness,
 )
-from serrinlab.meshgen import refine
+from serrinlab.geometry import InclusionSpec
+from serrinlab.meshgen import generate, refine
 
 from conftest import make_square_mesh
 
@@ -160,13 +163,13 @@ class TestTwoPhase:
         for e0, e1 in zip(errs, errs[1:]):
             assert 3.4 <= e0 / e1 <= 4.6
 
-    def test_cg_failure_carries_residual(self, disk_mesh):
+    def test_cg_failure_carries_residual(self, ellipse_mesh):
         from serrinlab.errors import SolverError
 
-        fine = refine(refine(disk_mesh))
+        # a generated mesh solves with Jacobi, which needs 159 iterations here
         with pytest.raises(SolverError, match="residual"):
-            solve_one_phase(fine, SolverConfig(cg_rel_tolerance=1e-14,
-                                               cg_max_iterations=100))
+            solve_one_phase(ellipse_mesh, SolverConfig(cg_rel_tolerance=1e-14,
+                                                       cg_max_iterations=100))
 
 
 class TestOnePhase:
@@ -285,6 +288,98 @@ class TestBoundaryResidual:
                             lambda *a: calls.append(a) or stiffness(*a))
         normal_derivative(concentric_mesh, u)
         assert calls == []
+
+
+class TestMultigrid:
+    """CG on a refined mesh is preconditioned by a V-cycle down the parent chain;
+    on a generated mesh by Jacobi, exactly as before."""
+
+    @staticmethod
+    def reduced_system(mesh, sigma):
+        interior = fem_core._interior(mesh)
+        K = stiffness(mesh, sigma)
+        return K[interior][:, interior].tocsr(), load_constant(mesh)[interior], interior
+
+    @staticmethod
+    def assert_matches_direct(mesh, sigma_c):
+        u = solve_two_phase(mesh, sigma_c)
+        Kii, b, interior = TestMultigrid.reduced_system(mesh, element_sigma(mesh, sigma_c))
+        direct = splu(Kii.tocsc()).solve(b)
+        err = np.linalg.norm(u.values[interior] - direct) / np.linalg.norm(direct)
+        assert err <= 1e-10
+        assert np.all(u.values[mesh.boundary_loop] == 0.0)
+        return u
+
+    def test_refined_inclusion_mesh(self, ellipse_spec):
+        coarse = generate(ellipse_spec, InclusionSpec("disk", radius=0.3), 0.05)
+        u = self.assert_matches_direct(refine(coarse), 2.0)
+        assert 1 <= u.iterations <= 20
+        assert u.residual <= 1e-10
+
+    def test_three_levels(self, disk_mesh):
+        fine = refine(refine(disk_mesh))
+        assert fine.parent.parent is disk_mesh
+        u = self.assert_matches_direct(fine, 1.0)
+        assert 1 <= u.iterations <= 20
+
+    def test_iterations_do_not_grow_with_refinement(self, concentric_mesh):
+        mesh, its = concentric_mesh, []
+        for _ in range(2):
+            mesh = refine(mesh)
+            its.append(solve_two_phase(mesh, 2.0).iterations)
+        assert its[1] <= its[0] + 2
+
+    @pytest.mark.parametrize("name,sigma_c,iterations",
+                             [("ellipse_mesh", 1.0, 133), ("concentric_mesh", 2.0, 60)])
+    def test_generated_mesh_keeps_jacobi(self, name, sigma_c, iterations, request):
+        mesh = request.getfixturevalue(name)
+        assert mesh.parent is None
+        u = solve_two_phase(mesh, sigma_c)
+        assert u.iterations == iterations
+        # the same bits as Jacobi CG on the reduced system sliced in two steps
+        Kii, b, interior = self.reduced_system(mesh, element_sigma(mesh, sigma_c))
+        x, its, res = fem_core._pcg(Kii, b, 1e-10, 10000)
+        assert its == iterations and res == u.residual
+        assert np.array_equal(u.values[interior], x)
+
+    def test_vcycle_is_symmetric_positive_definite(self, disk_mesh):
+        fine = refine(refine(disk_mesh))
+        Kii, _, _ = self.reduced_system(fine, 1.0)
+        B = fem_core._vcycle(fine, Kii)
+        rng = np.random.default_rng(0)
+        x, y = rng.standard_normal((2, Kii.shape[0]))
+        assert x @ B(y) == pytest.approx(y @ B(x), rel=1e-12)
+        assert x @ B(x) > 0
+
+    def test_solve_leaves_no_reference_cycle(self, disk_mesh):
+        # each solve's V-cycle factors are freed on return, not by the cyclic
+        # collector, so memory does not pile up between collections
+        fine = refine(disk_mesh)
+        gc.collect()
+        gc.disable()
+        try:
+            solve_one_phase(fine)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_vcycle_failure_carries_residual(self, disk_mesh):
+        from serrinlab.errors import SolverError
+
+        fine = refine(disk_mesh)
+        Kii, b, _ = self.reduced_system(fine, 1.0)
+        with pytest.raises(SolverError, match="residual"):
+            fem_core._pcg(Kii, b, 1e-14, 2, fem_core._vcycle(fine, Kii))
+
+    def test_field_keeps_cg_record(self, disk_mesh, concentric_mesh):
+        v = solve_one_phase(disk_mesh)
+        assert v.iterations > 0 and 0.0 < v.residual <= 1e-10
+        up = solve_linearized(concentric_mesh, 2.0, solve_two_phase(concentric_mesh, 2.0))
+        assert up.iterations > 0 and up.residual <= 1e-10
+        from serrinlab.serrin_diagnostics import h_field
+
+        h = h_field(disk_mesh, v, (0.0, 0.0))
+        assert h.iterations is None and h.residual is None
 
 
 class TestNormalDerivative:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -211,6 +212,22 @@ class TestRefine:
             else:
                 assert a.dtype == b.dtype
                 np.testing.assert_array_equal(a, b)
+
+    def test_records_parent(self, concentric_mesh):
+        before = {k: v.copy() for k, v in vars(concentric_mesh).items()
+                  if isinstance(v, np.ndarray)}
+        fine = refine(concentric_mesh)
+        assert fine.parent is concentric_mesh and concentric_mesh.parent is None
+        assert refine(fine).parent is fine
+        for k, v in before.items():
+            np.testing.assert_array_equal(getattr(concentric_mesh, k), v)
+        # the parent is no part of the key or the repr
+        orphan = replace(fine, parent=None)
+        assert orphan.key == fine.key and orphan.level == 1
+        assert "parent" not in repr(fine)
+        for k, v in vars(fine).items():
+            if isinstance(v, np.ndarray):
+                assert getattr(orphan, k) is v
 
     def test_margin_carried_over(self, concentric_mesh):
         assert concentric_mesh.margin.margin == pytest.approx(0.5, abs=1e-8)
