@@ -33,7 +33,6 @@ from .geometry import (
     InclusionSpec,
     exact_area,
     exact_perimeter,
-    polygonize,
     rho_bounds,
     serrin_constant,
 )
@@ -169,7 +168,7 @@ def _stability_member(args):
     c = serrin_constant(exact_area(domain), exact_perimeter(domain))
     dev_l2, dev_linf = deviation_norms(tr, c)
     z = max_point(mesh, v)
-    rho_i, rho_e = rho_bounds(polygonize(domain, domain.boundary_samples), z)
+    rho_i, rho_e = rho_bounds(domain, z)
     return {"gap": rho_e - rho_i, "dev_L2": dev_l2, "dev_Linf": dev_linf,
             "h_max": mesh.h_max}
 
@@ -211,13 +210,12 @@ def one_phase_stability_sweep(family, target_h, window=4, jobs=1) -> SweepResult
 
 
 def _sigma_member(args):
-    mesh, t, base_trace, c, cfg = args
+    mesh, t, base_trace, base_dev, c, cfg = args
     u = solve_two_phase(mesh, 1.0 + t, cfg)
     tr = normal_derivative(mesh, u)
     diff = float(np.abs(tr.values - base_trace).max())
     dev_l2, dev_linf = deviation_norms(tr, c)
     # triangle inequality of the deviation chain, exact in the nodal sup norm
-    base_dev = float(np.abs(base_trace - c).max())
     if dev_linf > diff + base_dev + 1e-13:
         raise DiagnosticError("sigma sweep: discrete triangle inequality violated")
     return {"t": t, "delta_trace_Linf": diff, "dev_L2": dev_l2,
@@ -237,10 +235,11 @@ def sigma_sweep(domain, inclusion, t_values, target_h, window=4, jobs=1) -> Swee
     cfg = SolverConfig()
     mesh = generate(domain, inclusion, target_h)
     u0 = solve_one_phase(mesh, cfg)
-    base_trace = normal_derivative(mesh, u0).values
+    base = normal_derivative(mesh, u0)
     c = serrin_constant(exact_area(domain), exact_perimeter(domain))
+    _, base_dev = deviation_norms(base, c)
     rows = _parallel_map(_sigma_member,
-                         [(mesh, t, base_trace, c, cfg) for t in t_values], jobs)
+                         [(mesh, t, base.values, base_dev, c, cfg) for t in t_values], jobs)
 
     # floor: concentric disks (an exact solution family: the flux is t-independent)
     r_f = inclusion.radius if inclusion is not None and inclusion.kind == "disk" else 0.5
@@ -254,7 +253,7 @@ def sigma_sweep(domain, inclusion, t_values, target_h, window=4, jobs=1) -> Swee
 
     excluded = [r["delta_trace_Linf"] <= FLOOR_FACTOR * floor for r in rows]
     kept = [i for i, ex in enumerate(excluded) if not ex]
-    constants = {"dev0_Linf": float(np.abs(base_trace - c).max())}
+    constants = {"dev0_Linf": base_dev}
     if len(kept) >= 3:
         pts = [(abs(rows[i]["t"]), rows[i]["delta_trace_Linf"]) for i in kept]
         fit = slope_fit(pts, window)
@@ -394,7 +393,7 @@ def nonexistence_threshold(domain, fitted_C2, fitted_C3, target_h) -> ThresholdR
     mesh = generate(domain, None, target_h)
     v = solve_one_phase(mesh)
     z = max_point(mesh, v)
-    rho_i, rho_e = rho_bounds(polygonize(domain, domain.boundary_samples), z)
+    rho_i, rho_e = rho_bounds(domain, z)
     gap = rho_e - rho_i
     if gap <= FLOOR_FACTOR * target_h ** 2:
         raise ValidationError(

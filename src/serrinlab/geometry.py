@@ -2,7 +2,9 @@
 
 A domain is one of three analytic closed curves (disk, ellipse, star-shaped
 cosine perturbation), all star-shaped about their center.  The analytic curve
-is authoritative; polygons are only quadrature/visualization carriers.
+is authoritative: distances, rho_i/rho_e, the diameter and the inclusion
+margin all run one foot-point Newton iteration on it; polygons are only a
+sampled view for coarse checks.
 """
 
 from __future__ import annotations
@@ -19,34 +21,47 @@ from .errors import ValidationError
 
 TWO_PI = 2.0 * math.pi
 
-# foot-point Newton iteration: parameter step at which it stops, and the cap
+# safeguarded Newton iteration: step at which it stops, and the cap
 # (bisection alone takes the 4 pi/256 bracket below 1e-14 in 43 halvings)
 _FOOT_STEP_TOL = 1e-14
 _FOOT_MAX_ITER = 60
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 
+def _newton_root(fn, x, half_width):
+    """Root of g in x +- half_width (vectorized); fn(x) = (g, g'), g rising.
 
-def _golden_min_vec(f, a, b, tol=1e-10):
-    """Vectorized golden-section minimization of f over per-row brackets [a, b].
-
-    f maps an array of parameters to an array of values; every row shrinks by
-    the golden ratio each iteration (two evaluations per step).
+    Each step shrinks the bracket by the sign of g and falls back to the
+    bracket midpoint when g' <= 0 or the Newton step leaves the bracket.
     """
-    a = np.asarray(a, dtype=float).copy()
-    b = np.asarray(b, dtype=float).copy()
-    width = float(np.max(b - a))
-    if width <= tol:
-        return (a + b) / 2.0
-    n_iter = int(math.ceil(math.log(tol / width) / math.log(_INVPHI)))
-    for _ in range(n_iter):
-        c = a + _INVPHI2 * (b - a)
-        d = a + _INVPHI * (b - a)
-        take_left = f(c) < f(d)
-        b = np.where(take_left, d, b)
-        a = np.where(take_left, a, c)
-    return (a + b) / 2.0
+    lo, hi = x - half_width, x + half_width
+    for _ in range(_FOOT_MAX_ITER):
+        g, dg = fn(x)
+        hi = np.where(g > 0, x, hi)
+        lo = np.where(g < 0, x, lo)
+        # a step landing exactly on a bracket end is accepted, or converged
+        # points would fall back to bisection
+        newton = x - g / np.where(dg > 0, dg, 1.0)
+        ok = (dg > 0) & (newton >= lo) & (newton <= hi)
+        nxt = np.where(ok, newton, 0.5 * (lo + hi))
+        step = float(np.max(np.abs(nxt - x), initial=0.0))
+        x = nxt
+        if step < _FOOT_STEP_TOL:
+            break
+    return x
+
+
+def _foot_point(spec, pts, theta, half_width, sign=1.0):
+    """Parameter in theta +- half_width of the curve point nearest to
+    (sign +1) or farthest from (sign -1) pts: Newton on sign * g, where
+    g(theta) = (p(theta) - x) . p'(theta) rises through a nearest point."""
+    def g_dg(theta):
+        diff = spec.point(theta) - pts
+        vel = spec.velocity(theta)
+        g = (diff * vel).sum(axis=-1)
+        dg = (vel * vel).sum(axis=-1) + (diff * spec.acceleration(theta)).sum(axis=-1)
+        return sign * g, sign * dg
+
+    return _newton_root(g_dg, theta, half_width)
 
 
 @dataclass(frozen=True)
@@ -292,7 +307,9 @@ def exact_perimeter(spec: DomainSpec) -> float:
 
 
 def diameter(spec: DomainSpec) -> float:
-    """Diameter d of the domain (exact for disk/ellipse, sampled+polished for star)."""
+    """Diameter d of the domain (exact for disk/ellipse).  For a star, each
+    end of the farthest sample pair in turn moves to the point farthest from
+    the other (within one spacing) until the pair stops moving."""
     if spec.kind == "disk":
         return 2.0 * spec.radius
     if spec.kind == "ellipse":
@@ -302,16 +319,13 @@ def diameter(spec: DomainSpec) -> float:
     p = spec.point(t)
     d2 = ((p[:, None, :] - p[None, :, :]) ** 2).sum(axis=-1)
     i, j = np.unravel_index(np.argmax(d2), d2.shape)
-    # coordinate-descent polish on the parametric pair
     ti, tj = t[i], t[j]
-    dt = TWO_PI / n
-    for _ in range(3):
-        tj = float(_golden_min_vec(
-            lambda s: -((spec.point(s) - spec.point(np.full_like(s, ti))) ** 2).sum(axis=-1),
-            np.array([tj - dt]), np.array([tj + dt]))[0])
-        ti = float(_golden_min_vec(
-            lambda s: -((spec.point(s) - spec.point(np.full_like(s, tj))) ** 2).sum(axis=-1),
-            np.array([ti - dt]), np.array([ti + dt]))[0])
+    for _ in range(_FOOT_MAX_ITER):
+        prev = (ti, tj)
+        tj = _foot_point(spec, spec.point(ti), tj, TWO_PI / n, sign=-1.0)
+        ti = _foot_point(spec, spec.point(tj), ti, TWO_PI / n, sign=-1.0)
+        if max(abs(ti - prev[0]), abs(tj - prev[1])) < _FOOT_STEP_TOL:
+            break
     return float(np.hypot(*(spec.point(ti) - spec.point(tj))))
 
 
@@ -327,74 +341,36 @@ def curvature_max(spec: DomainSpec) -> float:
     return float((np.abs(cross) / np.hypot(v[:, 0], v[:, 1]) ** 3).max())
 
 
-def distance_to_boundary(spec: DomainSpec, pts) -> np.ndarray:
-    """Distance from points to the analytic boundary curve.
-
-    The nearest of n = max(boundary_samples, 256) equispaced curve samples
-    (one kd-tree query) brackets each foot point in t_j +- 2 pi/n; a
-    safeguarded Newton iteration on g(theta) = (p(theta) - x) . p'(theta)
-    then polishes all points at once.  Each step shrinks the bracket by the
-    sign of g and falls back to the bracket midpoint when g' <= 0 or the
-    Newton step leaves the bracket.
-    """
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+def _nearest_foot(spec: DomainSpec, pts) -> np.ndarray:
+    """Foot-point parameters of pts: the nearest of n = max(boundary_samples,
+    256) samples (kd-tree), polished by _foot_point in t_j +- 2 pi/n."""
     n = max(spec.boundary_samples, 256)
     t = TWO_PI * np.arange(n) / n
     _, jstar = cKDTree(spec.point(t)).query(pts)
-    theta = t[jstar]
-    lo, hi = theta - TWO_PI / n, theta + TWO_PI / n
-    for _ in range(_FOOT_MAX_ITER):
-        diff = spec.point(theta) - pts
-        vel = spec.velocity(theta)
-        g = (diff * vel).sum(axis=-1)
-        dg = (vel * vel).sum(axis=-1) + (diff * spec.acceleration(theta)).sum(axis=-1)
-        hi = np.where(g > 0, theta, hi)
-        lo = np.where(g < 0, theta, lo)
-        # a step landing exactly on a bracket end is accepted, or converged
-        # points would fall back to bisection
-        newton = theta - g / np.where(dg > 0, dg, 1.0)
-        ok = (dg > 0) & (newton >= lo) & (newton <= hi)
-        nxt = np.where(ok, newton, 0.5 * (lo + hi))
-        step = float(np.max(np.abs(nxt - theta), initial=0.0))
-        theta = nxt
-        if step < _FOOT_STEP_TOL:
-            break
+    return _foot_point(spec, pts, t[jstar], TWO_PI / n)
+
+
+def distance_to_boundary(spec: DomainSpec, pts) -> np.ndarray:
+    """Distance from points to the analytic boundary curve, at the foot
+    points of _nearest_foot (all points at once)."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    theta = _nearest_foot(spec, pts)
     return np.sqrt(((spec.point(theta) - pts) ** 2).sum(axis=-1))
 
 
-def rho_bounds(poly: PolygonalBoundary, z) -> tuple:
+def rho_bounds(spec: DomainSpec, z) -> tuple:
     """(rho_i, rho_e): radii of the largest inscribed / smallest circumscribed
-    balls centered at z, via dense sampling refined on the parametric curve."""
+    balls centered at z.  rho_i = distance_to_boundary(spec, z); rho_e runs
+    _foot_point in farthest mode from the farthest sample."""
     z = np.asarray(z, dtype=float)
-    if poly.spec is not None:
-        if poly.spec.signed_radial_margin(z[None, :])[0] <= 0:
-            raise ValidationError("rho_bounds.z: must lie strictly inside the domain")
-        spec = poly.spec
-        t = poly.params
-        d2 = ((spec.point(t) - z) ** 2).sum(axis=-1)
-        dt = TWO_PI / len(t)
-
-        def f(theta):
-            return ((spec.point(theta) - z) ** 2).sum(axis=-1)
-
-        ji = int(np.argmin(d2))
-        ti = _golden_min_vec(f, np.array([t[ji] - dt]), np.array([t[ji] + dt]))
-        je = int(np.argmax(d2))
-        te = _golden_min_vec(lambda s: -f(s), np.array([t[je] - dt]), np.array([t[je] + dt]))
-        rho_i = math.sqrt(float(f(ti)[0]))
-        rho_e = math.sqrt(float(f(te)[0]))
-    else:
-        d = np.hypot(*(poly.vertices - z).T)
-        if _winding_inside(poly.vertices, z) is False:
-            raise ValidationError("rho_bounds.z: must lie strictly inside the polygon")
-        rho_i, rho_e = float(d.min()), float(d.max())
-    return rho_i, rho_e
-
-
-def _winding_inside(vertices, z):
-    ang = np.arctan2(vertices[:, 1] - z[1], vertices[:, 0] - z[0])
-    turns = np.diff(np.unwrap(np.concatenate([ang, ang[:1]])))
-    return math.isclose(float(turns.sum()), TWO_PI, rel_tol=1e-6)
+    if spec.signed_radial_margin(z[None, :])[0] <= 0:
+        raise ValidationError("rho_bounds.z: must lie strictly inside the domain")
+    n = max(spec.boundary_samples, 256)
+    t = TWO_PI * np.arange(n) / n
+    je = int(np.argmax(((spec.point(t) - z) ** 2).sum(axis=-1)))
+    te = _foot_point(spec, z, t[je], TWO_PI / n, sign=-1.0)
+    rho_e = math.sqrt(float(((spec.point(te) - z) ** 2).sum()))
+    return float(distance_to_boundary(spec, z)[0]), rho_e
 
 
 class Margin(NamedTuple):
@@ -405,28 +381,37 @@ class Margin(NamedTuple):
 def inclusion_margin(domain: DomainSpec, inclusion: InclusionSpec) -> Margin:
     """dist(D, boundary of Omega) and M = max(1, 1/margin).
 
-    The inclusion curve is sampled at 256 parameters; distance_to_boundary
-    gives each sample's distance to the boundary of Omega, and a golden-section
-    search over the inclusion parameter around the nearest sample refines the
-    curve-to-curve minimum.  Rejects inclusions touching or exiting Omega.
+    A disk's margin is distance_to_boundary(Omega, center) - radius.  An
+    ellipse q(s) runs Newton from the nearest of 256 samples (+- one spacing)
+    on h(s) = (q - p(theta(s))) . q', theta(s) the foot point of q(s); the
+    foot-point condition gives h' = |q'|^2 + (q - p) . q''
+    - (q' . p')^2 / (|p'|^2 - (q - p) . p'').  Rejects D touching or exiting Omega.
     """
     if inclusion.is_none:
         return Margin(math.inf, 1.0)
-    curve_d = inclusion.to_domain()
+    curve = inclusion.to_domain()
     n = 256
     s = TWO_PI * np.arange(n) / n
-    pts = curve_d.point(s)
+    pts = curve.point(s)
     if np.any(domain.signed_radial_margin(pts) <= 0):
         raise ValidationError("inclusion: D touches or exits the domain")
-    dists = distance_to_boundary(domain, pts)
-    istar = int(np.argmin(dists))
-    ds = TWO_PI / n
+    if inclusion.kind == "disk":
+        margin = float(distance_to_boundary(domain, inclusion.center)[0]) - inclusion.radius
+    else:
+        def h_dh(sv):
+            q, dq = curve.point(sv), curve.velocity(sv)
+            theta = _nearest_foot(domain, q)
+            diff = q - domain.point(theta)
+            dp = domain.velocity(theta)
+            # theta'(s) = (q' . p') / foot, from the foot-point condition
+            foot = (dp * dp).sum(axis=-1) - (diff * domain.acceleration(theta)).sum(axis=-1)
+            dh = ((dq * dq).sum(axis=-1) + (diff * curve.acceleration(sv)).sum(axis=-1)
+                  - (dq * dp).sum(axis=-1) ** 2 / foot)
+            return (diff * dq).sum(axis=-1), dh
 
-    def g(sv):
-        return distance_to_boundary(domain, curve_d.point(sv))
-
-    sbest = _golden_min_vec(g, np.array([s[istar] - ds]), np.array([s[istar] + ds]))
-    margin = float(g(sbest)[0])
+        istar = int(np.argmin(distance_to_boundary(domain, pts)))
+        sbest = _newton_root(h_dh, s[istar:istar + 1], TWO_PI / n)
+        margin = float(distance_to_boundary(domain, curve.point(sbest))[0])
     if margin <= 0:
         raise ValidationError("inclusion: D touches or exits the domain")
     return Margin(margin, max(1.0, 1.0 / margin))

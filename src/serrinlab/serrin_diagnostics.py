@@ -18,6 +18,7 @@ from .fem_core import (
     BoundaryTrace,
     Field,
     SolverConfig,
+    _interior,
     hessian_recovery,
     normal_derivative,
     solve_one_phase,
@@ -30,7 +31,6 @@ from .geometry import (
     distance_to_boundary,
     exact_area,
     exact_perimeter,
-    polygonize,
     rho_bounds,
     serrin_constant,
 )
@@ -202,7 +202,7 @@ class GrowthCheck:
 
 def growth_check(mesh: Mesh, v: Field) -> GrowthCheck:
     """min over interior vertices of v/delta, and min of v - delta^2/4."""
-    interior = np.setdiff1d(np.arange(len(mesh.vertices)), mesh.boundary_loop)
+    interior = _interior(mesh)
     delta = distance_to_boundary(mesh.domain, mesh.vertices[interior])
     vals = v.values[interior]
     return GrowthCheck(float(np.min(vals / delta)),
@@ -242,8 +242,7 @@ def full_report(domain: DomainSpec, inclusion: Optional[InclusionSpec],
     dev_l2, dev_linf = deviation_norms(tr_u, c, eta_vals)
 
     z = max_point(mesh, v)
-    poly = polygonize(domain, domain.boundary_samples)
-    rho_i, rho_e = rho_bounds(poly, z)
+    rho_i, rho_e = rho_bounds(domain, z)
     h = h_field(mesh, v, z)
     lhs, rhs, fi_gap = fundamental_identity(mesh, v, z)
     d_omega = diameter(domain)

@@ -200,6 +200,18 @@ class TestTypedConfig:
             config_from_dict(bad)
 
 
+def _true_for_base_only():
+    """deviation_norms that is right for the first trace it sees (a sigma
+    sweep's base) and reports (1e3, 1e3) for every later one."""
+    real = experiments.deviation_norms
+    calls = []
+
+    def fake(*args):
+        calls.append(None)
+        return real(*args) if len(calls) == 1 else (1e3, 1e3)
+    return fake
+
+
 class TestRun:
     def test_diagnose_artifacts(self, tmp_path):
         cfg = config_from_dict(dict(DIAG_CFG, name="diag",
@@ -286,7 +298,7 @@ class TestRun:
         (serrin_diagnostics, "osc_check", lambda *a, **k: OscCheck(0.0, 0.0, False),
          DIAG_CFG),
         (serrin_diagnostics, "deviation_norms", lambda *a: (1.0, 1e-6), DIAG_CFG),
-        (experiments, "deviation_norms", lambda *a: (1e3, 1e3),
+        (experiments, "deviation_norms", _true_for_base_only(),
          {"command": "sweep-sigma", "domain": DIAG_CFG["domain"], "target_h": 0.1,
           "t_values": [0.2, 0.1, 0.05]}),
     ], ids=["osc-bound", "L2-Linf-bridge", "sigma-triangle"])

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from serrinlab import geometry
 from serrinlab.errors import ValidationError
 from serrinlab.geometry import (
     TWO_PI,
     DomainSpec,
     InclusionSpec,
     PolygonalBoundary,
-    _golden_min_vec,
     area_perimeter,
     curvature_max,
     diameter,
@@ -128,45 +128,45 @@ class TestSerrinConstant:
 
 class TestRhoBounds:
     def test_disk_center(self):
-        poly = polygonize(DomainSpec("disk", radius=1.0), 256)
-        assert rho_bounds(poly, (0.0, 0.0)) == pytest.approx((1.0, 1.0), abs=1e-10)
+        spec = DomainSpec("disk", radius=1.0)
+        assert rho_bounds(spec, (0.0, 0.0)) == pytest.approx((1.0, 1.0), abs=1e-10)
 
     def test_ellipse_center(self):
-        poly = polygonize(DomainSpec("ellipse", a=1.2, b=1.0), 256)
-        rho_i, rho_e = rho_bounds(poly, (0.0, 0.0))
+        spec = DomainSpec("ellipse", a=1.2, b=1.0)
+        rho_i, rho_e = rho_bounds(spec, (0.0, 0.0))
         assert rho_i == pytest.approx(1.0, abs=1e-10)
         assert rho_e == pytest.approx(1.2, abs=1e-10)
 
     def test_disk_offcenter(self):
-        poly = polygonize(DomainSpec("disk", radius=1.0), 256)
-        rho_i, rho_e = rho_bounds(poly, (0.3, 0.0))
+        spec = DomainSpec("disk", radius=1.0)
+        rho_i, rho_e = rho_bounds(spec, (0.3, 0.0))
         assert rho_i == pytest.approx(0.7, abs=1e-10)
         assert rho_e == pytest.approx(1.3, abs=1e-10)
 
     def test_rejects_exterior_point(self):
-        poly = polygonize(DomainSpec("disk", radius=1.0), 256)
+        spec = DomainSpec("disk", radius=1.0)
         with pytest.raises(ValidationError):
-            rho_bounds(poly, (1.5, 0.0))
+            rho_bounds(spec, (1.5, 0.0))
         with pytest.raises(ValidationError):
-            rho_bounds(poly, (1.0, 0.0))
+            rho_bounds(spec, (1.0, 0.0))
 
     @given(r=st.floats(min_value=0.0, max_value=0.9), phi=st.floats(0, 2 * math.pi))
     @settings(max_examples=25, deadline=None)
     def test_disk_offcenter_closed_form(self, r, phi):
-        poly = polygonize(DomainSpec("disk", radius=1.0), 256)
+        spec = DomainSpec("disk", radius=1.0)
         z = (r * math.cos(phi), r * math.sin(phi))
-        rho_i, rho_e = rho_bounds(poly, z)
+        rho_i, rho_e = rho_bounds(spec, z)
         assert rho_i == pytest.approx(1.0 - r, abs=1e-9)
         assert rho_e == pytest.approx(1.0 + r, abs=1e-9)
 
     def test_gap_zero_iff_disk_at_center(self):
-        disk = polygonize(DomainSpec("disk", radius=1.0), 256)
+        disk = DomainSpec("disk", radius=1.0)
         ri, re = rho_bounds(disk, (0.0, 0.0))
         assert re - ri == pytest.approx(0.0, abs=1e-12)
-        for poly, z in ((disk, (0.2, 0.1)),
-                        (polygonize(DomainSpec("ellipse", a=1.2, b=1.0), 256), (0, 0)),
-                        (polygonize(DomainSpec("star", r0=1, eps=0.05, k=3), 256), (0, 0))):
-            ri, re = rho_bounds(poly, z)
+        for spec, z in ((disk, (0.2, 0.1)),
+                        (DomainSpec("ellipse", a=1.2, b=1.0), (0, 0)),
+                        (DomainSpec("star", r0=1, eps=0.05, k=3), (0, 0))):
+            ri, re = rho_bounds(spec, z)
             assert re - ri > 1e-3
 
     def test_star_against_brute_force(self):
@@ -175,7 +175,7 @@ class TestRhoBounds:
         z = np.array([0.1, -0.05])
         t = 2 * math.pi * np.arange(200_000) / 200_000
         d = np.hypot(*(spec.point(t) - z).T)
-        rho_i, rho_e = rho_bounds(polygonize(spec, 256), z)
+        rho_i, rho_e = rho_bounds(spec, z)
         assert rho_i == pytest.approx(float(d.min()), abs=1e-6)
         assert rho_e == pytest.approx(float(d.max()), abs=1e-6)
 
@@ -183,9 +183,55 @@ class TestRhoBounds:
         for spec in (DomainSpec("disk", radius=1.0),
                      DomainSpec("ellipse", a=1.2, b=1.0),
                      DomainSpec("star", r0=1.0, eps=0.05, k=3)):
-            poly = polygonize(spec, 256)
-            _, rho_e = rho_bounds(poly, (0.05, 0.02))
+            _, rho_e = rho_bounds(spec, (0.05, 0.02))
             assert rho_e <= diameter(spec) + 1e-12
+
+    @pytest.mark.parametrize("spec", [DomainSpec("ellipse", a=1.2, b=1.0),
+                                      DomainSpec("star", r0=1.0, eps=0.1, k=3)],
+                             ids=["ellipse", "star"])
+    def test_offcentre_against_dense_scan(self, spec):
+        # oracle: dense 200k-sample scan, within 1e-10 of the extrema here
+        z = np.array([0.13, -0.07])
+        t = 2 * math.pi * np.arange(200_000) / 200_000
+        d = np.hypot(*(spec.point(t) - z).T)
+        rho_i, rho_e = rho_bounds(spec, z)
+        assert rho_i == pytest.approx(float(d.min()), abs=1e-8)
+        assert rho_e == pytest.approx(float(d.max()), abs=1e-8)
+
+    def test_disk_centre_without_warnings(self):
+        # g = g' = 0 at the centre in farthest mode too: no 0/0; the
+        # off-centre point's farthest point lies between two samples
+        spec = DomainSpec("disk", radius=1.0)
+        z = (0.3 * math.cos(0.1), 0.3 * math.sin(0.1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert rho_bounds(spec, (0.0, 0.0)) == pytest.approx((1.0, 1.0), abs=1e-15)
+            assert rho_bounds(spec, z) == pytest.approx((0.7, 1.3), abs=1e-12)
+
+
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
+
+
+def _golden_min_vec(f, a, b, tol=1e-10):
+    """Vectorized golden-section minimization of f over per-row brackets [a, b].
+
+    f maps an array of parameters to an array of values; every row shrinks by
+    the golden ratio each iteration (two evaluations per step).
+    """
+    a = np.asarray(a, dtype=float).copy()
+    b = np.asarray(b, dtype=float).copy()
+    width = float(np.max(b - a))
+    if width <= tol:
+        return (a + b) / 2.0
+    n_iter = int(math.ceil(math.log(tol / width) / math.log(_INVPHI)))
+    for _ in range(n_iter):
+        c = a + _INVPHI2 * (b - a)
+        d = a + _INVPHI * (b - a)
+        take_left = f(c) < f(d)
+        b = np.where(take_left, d, b)
+        a = np.where(take_left, a, c)
+    return (a + b) / 2.0
 
 
 def reference_distance_to_boundary(spec, pts):
@@ -337,6 +383,21 @@ class TestInclusionMargin:
         assert m.margin == pytest.approx(brute, abs=1e-10)
         assert m.M == max(1.0, 1.0 / m.margin)
 
+    def test_disk_inclusion_one_distance_call(self, monkeypatch):
+        calls = []
+        real = geometry.distance_to_boundary
+
+        def counted(spec, pts):
+            calls.append(np.atleast_2d(pts).shape[0])
+            return real(spec, pts)
+
+        monkeypatch.setattr(geometry, "distance_to_boundary", counted)
+        m = inclusion_margin(DomainSpec("star", r0=1.0, eps=0.1, k=3),
+                             InclusionSpec("disk", center=(0.3, 0.2), radius=0.25))
+        assert calls == [1]
+        assert m.margin == pytest.approx(
+            real(DomainSpec("star", r0=1.0, eps=0.1, k=3), (0.3, 0.2))[0] - 0.25, abs=1e-15)
+
     def test_exits_domain(self):
         with pytest.raises(ValidationError):
             inclusion_margin(DomainSpec("disk", radius=1.0),
@@ -354,6 +415,24 @@ class TestMisc:
         assert diameter(DomainSpec("ellipse", a=1.2, b=1.0)) == pytest.approx(2.4)
         d_star = diameter(DomainSpec("star", r0=1.0, eps=0.05, k=4))
         assert d_star == pytest.approx(2.1, abs=1e-6)  # k even: antipodal bumps
+
+    def test_diameter_odd_star_against_dense_scan(self):
+        # k odd has no antipodal closed form.  oracle: pairwise scan of 1500
+        # samples, then three scans of 801 x 801 parameter pairs, each over
+        # four of the previous grid's spacings about its best pair
+        spec = DomainSpec("star", r0=1.0, eps=0.1, k=3)
+        t = TWO_PI * np.arange(1500) / 1500
+        p = spec.point(t)
+        d2 = ((p[:, None, :] - p[None, :, :]) ** 2).sum(axis=-1)
+        i, j = np.unravel_index(np.argmax(d2), d2.shape)
+        ti, tj, w = t[i], t[j], t[1] - t[0]
+        for _ in range(3):
+            a = ti + np.linspace(-2, 2, 801) * w
+            b = tj + np.linspace(-2, 2, 801) * w
+            d2 = ((spec.point(a)[:, None, :] - spec.point(b)[None, :, :]) ** 2).sum(axis=-1)
+            i, j = np.unravel_index(np.argmax(d2), d2.shape)
+            ti, tj, w = a[i], b[j], a[1] - a[0]
+        assert diameter(spec) == pytest.approx(math.sqrt(float(d2.max())), abs=1e-10)
 
     def test_curvature_max(self):
         assert curvature_max(DomainSpec("disk", radius=2.0)) == pytest.approx(0.5)
