@@ -17,7 +17,7 @@ import os
 import sys
 import time
 import traceback
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from functools import partial
 from pathlib import Path
 from typing import Optional, Union, get_args, get_origin, get_type_hints
@@ -41,14 +41,6 @@ from .serrin_diagnostics import CSV_HEADER, EtaSpec, full_report
 
 COMMANDS = ("solve", "diagnose", "sweep-sigma", "sweep-inclusion",
             "sweep-stability", "frechet-check", "verify-identity", "nonexistence")
-
-# fitted metric pair (x, y) per sweep kind, used for plotting
-FIT_AXES = {
-    "stability": ("dev_Linf", "gap"),
-    "sigma": ("abs_t", "delta_trace_Linf"),
-    "frechet": ("abs_epsilon", "fd_error_L2"),
-    "inclusion": ("area_D", "grad_w_boundary_Linf"),
-}
 
 
 def _join(path, name):
@@ -202,40 +194,22 @@ def _write_csv(path, header, rows):
 
 
 def _fit_json(sweep: SweepResult) -> dict:
-    d = {"kind": sweep.kind, "window": sweep.window, "status": sweep.status,
-         "floors": sweep.floors, "excluded": list(map(bool, sweep.excluded)),
-         "constants": sweep.constants, "h_max": sweep.h_max}
-    if sweep.fit is not None:
-        d["fit"] = {"slope": sweep.fit.slope, "intercept": sweep.fit.intercept,
-                    "r_squared": sweep.fit.r_squared, "n_used": sweep.fit.n_used,
-                    "used_indices": list(map(int, sweep.fit.used_indices))}
-    else:
-        d["fit"] = None
+    """fit.json: every field of the sweep but its per-row data."""
+    d = asdict(sweep)
+    for key in ("parameters", "rows", "points"):
+        del d[key]
     return d
 
 
-def sweep_xy(sweep: SweepResult):
-    """(x, y, excluded) triples of the fitted metric pair for plotting."""
-    xk, yk = FIT_AXES[sweep.kind]
-    pts = []
-    for row, ex in zip(sweep.rows, sweep.excluded):
-        if xk == "abs_t":
-            x = abs(row["t"])
-        elif xk == "abs_epsilon":
-            x = abs(row["epsilon"])
-        else:
-            x = row[xk]
-        pts.append((x, row[yk], ex))
-    return pts
-
-
 def emit_plot(sweep: SweepResult, path) -> bool:
-    """Standalone log-log SVG scatter with the fitted line and slope label.
+    """Standalone log-log SVG scatter of sweep.points (excluded ones grey) with
+    the fitted line and slope label.
 
     Byte-deterministic for a fixed sweep; returns False (no file) when fewer
     than 2 positive points remain.
     """
-    pts = [(x, y, ex) for x, y, ex in sweep_xy(sweep) if x > 0 and y > 0]
+    pts = [(x, y, ex) for (x, y), ex in zip(sweep.points, sweep.excluded)
+           if x > 0 and y > 0]
     if len(pts) < 2:
         return False
     W, H, ML, MB, MT, MR = 640, 480, 70, 50, 30, 30

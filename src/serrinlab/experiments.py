@@ -53,6 +53,13 @@ class FitResult:
 
 @dataclass
 class SweepResult:
+    """One metric row per parameter and the log-log fit over them.
+
+    points holds the fitted (x, y) pair of each row, in row order; the fit and
+    plot.svg both read it.  The fit leaves out the excluded rows (those at the
+    sweep's numerical floor) and any point with x or y <= 0.
+    """
+
     kind: str
     parameters: list
     rows: list                      # one metric dict per parameter, same order
@@ -63,6 +70,7 @@ class SweepResult:
     constants: dict = dc_field(default_factory=dict)
     status: str = "ok"
     h_max: float = 0.0
+    points: list = dc_field(default_factory=list)
 
     def __post_init__(self):
         p = np.asarray(self.parameters, dtype=float)
@@ -108,6 +116,13 @@ def slope_fit(points, window=4) -> FitResult:
     else:
         r2 = max(0.0, 1.0 - ss_res / ss_tot)
     return FitResult(slope, intercept, r2, n, used)
+
+
+def _fit_kept(points, excluded, window):
+    """(fit, kept): slope_fit over the points not excluded with x, y > 0, or
+    None when fewer than 3 remain, and those kept points."""
+    kept = [(x, y) for (x, y), ex in zip(points, excluded) if not ex and x > 0 and y > 0]
+    return (slope_fit(kept, window) if len(kept) >= 3 else None), kept
 
 
 def _blas_calls(stem):
@@ -188,22 +203,19 @@ def one_phase_stability_sweep(family, target_h, window=4, jobs=1) -> SweepResult
               "dev_L2": floor_row["dev_L2"]}
     excluded = [r["gap"] <= FLOOR_FACTOR * floors["gap"]
                 or r["dev_Linf"] <= FLOOR_FACTOR * floors["dev_Linf"] for r in rows]
-    params = [r["gap"] for r in rows]
-    kept = [i for i, ex in enumerate(excluded) if not ex]
+    points = [(r["dev_Linf"], r["gap"]) for r in rows]
+    fit, kept = _fit_kept(points, excluded, window)
     constants = {}
-    if len(kept) >= 3:
-        pts = [(rows[i]["dev_Linf"], rows[i]["gap"]) for i in kept]
-        fit = slope_fit(pts, window)
-        ratios = [rows[i]["gap"] / rows[i]["dev_Linf"] for i in kept]
+    if fit is not None:
+        ratios = [y / x for x, y in kept]
         constants["max_ratio_gap_over_dev"] = max(ratios)
         constants["ratio_smallest"] = ratios[-1]
         constants["ratio_largest"] = ratios[0]
         status = "ok"
     else:
-        fit = None
         status = "degenerate: exact case" if all(excluded) else "degenerate: too few points"
-    return SweepResult("stability", params, rows, fit, window, floors, excluded,
-                       constants, status, max(r["h_max"] for r in rows))
+    return SweepResult("stability", [r["gap"] for r in rows], rows, fit, window, floors,
+                       excluded, constants, status, max(r["h_max"] for r in rows), points)
 
 
 # -- sigma_c -> 1 ----------------------------------------------------------
@@ -252,19 +264,16 @@ def sigma_sweep(domain, inclusion, t_values, target_h, window=4, jobs=1) -> Swee
     floors = {"delta_trace_Linf": floor}
 
     excluded = [r["delta_trace_Linf"] <= FLOOR_FACTOR * floor for r in rows]
-    kept = [i for i, ex in enumerate(excluded) if not ex]
+    points = [(abs(r["t"]), r["delta_trace_Linf"]) for r in rows]
+    fit, kept = _fit_kept(points, excluded, window)
     constants = {"dev0_Linf": base_dev}
-    if len(kept) >= 3:
-        pts = [(abs(rows[i]["t"]), rows[i]["delta_trace_Linf"]) for i in kept]
-        fit = slope_fit(pts, window)
-        constants["C7_empirical"] = max(rows[i]["delta_trace_Linf"] / abs(rows[i]["t"])
-                                        for i in kept)
+    if fit is not None:
+        constants["C7_empirical"] = max(y / x for x, y in kept)
         status = "ok"
     else:
-        fit = None
         status = "degenerate: exact solution family"
     return SweepResult("sigma", [r["t"] for r in rows], rows, fit, window,
-                       floors, excluded, constants, status, mesh.h_max)
+                       floors, excluded, constants, status, mesh.h_max, points)
 
 
 # -- Frechet derivative -----------------------------------------------------
@@ -292,19 +301,13 @@ def frechet_check(domain, inclusion, t0, eps_values, target_h, window=4,
     tol_floor = 1e3 * cfg.cg_rel_tolerance
     excluded = [abs(r["epsilon"]) < tol_floor for r in rows]
     floors = {"epsilon": tol_floor}
-    kept = [i for i, ex in enumerate(excluded) if not ex]
-    nonzero = [i for i in kept if rows[i]["fd_error_L2"] > 0]
-    if len(nonzero) >= 3:
-        fit = slope_fit([(abs(rows[i]["epsilon"]), rows[i]["fd_error_L2"])
-                         for i in nonzero], window)
-        status = "ok"
-    else:
-        fit = None
-        status = "degenerate: derivative vanishes"
+    points = [(abs(r["epsilon"]), r["fd_error_L2"]) for r in rows]
+    fit, _ = _fit_kept(points, excluded, window)
+    status = "ok" if fit is not None else "degenerate: derivative vanishes"
     return SweepResult("frechet", [r["epsilon"] for r in rows], rows, fit,
                        window, floors, excluded,
                        {"floor_L2": min((r["fd_error_L2"] for r in rows), default=0.0)},
-                       status, mesh.h_max)
+                       status, mesh.h_max, points)
 
 
 # -- |D| -> 0 ----------------------------------------------------------------
@@ -355,20 +358,16 @@ def inclusion_sweep(domain, sigma_c, radii, target_h, window=4, jobs=1) -> Sweep
     floor = floor_row["grad_w_boundary_Linf"]
     floors = {"grad_w_boundary_Linf": floor}
     excluded = [r["grad_w_boundary_Linf"] <= FLOOR_FACTOR * floor for r in rows]
-    kept = [i for i, ex in enumerate(excluded) if not ex]
+    points = [(r["area_D"], r["grad_w_boundary_Linf"]) for r in rows]
+    fit, kept = _fit_kept(points, excluded, window)
     constants = {"M": m0["M"], "slope_floor_coarse": 0.5, "slope_improved": 1.0}
-    if len(kept) >= 3:
-        fit = slope_fit([(rows[i]["area_D"], rows[i]["grad_w_boundary_Linf"])
-                         for i in kept], window)
-        constants["C3_like_max_ratio"] = max(
-            rows[i]["grad_w_boundary_Linf"] / math.sqrt(rows[i]["area_D"])
-            for i in kept)
+    if fit is not None:
+        constants["C3_like_max_ratio"] = max(y / math.sqrt(x) for x, y in kept)
         status = "ok"
     else:
-        fit = None
         status = "degenerate: exact solution family"
     return SweepResult("inclusion", radii, rows, fit, window, floors, excluded,
-                       constants, status, max(r["h_max"] for r in rows))
+                       constants, status, max(r["h_max"] for r in rows), points)
 
 
 # -- non-existence thresholds -------------------------------------------------

@@ -27,6 +27,8 @@ _PITCH = 0.85
 _CLEARANCE = 0.55
 # deterministic lattice-offset retry schedule (units of the pitch)
 _OFFSETS = ((0.0, 0.0), (0.5, 0.0), (0.25, 0.433), (0.37, 0.19))
+# minimum triangle angle of a generated mesh; validate_mesh checks it too
+_MIN_ANGLE_DEG = 20.0
 
 
 @dataclass
@@ -35,7 +37,8 @@ class Mesh:
 
     triangles are CCW; region is 1 on elements inside the inclusion, else 0.
     boundary_* arrays follow one CCW loop around the outer boundary; interface_*
-    likewise around the inclusion (when present).  Curve parameters of on-curve
+    likewise around the inclusion (when present); the length and outward normal
+    of each loop edge are derived from the loop.  Curve parameters of on-curve
     vertices are kept so refinement can project midpoints back onto the curves.
     parent is the mesh that refine() split into this one (None for a generated
     mesh); the solver builds its multigrid hierarchy from that chain.
@@ -46,7 +49,6 @@ class Mesh:
     region: np.ndarray
     boundary_loop: np.ndarray          # vertex ids, CCW order
     boundary_params: np.ndarray        # curve parameter per loop vertex
-    boundary_normals: np.ndarray       # outward unit normal per loop edge i->i+1
     interface_loop: Optional[np.ndarray]
     interface_params: Optional[np.ndarray]
     domain: Optional[DomainSpec]
@@ -75,6 +77,13 @@ class Mesh:
         """Length of each CCW boundary edge i -> i+1."""
         p = self.vertices[self.boundary_loop]
         return np.hypot(*(np.roll(p, -1, axis=0) - p).T)
+
+    @property
+    def boundary_normals(self):
+        """Outward unit normal of each CCW boundary edge i -> i+1."""
+        p = self.vertices[self.boundary_loop]
+        e = np.roll(p, -1, axis=0) - p
+        return np.stack([e[:, 1], -e[:, 0]], axis=-1) / self.boundary_edge_lengths()[:, None]
 
     def triangle_areas(self):
         p = self.vertices[self.triangles]
@@ -254,17 +263,15 @@ def _generate_once(domain, inclusion, target_h, offset):
 
     edges, _, counts = edge_table(triangles)
     _check_boundary_loop(edges, counts, loop)
-    normals = _loop_edge_normals(points, loop)
 
     mesh = Mesh(vertices=points, triangles=triangles, region=region,
                 boundary_loop=loop, boundary_params=t_omega,
-                boundary_normals=normals,
                 interface_loop=iface_loop,
                 interface_params=t_d if inclusion is not None else None,
                 domain=domain, inclusion=inclusion, target_h=target_h)
 
     min_angle = mesh.min_angle_deg()
-    if min_angle < 20.0 or mesh.h_max > 1.5 * target_h:
+    if min_angle < _MIN_ANGLE_DEG or mesh.h_max > 1.5 * target_h:
         raise MeshQualityError(
             f"min angle {min_angle:.2f} deg, h_max {mesh.h_max:.4f} "
             f"(target {target_h}), offset {offset}")
@@ -380,13 +387,6 @@ def _check_boundary_loop(edges, counts, loop):
         raise MeshQualityError("mesh boundary does not coincide with the sampled curve")
 
 
-def _loop_edge_normals(points, loop):
-    p = points[loop]
-    e = np.roll(p, -1, axis=0) - p
-    ell = np.hypot(e[:, 0], e[:, 1])
-    return np.stack([e[:, 1], -e[:, 0]], axis=-1) / ell[:, None]
-
-
 def _circular_midpoint(t1, t2):
     d = (t2 - t1) % TWO_PI
     return np.where(d > math.pi, (t2 + (TWO_PI - d) / 2.0) % TWO_PI,
@@ -416,7 +416,6 @@ def refine(mesh: Mesh) -> Mesh:
     return Mesh(vertices=vertices, triangles=triangles,
                 region=np.repeat(mesh.region, 4),
                 boundary_loop=loop, boundary_params=loop_params,
-                boundary_normals=_loop_edge_normals(vertices, loop),
                 interface_loop=iloop, interface_params=iparams,
                 domain=mesh.domain, inclusion=mesh.inclusion,
                 target_h=mesh.target_h / 2.0, level=mesh.level + 1,
@@ -439,8 +438,9 @@ def _split_loop(loop, params, edges, vertices, curve):
     return np.stack([loop, mid], axis=1).ravel(), np.stack([params, tm], axis=1).ravel()
 
 
-def validate_mesh(mesh: Mesh, angle_floor=20.0):
-    """Check every structural invariant; raises MeshQualityError on violation."""
+def validate_mesh(mesh: Mesh):
+    """Check every structural invariant, the mesher's 20 degree angle floor
+    among them; raises MeshQualityError on violation."""
     areas = mesh.triangle_areas()
     if np.any(areas <= 0):
         raise MeshQualityError("non-positive triangle area")
@@ -451,8 +451,8 @@ def validate_mesh(mesh: Mesh, angle_floor=20.0):
     euler = len(mesh.vertices) - len(edges) + len(mesh.triangles)
     if euler != 1:
         raise MeshQualityError(f"Euler relation violated: V-E+T = {euler}")
-    if mesh.min_angle_deg() < angle_floor:
-        raise MeshQualityError(f"min angle {mesh.min_angle_deg():.2f} below {angle_floor}")
+    if mesh.min_angle_deg() < _MIN_ANGLE_DEG:
+        raise MeshQualityError(f"min angle {mesh.min_angle_deg():.2f} below {_MIN_ANGLE_DEG}")
     if mesh.inclusion is not None and not mesh.inclusion.is_none:
         # margins of the three corners and the centroid of every triangle
         p = mesh.vertices[mesh.triangles]
@@ -491,7 +491,8 @@ def dump_mesh(mesh: Mesh, fh):
         fh.write(f"{a} {b} {c} {'inside_D' if r else 'outside_D'}\n")
     fh.write("BOUNDARY_EDGES\n")
     loop = mesh.boundary_loop
+    normals = mesh.boundary_normals
     for i in range(len(loop)):
         a, b = int(loop[i]), int(loop[(i + 1) % len(loop)])
-        nx, ny = mesh.boundary_normals[i]
+        nx, ny = normals[i]
         fh.write(f"{a} {b} {nx:.17g} {ny:.17g}\n")

@@ -58,13 +58,9 @@ def make_square_mesh(n=16, side=2.0):
     for j in range(n, 0, -1):
         loop.append(vid(0, j))
     loop = np.array(loop, dtype=np.int64)
-    p = vertices[loop]
-    e = np.roll(p, -1, axis=0) - p
-    normals = np.stack([e[:, 1], -e[:, 0]], axis=-1) / np.hypot(e[:, 0], e[:, 1])[:, None]
     params = 2.0 * np.pi * np.arange(len(loop)) / len(loop)
     return Mesh(vertices=vertices, triangles=triangles,
                 region=np.zeros(len(triangles), dtype=np.int8),
-                boundary_loop=loop, boundary_params=params,
-                boundary_normals=normals, interface_loop=None,
+                boundary_loop=loop, boundary_params=params, interface_loop=None,
                 interface_params=None, domain=None, inclusion=None,
                 target_h=side / n)

@@ -34,6 +34,9 @@ def _write(tmp_path, name, obj):
 DIAG_CFG = {"command": "diagnose",
             "domain": {"kind": "ellipse", "a": 1.2, "b": 1.0},
             "inclusion": {"kind": "none"}, "target_h": 0.08}
+SIGMA_CFG = {"command": "sweep-sigma", "domain": DIAG_CFG["domain"],
+             "inclusion": {"kind": "disk", "radius": 0.3},
+             "t_values": [0.4, 0.2, 0.1], "target_h": 0.08}
 
 
 class TestConfigRoundTrip:
@@ -293,6 +296,30 @@ class TestRun:
         manifest = json.loads((tmp_path / "zero" / "manifest.json").read_text())
         assert "skipped" in manifest["summary"]["plot"]
 
+    def test_sigma_plot_uses_abs_t(self, tmp_path):
+        # all t < 0: only |t| on the x axis leaves points to fit and plot
+        cfg = config_from_dict(dict(SIGMA_CFG, t_values=[-0.4, -0.2, -0.1], plot=True,
+                                    name="neg", output_dir=str(tmp_path)))
+        assert run(cfg, jobs=1) == 0
+        svg = (tmp_path / "neg" / "plot.svg").read_text()
+        assert svg.count("<circle ") == 3
+        assert re.search(r">slope=-?\d+\.\d\d<", svg)
+
+    @pytest.mark.parametrize("concentric,fit_keys", [
+        (False, {"intercept", "n_used", "r_squared", "slope", "used_indices"}),
+        (True, None),
+    ], ids=["ok", "degenerate"])
+    def test_fit_json_keys(self, concentric, fit_keys, tmp_path):
+        exact = {"domain": {"kind": "disk", "radius": 1.0},
+                 "inclusion": {"kind": "disk", "radius": 0.5}}
+        cfg = config_from_dict(dict(SIGMA_CFG, **(exact if concentric else {}),
+                                    name="fit", output_dir=str(tmp_path)))
+        assert run(cfg, jobs=1) == 0
+        fit = json.loads((tmp_path / "fit" / "fit.json").read_text())
+        assert set(fit) == {"constants", "excluded", "fit", "floors", "h_max", "kind",
+                            "status", "window"}
+        assert (fit["fit"] if fit_keys is None else set(fit["fit"])) == fit_keys
+
 
     @pytest.mark.parametrize("module,name,fake,cfg", [
         (serrin_diagnostics, "osc_check", lambda *a, **k: OscCheck(0.0, 0.0, False),
@@ -365,7 +392,8 @@ def _synthetic_sweep(ys=None):
     ys = ys or [2.0, 4.0, 8.0, 16.0]
     rows = [{"epsilon": x, "fd_error_L2": y} for x, y in zip(xs, ys)]
     fit = FitResult(1.0, math.log(2.0), 1.0, 4, [0, 1, 2, 3])
-    return SweepResult("frechet", xs, rows, fit, 4, {}, [False] * 4, {}, "ok", 0.1)
+    return SweepResult("frechet", xs, rows, fit, 4, {}, [False] * 4, {}, "ok", 0.1,
+                       list(zip(xs, ys)))
 
 
 class TestEmitPlot:
@@ -379,6 +407,7 @@ class TestEmitPlot:
     def test_empty_sweep_no_file(self, tmp_path):
         sweep = _synthetic_sweep()
         sweep.rows = [{"epsilon": x, "fd_error_L2": 0.0} for x in sweep.parameters]
+        sweep.points = [(x, 0.0) for x in sweep.parameters]
         path = tmp_path / "p.svg"
         assert not emit_plot(sweep, path)
         assert not path.exists()

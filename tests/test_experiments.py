@@ -171,6 +171,32 @@ class TestInclusionSweep:
             inclusion_sweep(ELLIPSE, 2.0, [0.1, 0.2], 0.1)
 
 
+# the fitted (x, y) pair of a row, per sweep kind
+FIT_PAIRS = {
+    "stability": lambda r: (r["dev_Linf"], r["gap"]),
+    "sigma": lambda r: (abs(r["t"]), r["delta_trace_Linf"]),
+    "frechet": lambda r: (abs(r["epsilon"]), r["fd_error_L2"]),
+    "inclusion": lambda r: (r["area_D"], r["grad_w_boundary_Linf"]),
+}
+
+
+@pytest.mark.parametrize("make", [
+    lambda: one_phase_stability_sweep([DomainSpec("star", r0=1.0, eps=e, k=3)
+                                       for e in (0.08, 0.04, 0.02)], 0.05, window=3),
+    lambda: sigma_sweep(ELLIPSE, InclusionSpec("disk", radius=0.3),
+                        [-0.4, -0.2, -0.1], 0.08),
+    lambda: frechet_check(ELLIPSE, InclusionSpec("disk", radius=0.3), 0.5,
+                          [-0.2, -0.1, -0.05], 0.1),
+    lambda: inclusion_sweep(ELLIPSE, 2.0, [0.4, 0.3, 0.2], 0.08, window=3),
+], ids=["stability", "sigma", "frechet", "inclusion"])
+def test_points_are_the_fitted_pairs(make):
+    sweep = make()
+    assert sweep.status == "ok"
+    assert sweep.points == [FIT_PAIRS[sweep.kind](r) for r in sweep.rows]
+    kept = [p for p, ex in zip(sweep.points, sweep.excluded) if not ex]
+    assert sweep.fit == slope_fit(kept, sweep.window)
+
+
 class TestNonexistence:
     def test_threshold_formula(self):
         th = nonexistence_threshold(ELLIPSE, 5.0, 2.0, 0.05)

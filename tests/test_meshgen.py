@@ -264,7 +264,7 @@ class TestConnectivity:
         loop = np.array([0, 3, 1, 4])
         mesh = Mesh(vertices=vertices, triangles=triangles,
                     region=np.zeros(3, dtype=np.int8), boundary_loop=loop,
-                    boundary_params=np.zeros(4), boundary_normals=np.zeros((4, 2)),
+                    boundary_params=np.zeros(4),
                     interface_loop=None, interface_params=None, domain=None,
                     inclusion=None, target_h=1.0)
         with pytest.raises(MeshQualityError, match="more than two"):

@@ -1,0 +1,20 @@
+import importlib.util
+import re
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_stability_scalings_smoke(capsys):
+    # reads the stability and sigma sweep constants for the threshold line
+    assert _load("stability_scalings").main() == 0
+    out = capsys.readouterr().out
+    assert len(re.findall(r" slope +-?\d+\.\d{3} ", out)) == 4
+    assert "no solution pair once" in out
