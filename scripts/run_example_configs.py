@@ -11,7 +11,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from serrinlab.cli_io import load_config, run  # noqa: E402
+from serrinlab.cli_io import load_config, run, run_dir  # noqa: E402
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -22,9 +22,7 @@ def main():
     for path in sorted(CONFIG_DIR.glob("*.json")):
         cfg = load_config(path)
         code = run(cfg, jobs=jobs)
-        root = os.environ.get("SERRIN_LAB_OUT") or cfg.output_dir or "outputs"
-        manifest = json.loads(
-            (Path(root) / (cfg.name or cfg.command) / "manifest.json").read_text())
+        manifest = json.loads((run_dir(cfg) / "manifest.json").read_text())
         print(f"{path.name:28s} exit {code}  status {manifest['status']:18s} "
               f"wall {manifest['wall_time_s']:.1f}s")
         failures += code != 0

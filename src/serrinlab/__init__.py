@@ -6,13 +6,10 @@ from .errors import DiagnosticError, MeshQualityError, SolverError, ValidationEr
 from .geometry import (
     DomainSpec,
     InclusionSpec,
-    PolygonalBoundary,
-    area_perimeter,
     diameter,
     exact_area,
     exact_perimeter,
     inclusion_margin,
-    polygonize,
     rho_bounds,
     serrin_constant,
 )
@@ -20,17 +17,14 @@ from .geometry import (
 __all__ = [
     "DomainSpec",
     "InclusionSpec",
-    "PolygonalBoundary",
     "DiagnosticError",
     "MeshQualityError",
     "SolverError",
     "ValidationError",
-    "area_perimeter",
     "diameter",
     "exact_area",
     "exact_perimeter",
     "inclusion_margin",
-    "polygonize",
     "rho_bounds",
     "serrin_constant",
 ]

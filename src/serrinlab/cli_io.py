@@ -143,6 +143,11 @@ class RunConfig:
             raise ValidationError("target_h: must be positive")
         if self.window < 0:
             raise ValidationError("window: must be >= 0 (0 fits all points)")
+        if self.refine_levels < 0:
+            raise ValidationError("refine_levels: must be >= 0")
+        if self.name is not None and (self.name in ("", "..")
+                                      or Path(self.name).name != self.name):
+            raise ValidationError("name: must be a single path component")
         needs_domain = self.command != "sweep-stability"
         if needs_domain and self.domain is None:
             raise ValidationError("domain: required")
@@ -348,10 +353,16 @@ def _run_sweep(cfg: RunConfig, inclusion, jobs):
     return sweep, ["epsilon", "fd_error_L2"]
 
 
+def run_dir(cfg: RunConfig) -> Path:
+    """<root>/<name>: root is SERRIN_LAB_OUT, else output_dir, else outputs;
+    name is the config's name, else its command."""
+    root = os.environ.get("SERRIN_LAB_OUT") or cfg.output_dir or "outputs"
+    return Path(root) / (cfg.name or cfg.command)
+
+
 def run(cfg: RunConfig, jobs: int = 1) -> int:
     """Execute one config; returns the process exit code."""
-    root = os.environ.get("SERRIN_LAB_OUT") or cfg.output_dir or "outputs"
-    outdir = Path(root) / (cfg.name or cfg.command)
+    outdir = run_dir(cfg)
     outdir.mkdir(parents=True, exist_ok=True)
     manifest = {"config": config_to_dict(cfg), "version": __version__}
     t0 = time.perf_counter()

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DiagnosticError, ValidationError
 from .fem_core import (
-    SolverConfig,
+    CG_REL_TOLERANCE,
     l2_norm,
     normal_derivative,
     solve_linearized,
@@ -177,8 +177,7 @@ def _parallel_map(fn, items, jobs):
 def _stability_member(args):
     domain, target_h = args
     mesh = generate(domain, None, target_h)
-    cfg = SolverConfig()
-    v = solve_one_phase(mesh, cfg)
+    v = solve_one_phase(mesh)
     tr = normal_derivative(mesh, v)
     c = serrin_constant(exact_area(domain), exact_perimeter(domain))
     dev_l2, dev_linf = deviation_norms(tr, c)
@@ -222,8 +221,8 @@ def one_phase_stability_sweep(family, target_h, window=4, jobs=1) -> SweepResult
 
 
 def _sigma_member(args):
-    mesh, t, base_trace, base_dev, c, cfg = args
-    u = solve_two_phase(mesh, 1.0 + t, cfg)
+    mesh, t, base_trace, base_dev, c = args
+    u = solve_two_phase(mesh, 1.0 + t)
     tr = normal_derivative(mesh, u)
     diff = float(np.abs(tr.values - base_trace).max())
     dev_l2, dev_linf = deviation_norms(tr, c)
@@ -244,22 +243,21 @@ def sigma_sweep(domain, inclusion, t_values, target_h, window=4, jobs=1) -> Swee
     t_values = list(t_values)
     if any(t <= -1.0 for t in t_values):
         raise ValidationError("sigma sweep: t must stay above -1")
-    cfg = SolverConfig()
     mesh = generate(domain, inclusion, target_h)
-    u0 = solve_one_phase(mesh, cfg)
+    u0 = solve_one_phase(mesh)
     base = normal_derivative(mesh, u0)
     c = serrin_constant(exact_area(domain), exact_perimeter(domain))
     _, base_dev = deviation_norms(base, c)
     rows = _parallel_map(_sigma_member,
-                         [(mesh, t, base.values, base_dev, c, cfg) for t in t_values], jobs)
+                         [(mesh, t, base.values, base_dev, c) for t in t_values], jobs)
 
     # floor: concentric disks (an exact solution family: the flux is t-independent)
     r_f = inclusion.radius if inclusion is not None and inclusion.kind == "disk" else 0.5
     floor_mesh = generate(DomainSpec("disk", radius=1.0),
                           InclusionSpec("disk", radius=min(0.5, r_f)), target_h)
-    f0 = normal_derivative(floor_mesh, solve_one_phase(floor_mesh, cfg)).values
+    f0 = normal_derivative(floor_mesh, solve_one_phase(floor_mesh)).values
     t_big = max(abs(t) for t in t_values)
-    fu = solve_two_phase(floor_mesh, 1.0 + t_big, cfg)
+    fu = solve_two_phase(floor_mesh, 1.0 + t_big)
     floor = float(np.abs(normal_derivative(floor_mesh, fu).values - f0).max())
     floors = {"delta_trace_Linf": floor}
 
@@ -288,17 +286,16 @@ def frechet_check(domain, inclusion, t0, eps_values, target_h, window=4,
         raise ValidationError("frechet check: sigma_c must stay positive")
     if 0.0 in eps_values:
         raise ValidationError("epsilon_values: entries must be nonzero")
-    cfg = SolverConfig()
     mesh = generate(domain, inclusion, target_h)
-    u_t0 = solve_two_phase(mesh, 1.0 + t0, cfg)
-    u_prime = solve_linearized(mesh, 1.0 + t0, u_t0, cfg)
+    u_t0 = solve_two_phase(mesh, 1.0 + t0)
+    u_prime = solve_linearized(mesh, 1.0 + t0, u_t0)
     rows = []
     for e in eps_values:
-        u_e = solve_two_phase(mesh, 1.0 + t0 + e, cfg)
+        u_e = solve_two_phase(mesh, 1.0 + t0 + e)
         quotient = (u_e.values - u_t0.values) / e
         rows.append({"epsilon": e,
                      "fd_error_L2": l2_norm(mesh, quotient - u_prime.values)})
-    tol_floor = 1e3 * cfg.cg_rel_tolerance
+    tol_floor = 1e3 * CG_REL_TOLERANCE
     excluded = [abs(r["epsilon"]) < tol_floor for r in rows]
     floors = {"epsilon": tol_floor}
     points = [(abs(r["epsilon"]), r["fd_error_L2"]) for r in rows]
@@ -324,11 +321,11 @@ def _grad_w_boundary(mesh, u, v):
 
 
 def _inclusion_member(args):
-    domain, sigma_c, r, target_h, cfg = args
+    domain, sigma_c, r, target_h = args
     inclusion = InclusionSpec("disk", center=domain.center, radius=r)
     mesh = generate(domain, inclusion, target_h)
-    u = solve_two_phase(mesh, sigma_c, cfg)
-    v = solve_one_phase(mesh, cfg)
+    u = solve_two_phase(mesh, sigma_c)
+    v = solve_one_phase(mesh)
     return {"radius": r, "area_D": inclusion.area(),
             "grad_w_boundary_Linf": _grad_w_boundary(mesh, u, v),
             "margin": mesh.margin.margin, "M": mesh.margin.M,
@@ -345,16 +342,15 @@ def inclusion_sweep(domain, sigma_c, radii, target_h, window=4, jobs=1) -> Sweep
     radii = list(radii)
     if any(radii[i] <= radii[i + 1] for i in range(len(radii) - 1)):
         raise ValidationError("inclusion sweep: radii must decrease toward 0")
-    cfg = SolverConfig()
     rows = _parallel_map(_inclusion_member,
-                         [(domain, sigma_c, r, target_h, cfg) for r in radii], jobs)
+                         [(domain, sigma_c, r, target_h) for r in radii], jobs)
     m0 = rows[0]
     if any(r["margin"] < m0["margin"] - 1e-12 for r in rows):
         raise ValidationError("inclusion sweep: margin shrank below the fixed 1/M")
 
     # floor: concentric disks where the boundary flux is radius-independent
     floor_row = _inclusion_member((DomainSpec("disk", radius=1.0), sigma_c,
-                                   radii[-1], target_h, cfg))
+                                   radii[-1], target_h))
     floor = floor_row["grad_w_boundary_Linf"]
     floors = {"grad_w_boundary_Linf": floor}
     excluded = [r["grad_w_boundary_Linf"] <= FLOOR_FACTOR * floor for r in rows]
@@ -389,11 +385,7 @@ def nonexistence_threshold(domain, fitted_C2, fitted_C3, target_h) -> ThresholdR
     """
     if fitted_C2 <= 0 or fitted_C3 <= 0:
         raise ValidationError("nonexistence: fitted constants must be positive")
-    mesh = generate(domain, None, target_h)
-    v = solve_one_phase(mesh)
-    z = max_point(mesh, v)
-    rho_i, rho_e = rho_bounds(domain, z)
-    gap = rho_e - rho_i
+    gap = _stability_member((domain, target_h))["gap"]
     if gap <= FLOOR_FACTOR * target_h ** 2:
         raise ValidationError(
             "nonexistence: domain indistinguishable from a ball at this resolution")

@@ -5,9 +5,10 @@ constant load, elementwise-constant conductivity) and one deterministic
 preconditioned conjugate-gradient kernel.  On a mesh made by refine() the
 preconditioner is one symmetric multigrid V-cycle down the parent chain;
 on a generated mesh it is Jacobi.  Either way CG stops on the same
-unpreconditioned residual.  Each solve assembles its stiffness matrix once
-and keeps the residual K u - b on the boundary rows, which is all that
-variational flux recovery needs.
+unpreconditioned residual, at the fixed relative tolerance CG_REL_TOLERANCE
+within the fixed cap of 20 sqrt(unknowns) + 1000 iterations.  Each solve
+assembles its stiffness matrix once and keeps the residual K u - b on the
+boundary rows, which is all that variational flux recovery needs.
 """
 
 from __future__ import annotations
@@ -25,23 +26,9 @@ from .errors import SolverError, ValidationError
 from .meshgen import Mesh, edge_table
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    """CG controls; max iterations default to 20*sqrt(unknowns) + 1000."""
-
-    cg_rel_tolerance: float = 1e-10
-    cg_max_iterations: Optional[int] = None
-
-    def __post_init__(self):
-        if not (0.0 < self.cg_rel_tolerance <= 1e-4):
-            raise ValidationError("solver.cg_rel_tolerance: must lie in (0, 1e-4]")
-        if self.cg_max_iterations is not None and self.cg_max_iterations < 100:
-            raise ValidationError("solver.cg_max_iterations: must be >= 100")
-
-    def max_iters(self, n):
-        if self.cg_max_iterations is not None:
-            return self.cg_max_iterations
-        return int(20 * math.sqrt(n)) + 1000
+# CG stops at this relative residual, or fails after 20 sqrt(n) + 1000
+# iterations on n unknowns
+CG_REL_TOLERANCE = 1e-10
 
 
 @dataclass
@@ -217,7 +204,7 @@ def _cycle(levels, bottom, r, k=0):
     return x
 
 
-def _solve_dirichlet(mesh, sigma, load, boundary_values, cfg, label, sigma_c=1.0):
+def _solve_dirichlet(mesh, sigma, load, boundary_values, label, sigma_c=1.0):
     """Assemble the stiffness of conductivity sigma, eliminate the Dirichlet rows
     and solve the reduced SPD system by CG, V-cycle-preconditioned on a refined
     mesh; the Field keeps its boundary residual and its CG record."""
@@ -231,38 +218,35 @@ def _solve_dirichlet(mesh, sigma, load, boundary_values, cfg, label, sigma_c=1.0
     rhs = load[interior] - Ki[:, bnd] @ x[bnd]
     Kii = Ki[:, interior].tocsr()
     precond = _vcycle(mesh, Kii) if mesh.parent is not None else None
-    xi, its, res = _pcg(Kii, rhs, cfg.cg_rel_tolerance, cfg.max_iters(len(interior)),
-                        precond)
+    max_iter = int(20 * math.sqrt(len(interior))) + 1000
+    xi, its, res = _pcg(Kii, rhs, CG_REL_TOLERANCE, max_iter, precond)
     x[interior] = xi
     return Field(mesh.key, x, label, sigma_c, (K @ x - load)[bnd], its, res)
 
 
-def solve_two_phase(mesh: Mesh, sigma_c: float, cfg: Optional[SolverConfig] = None) -> Field:
+def solve_two_phase(mesh: Mesh, sigma_c: float) -> Field:
     """Galerkin solution of -div(sigma grad u) = 1, u = 0 on the outer boundary."""
     if sigma_c <= 0:
         raise ValidationError("sigma_c: must be positive")
     return _solve_dirichlet(mesh, element_sigma(mesh, sigma_c), load_constant(mesh), 0.0,
-                            cfg or SolverConfig(), "u", sigma_c)
+                            "u", sigma_c)
 
 
-def solve_one_phase(mesh: Mesh, cfg: Optional[SolverConfig] = None) -> Field:
+def solve_one_phase(mesh: Mesh) -> Field:
     """Torsion function: -Laplace(v) = 1 with zero Dirichlet data."""
-    return replace(solve_two_phase(mesh, 1.0, cfg), label="v")
+    return replace(solve_two_phase(mesh, 1.0), label="v")
 
 
-def solve_harmonic_dirichlet(mesh: Mesh, g: Union[Callable, np.ndarray],
-                             cfg: Optional[SolverConfig] = None) -> Field:
+def solve_harmonic_dirichlet(mesh: Mesh, g: Union[Callable, np.ndarray]) -> Field:
     """Discrete harmonic field with nodal boundary trace g."""
     pts = mesh.vertices[mesh.boundary_loop]
     gb = np.asarray(g(pts) if callable(g) else g, dtype=float)
     if gb.shape != (len(mesh.boundary_loop),) or not np.all(np.isfinite(gb)):
         raise ValidationError("harmonic data: need finite values at all boundary vertices")
-    return _solve_dirichlet(mesh, 1.0, np.zeros(len(mesh.vertices)), gb,
-                            cfg or SolverConfig(), "h")
+    return _solve_dirichlet(mesh, 1.0, np.zeros(len(mesh.vertices)), gb, "h")
 
 
-def solve_linearized(mesh: Mesh, sigma_c: float, u_base: Field,
-                     cfg: Optional[SolverConfig] = None) -> Field:
+def solve_linearized(mesh: Mesh, sigma_c: float, u_base: Field) -> Field:
     """Derivative of the solution map with respect to the contrast t = sigma_c - 1.
 
     Differentiating the weak form gives
@@ -275,7 +259,7 @@ def solve_linearized(mesh: Mesh, sigma_c: float, u_base: Field,
         raise ValidationError("solve_linearized: u_base was solved with another sigma_c")
     K_d = stiffness(mesh, np.where(mesh.region == 1, 1.0, 0.0))
     return _solve_dirichlet(mesh, element_sigma(mesh, sigma_c), -(K_d @ u_base.values),
-                            0.0, cfg or SolverConfig(), "u_prime", sigma_c)
+                            0.0, "u_prime", sigma_c)
 
 
 def normal_derivative(mesh: Mesh, f: Field) -> BoundaryTrace:

@@ -3,14 +3,13 @@
 A domain is one of three analytic closed curves (disk, ellipse, star-shaped
 cosine perturbation), all star-shaped about their center.  The analytic curve
 is authoritative: distances, rho_i/rho_e, the diameter and the inclusion
-margin all run one foot-point Newton iteration on it; polygons are only a
-sampled view for coarse checks.
+margin all run one foot-point Newton iteration on it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -209,71 +208,6 @@ class InclusionSpec:
         if self.kind == "disk":
             return math.pi * self.radius ** 2
         return math.pi * self.a * self.b
-
-
-@dataclass
-class PolygonalBoundary:
-    """Closed CCW polygon sampling a boundary curve.
-
-    Carries per-vertex arc-length weights and per-edge outward unit normals.
-    When built from a spec, vertex curve parameters are kept so geometric
-    quantities can be refined on the analytic curve.
-    """
-
-    vertices: np.ndarray
-    params: Optional[np.ndarray] = None
-    spec: Optional[DomainSpec] = None
-    edge_lengths: np.ndarray = field(init=False)
-    vertex_weights: np.ndarray = field(init=False)
-    edge_normals: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        v = np.asarray(self.vertices, dtype=float)
-        if v.ndim != 2 or v.shape[1] != 2 or len(v) < 3:
-            raise ValidationError("polygon: need at least 3 planar vertices")
-        self.vertices = v
-        edges = np.roll(v, -1, axis=0) - v
-        ell = np.hypot(edges[:, 0], edges[:, 1])
-        if np.any(ell <= 0):
-            raise ValidationError("polygon: zero-length edge")
-        if _shoelace(v) <= 0:
-            raise ValidationError("polygon: orientation must be counterclockwise")
-        # simplicity via the star-shaped test about the centroid: polar angles
-        # advance monotonically exactly once around
-        c = v.mean(axis=0)
-        ang = np.arctan2(v[:, 1] - c[1], v[:, 0] - c[0])
-        turns = np.diff(np.unwrap(np.concatenate([ang, ang[:1]])))
-        if np.any(turns <= 0) or not math.isclose(turns.sum(), TWO_PI, rel_tol=1e-9):
-            raise ValidationError("polygon: not simple/star-shaped about its centroid")
-        self.edge_lengths = ell
-        self.vertex_weights = 0.5 * (ell + np.roll(ell, 1))
-        self.edge_normals = np.stack([edges[:, 1], -edges[:, 0]], axis=-1) / ell[:, None]
-
-    def __len__(self):
-        return len(self.vertices)
-
-
-def polygonize(spec: DomainSpec, n: int) -> PolygonalBoundary:
-    """Sample the boundary at n equispaced parameter values (CCW).
-
-    Production sampling uses spec.boundary_samples (>= 64, even); small n is
-    allowed here for coarse geometric checks.
-    """
-    if not isinstance(n, (int, np.integer)) or n < 3:
-        raise ValidationError("polygonize.n: need an integer >= 3")
-    params = TWO_PI * np.arange(n) / n
-    return PolygonalBoundary(spec.point(params), params=params, spec=spec)
-
-
-def area_perimeter(poly: PolygonalBoundary):
-    """Shoelace area and summed edge length of the polygon."""
-    return _shoelace(poly.vertices), float(poly.edge_lengths.sum())
-
-
-def _shoelace(v):
-    x, y = v[:, 0], v[:, 1]
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
-    return 0.5 * float(np.sum(x * yn - xn * y))
 
 
 def serrin_constant(area: float, perimeter: float) -> float:

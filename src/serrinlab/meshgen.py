@@ -66,13 +66,6 @@ class Mesh:
                     len(self.vertices), len(self.triangles)))
         self.key = hashlib.sha1(sig.encode()).hexdigest()[:16]
 
-    @property
-    def boundary_edges(self):
-        """(vertex pair, outward normal) per CCW boundary edge."""
-        loop = self.boundary_loop
-        pairs = np.stack([loop, np.roll(loop, -1)], axis=1)
-        return pairs, self.boundary_normals
-
     def boundary_edge_lengths(self):
         """Length of each CCW boundary edge i -> i+1."""
         p = self.vertices[self.boundary_loop]

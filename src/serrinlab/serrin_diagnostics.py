@@ -17,7 +17,6 @@ from .errors import DiagnosticError, ValidationError
 from .fem_core import (
     BoundaryTrace,
     Field,
-    SolverConfig,
     _interior,
     hessian_recovery,
     normal_derivative,
@@ -212,21 +211,17 @@ def growth_check(mesh: Mesh, v: Field) -> GrowthCheck:
 def full_report(domain: DomainSpec, inclusion: Optional[InclusionSpec],
                 sigma_c: float, target_h: float,
                 eta: Union[EtaSpec, Callable, None] = None,
-                refine_levels: int = 0,
-                cfg: Optional[SolverConfig] = None,
-                mesh: Optional[Mesh] = None) -> SerrinReport:
+                refine_levels: int = 0) -> SerrinReport:
     """Solve the full pipeline and populate every report field deterministically."""
-    if mesh is None:
-        mesh = generate(domain, inclusion, target_h)
-        for _ in range(refine_levels):
-            mesh = refine(mesh)
-    cfg = cfg or SolverConfig()
+    mesh = generate(domain, inclusion, target_h)
+    for _ in range(refine_levels):
+        mesh = refine(mesh)
 
-    v = solve_one_phase(mesh, cfg)
+    v = solve_one_phase(mesh)
     if inclusion is None or inclusion.is_none or sigma_c == 1.0:
         u = replace(v, label="u")
     else:
-        u = solve_two_phase(mesh, sigma_c, cfg)
+        u = solve_two_phase(mesh, sigma_c)
 
     c = serrin_constant(exact_area(domain), exact_perimeter(domain))
     tr_u = normal_derivative(mesh, u)

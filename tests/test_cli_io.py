@@ -3,6 +3,8 @@ import csv
 import json
 import math
 import re
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -152,6 +154,16 @@ ILL_TYPED = [
     ({"command": "sweep-sigma", "domain": DISK, "t_values": "abc"}, "t_values"),
     ({"command": "solve", "domain": dict(DISK, center=[0])}, "domain.center"),
 ]
+# well-typed configs that once ran: a negative level count ran level 0, and a
+# name that is not one path component wrote outside the output root
+BAD_VALUES = {
+    "refine_levels-negative": (dict(DIAG_CFG, refine_levels=-2), "refine_levels"),
+    "name-parent": (dict(DIAG_CFG, name="../escaped"), "name"),
+    "name-dotdot": (dict(DIAG_CFG, name=".."), "name"),
+    "name-nested": (dict(DIAG_CFG, name="a/b"), "name"),
+    "name-absolute": (dict(DIAG_CFG, name=str(Path(tempfile.gettempdir()) / "escaped")),
+                      "name"),
+}
 
 
 class TestTypedConfig:
@@ -178,7 +190,8 @@ class TestTypedConfig:
         assert main(["diagnose", "--config", str(p)]) == 2
         assert "error: domain.radius: expected a finite number" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("cfg,path", ILL_TYPED, ids=[p for _, p in ILL_TYPED])
+    @pytest.mark.parametrize("cfg,path", ILL_TYPED + list(BAD_VALUES.values()),
+                             ids=[p for _, p in ILL_TYPED] + list(BAD_VALUES))
     def test_ill_typed_exit_2_names_field(self, cfg, path, tmp_path, capsys):
         p = _write(tmp_path, "c.json", dict(cfg, output_dir=str(tmp_path)))
         assert main([cfg["command"], "--config", str(p), "--jobs", "1"]) == 2

@@ -12,38 +12,30 @@ from serrinlab.geometry import (
     TWO_PI,
     DomainSpec,
     InclusionSpec,
-    PolygonalBoundary,
-    area_perimeter,
     curvature_max,
     diameter,
     distance_to_boundary,
     exact_area,
     exact_perimeter,
     inclusion_margin,
-    polygonize,
     rho_bounds,
     serrin_constant,
 )
 
 
+def _inscribed(spec, n):
+    """Shoelace area and perimeter of the curve sampled at n equispaced parameters."""
+    x, y = spec.point(TWO_PI * np.arange(n) / n).T
+    xn, yn = np.roll(x, -1), np.roll(y, -1)
+    return 0.5 * float(np.sum(x * yn - xn * y)), float(np.hypot(xn - x, yn - y).sum())
+
+
 class TestPolygonize:
-    def test_disk_n4_inscribed_square(self):
-        poly = polygonize(DomainSpec("disk", radius=1.0), 4)
-        area, perim = area_perimeter(poly)
-        assert area == pytest.approx(2.0, abs=1e-14)
-
-    def test_disk_fine_area_matches_inscribed_formula(self):
-        n = 2048
-        poly = polygonize(DomainSpec("disk", radius=1.0), n)
-        area, _ = area_perimeter(poly)
-        inscribed = 0.5 * n * math.sin(2 * math.pi / n)
-        assert area == pytest.approx(inscribed, abs=1e-13)
-        assert abs(area - math.pi) < 1e-5
-
     def test_star_eps0_equals_disk(self):
-        star = polygonize(DomainSpec("star", r0=1.0, eps=0.0, k=5), 256)
-        disk = polygonize(DomainSpec("disk", radius=1.0), 256)
-        np.testing.assert_allclose(star.vertices, disk.vertices, atol=1e-15)
+        t = TWO_PI * np.arange(256) / 256
+        star = DomainSpec("star", r0=1.0, eps=0.0, k=5).point(t)
+        disk = DomainSpec("disk", radius=1.0).point(t)
+        np.testing.assert_allclose(star, disk, atol=1e-15)
 
     def test_invalid_specs_rejected(self):
         with pytest.raises(ValidationError):
@@ -53,38 +45,15 @@ class TestPolygonize:
         with pytest.raises(ValidationError):
             DomainSpec("disk", radius=1.0, boundary_samples=63)
 
-    def test_ccw_orientation_and_normals(self):
-        poly = polygonize(DomainSpec("ellipse", a=1.2, b=1.0), 128)
-        assert area_perimeter(poly)[0] > 0
-        norms = np.hypot(poly.edge_normals[:, 0], poly.edge_normals[:, 1])
-        np.testing.assert_allclose(norms, 1.0, atol=1e-12)
-
 
 class TestAreaPerimeter:
-    def test_disk_fine(self):
-        poly = polygonize(DomainSpec("disk", radius=1.0), 2048)
-        area, perim = area_perimeter(poly)
-        assert area == pytest.approx(math.pi, abs=1e-4)
-        assert perim == pytest.approx(2 * math.pi, abs=1e-4)
-
     def test_ellipse_against_quadrature(self):
         # oracle: dense trapezoid quadrature of the arc-length integrand
         t = np.linspace(0, 2 * math.pi, 200001)
         speed = np.hypot(1.2 * np.sin(t), np.cos(t))
         perim_oracle = np.trapezoid(speed, t)
-        poly = polygonize(DomainSpec("ellipse", a=1.2, b=1.0), 4096)
-        area, perim = area_perimeter(poly)
-        assert area == pytest.approx(math.pi * 1.2, abs=1e-3)
-        assert perim == pytest.approx(perim_oracle, abs=1e-3)
         assert exact_perimeter(DomainSpec("ellipse", a=1.2, b=1.0)) == pytest.approx(
             perim_oracle, abs=1e-8)
-
-    def test_square_explicit_polygon(self):
-        square = PolygonalBoundary(np.array([[-1.0, -1.0], [1.0, -1.0],
-                                             [1.0, 1.0], [-1.0, 1.0]]))
-        area, perim = area_perimeter(square)
-        assert area == pytest.approx(4.0)
-        assert perim == pytest.approx(8.0)
 
     def test_second_order_convergence(self):
         # inscribed-polygon area and perimeter errors drop by ~4x when n doubles
@@ -92,8 +61,8 @@ class TestAreaPerimeter:
                      DomainSpec("ellipse", a=1.2, b=1.0),
                      DomainSpec("star", r0=1.0, eps=0.05, k=3)):
             area_exact, perim_exact = exact_area(spec), exact_perimeter(spec)
-            a_n, p_n = area_perimeter(polygonize(spec, 256))
-            a_2n, p_2n = area_perimeter(polygonize(spec, 512))
+            a_n, p_n = _inscribed(spec, 256)
+            a_2n, p_2n = _inscribed(spec, 512)
             assert 3.5 <= (area_exact - a_n) / (area_exact - a_2n) <= 4.5
             assert 3.5 <= (perim_exact - p_n) / (perim_exact - p_2n) <= 4.5
 

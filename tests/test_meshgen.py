@@ -142,8 +142,10 @@ class TestGenerate:
         assert euler == 1
 
     def test_normals_outward(self, disk_mesh):
-        pairs, normals = disk_mesh.boundary_edges
-        mids = 0.5 * (disk_mesh.vertices[pairs[:, 0]] + disk_mesh.vertices[pairs[:, 1]])
+        p = disk_mesh.vertices[disk_mesh.boundary_loop]
+        mids = 0.5 * (p + np.roll(p, -1, axis=0))
+        normals = disk_mesh.boundary_normals
+        np.testing.assert_allclose(np.hypot(*normals.T), 1.0, atol=1e-12)
         assert np.all((normals * mids).sum(axis=1) > 0)
 
     def test_deterministic(self, disk_spec):
