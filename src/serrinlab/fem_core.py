@@ -23,7 +23,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .errors import SolverError, ValidationError
-from .meshgen import Mesh, edge_table
+from .meshgen import Mesh
 
 
 # CG stops at this relative residual, or fails after 20 sqrt(n) + 1000
@@ -148,10 +148,6 @@ _OMEGA = 0.7
 _SWEEPS = 2
 
 
-def _interior(mesh):
-    return np.setdiff1d(np.arange(len(mesh.vertices)), mesh.boundary_loop)
-
-
 def _prolongation(mesh):
     """Interpolation from the interior of mesh.parent to the interior of mesh.
 
@@ -161,12 +157,12 @@ def _prolongation(mesh):
     """
     coarse = mesh.parent
     V = len(coarse.vertices)
-    edges = edge_table(coarse.triangles)[0]
+    edges = coarse.edge_table[0]
     rows = np.concatenate([np.arange(V), np.repeat(V + np.arange(len(edges)), 2)])
     cols = np.concatenate([np.arange(V), edges.ravel()])
     vals = np.concatenate([np.ones(V), np.full(2 * len(edges), 0.5)])
     P = sp.csr_matrix((vals, (rows, cols)), shape=(len(mesh.vertices), V))
-    return P[_interior(mesh)][:, _interior(coarse)].tocsr()
+    return P[mesh.interior][:, coarse.interior].tocsr()
 
 
 def _vcycle(mesh, A):
@@ -211,7 +207,7 @@ def _solve_dirichlet(mesh, sigma, load, boundary_values, label, sigma_c=1.0):
     K = stiffness(mesh, sigma)
     n = len(mesh.vertices)
     bnd = mesh.boundary_loop
-    interior = _interior(mesh)
+    interior = mesh.interior
     x = np.zeros(n)
     x[bnd] = boundary_values
     Ki = K[interior]
@@ -303,15 +299,6 @@ def _patch_fit(owner, d, values, n):
     return np.linalg.solve(AtA, Atb)
 
 
-def _closed_adjacency(mesh):
-    """Sparse A + I of the mesh's vertex adjacency."""
-    edges = edge_table(mesh.triangles)[0]
-    n = len(mesh.vertices)
-    rows = np.concatenate([edges[:, 0], edges[:, 1], np.arange(n)])
-    cols = np.concatenate([edges[:, 1], edges[:, 0], np.arange(n)])
-    return sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
-
-
 def _csr_pairs(M):
     """(row, column) of every stored entry of a CSR matrix, columns sorted."""
     M.sort_indices()
@@ -338,7 +325,7 @@ def recovered_gradient(mesh: Mesh, values: np.ndarray) -> np.ndarray:
     if np.any(starved):
         # starved vertices (2 incident elements on the boundary): widen to the
         # elements touching any neighbor vertex
-        patches = patches + sp.diags(starved * 1.0) @ _closed_adjacency(mesh) @ patches
+        patches = patches + sp.diags(starved * 1.0) @ mesh.adjacency @ patches
     owner, tris = _csr_pairs(patches)
     return _patch_fit(owner, centroids[tris] - mesh.vertices[owner], ge[tris], n)[:, 0, :]
 
@@ -349,8 +336,7 @@ def hessian_recovery(mesh: Mesh, f: Field) -> np.ndarray:
     if f.mesh_key != mesh.key:
         raise ValidationError("hessian_recovery: field belongs to a different mesh")
     g = recovered_gradient(mesh, f.values)
-    adj = _closed_adjacency(mesh)
-    two_ring = adj @ adj
+    two_ring = mesh.adjacency @ mesh.adjacency
     if np.any(np.diff(two_ring.indptr) < 3):
         raise ValidationError("hessian_recovery: degenerate vertex patch")
     owner, w = _csr_pairs(two_ring)

@@ -276,12 +276,30 @@ def curvature_max(spec: DomainSpec) -> float:
 
 
 def _nearest_foot(spec: DomainSpec, pts) -> np.ndarray:
-    """Foot-point parameters of pts: the nearest of n = max(boundary_samples,
-    256) samples (kd-tree), polished by _foot_point in t_j +- 2 pi/n."""
+    """Foot-point parameters of pts: _foot_point in t_j +- 2 pi/n from the
+    nearest of n = max(boundary_samples, 256) samples (kd-tree), at distance
+    d_s, and from every sample beyond one spacing of it within sqrt(d_s^2 +
+    (l_max/2)^2), l_max the longest sample chord (near the medial axis the
+    nearest foot may lie on another branch); the nearest foot wins."""
     n = max(spec.boundary_samples, 256)
     t = TWO_PI * np.arange(n) / n
-    _, jstar = cKDTree(spec.point(t)).query(pts)
-    return _foot_point(spec, pts, t[jstar], TWO_PI / n)
+    samples = spec.point(t)
+    tree = cKDTree(samples)
+    dist, js = tree.query(pts, k=4)
+    theta = _foot_point(spec, pts, t[js[:, 0]], TWO_PI / n)
+    radius = np.hypot(dist[:, 0], np.hypot(*(np.roll(samples, -1, axis=0) - samples).T).max() / 2)
+    # the samples in each ball: among the 4 nearest, unless all 4 lie in it
+    full = dist[:, 3] <= radius
+    owner, col = np.nonzero((dist[:, 1:] <= radius[:, None]) & ~full[:, None])
+    hits = tree.query_ball_point(pts[full], radius[full])
+    owner = np.concatenate([owner, np.repeat(np.flatnonzero(full), [len(h) for h in hits])])
+    j = np.concatenate([js[owner[:len(col)], col + 1], *map(np.asarray, hits)]).astype(np.int64)
+    far = (j - js[owner, 0] + 1) % n > 2
+    who = np.concatenate([np.arange(len(pts)), owner[far]])
+    cand = np.concatenate([theta, _foot_point(spec, pts[owner[far]], t[j[far]], TWO_PI / n)])
+    # nearest foot per point; a stable sort keeps the nearest sample's on ties
+    order = np.lexsort((((spec.point(cand) - pts[who]) ** 2).sum(axis=-1), who))
+    return cand[order[np.unique(who[order], return_index=True)[1]]]
 
 
 def distance_to_boundary(spec: DomainSpec, pts) -> np.ndarray:

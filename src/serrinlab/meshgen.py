@@ -1,9 +1,11 @@
 """Conforming triangulation of the domain with the inclusion boundary resolved.
 
 Strategy: sample both analytic curves at spacing ~ target_h, lay a hexagonal
-lattice in the bulk with a clearance band around each curve, Delaunay-
-triangulate the combined point set, then enforce any missing curve edge by
-local flips.  Conductivity is then constant per element by construction.
+lattice in the bulk with a clearance band around each curve and Delaunay-
+triangulate the combined point set.  A triangulation that misses a curve edge
+is rejected like one of poor quality, and the next lattice offset is tried.
+Conductivity is then constant per element by construction.  Each Mesh builds
+its edge table, interior vertex index and vertex adjacency once, on first use.
 """
 
 from __future__ import annotations
@@ -11,9 +13,11 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.spatial import Delaunay
 
 from .errors import MeshQualityError, ValidationError
@@ -41,7 +45,8 @@ class Mesh:
     of each loop edge are derived from the loop.  Curve parameters of on-curve
     vertices are kept so refinement can project midpoints back onto the curves.
     parent is the mesh that refine() split into this one (None for a generated
-    mesh); the solver builds its multigrid hierarchy from that chain.
+    mesh); the solver builds its multigrid hierarchy from that chain.  The
+    topology (edge_table, interior, adjacency) is computed once, on first use.
     """
 
     vertices: np.ndarray
@@ -85,6 +90,32 @@ class Mesh:
 
     def min_angle_deg(self):
         return float(np.min(_tri_angles_deg(self.vertices, self.triangles)))
+
+    @cached_property
+    def edge_table(self):
+        """edge_table(triangles): edges, edge id of each side, triangles per edge."""
+        return edge_table(self.triangles)
+
+    @cached_property
+    def interior(self):
+        """Sorted ids of the vertices off the boundary loop."""
+        return np.setdiff1d(np.arange(len(self.vertices)), self.boundary_loop)
+
+    @cached_property
+    def adjacency(self):
+        """Sparse A + I of the vertex adjacency, CSR with sorted indices."""
+        edges = self.edge_table[0]
+        n = len(self.vertices)
+        rows = np.concatenate([edges[:, 0], edges[:, 1], np.arange(n)])
+        cols = np.concatenate([edges[:, 1], edges[:, 0], np.arange(n)])
+        adj = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+        adj.sort_indices()
+        return adj
+
+    def __getstate__(self):
+        """Pickle without the cached topology: a pool worker rebuilds what it reads."""
+        return {k: v for k, v in vars(self).items()
+                if k not in ("edge_table", "interior", "adjacency")}
 
 
 def _edge_lengths(vertices, triangles):
@@ -132,17 +163,17 @@ def generate(domain: DomainSpec, inclusion: Optional[InclusionSpec],
     # raises if D touches/exits Omega
     margin = inclusion_margin(domain, inclusion) if inclusion is not None else None
 
-    last_report = ""
+    reports = []
     for offset in _OFFSETS:
         try:
             mesh = _generate_once(domain, inclusion, target_h, offset)
         except MeshQualityError as exc:
-            last_report = str(exc)
+            reports.append(f"offset {offset}: {exc}")
             continue
         mesh.margin = margin
         return mesh
     raise MeshQualityError(
-        f"mesh quality unreachable for target_h={target_h}: {last_report}")
+        f"mesh quality unreachable for target_h={target_h}: {'; '.join(reports)}")
 
 
 def _offset_ring(curve, t, depth_factor, sign):
@@ -234,12 +265,6 @@ def _generate_once(domain, inclusion, target_h, offset):
         raise MeshQualityError("Delaunay dropped input points")
     triangles = _orient_ccw(points, tri.simplices.astype(np.int64))
 
-    required = [np.stack([np.arange(n_omega), (np.arange(n_omega) + 1) % n_omega], axis=1)]
-    if inclusion is not None:
-        idx_d = n_omega + np.arange(n_d)
-        required.append(np.stack([idx_d, n_omega + (np.arange(n_d) + 1) % n_d], axis=1))
-    triangles = _enforce_edges(points, triangles, np.vstack(required))
-
     # drop triangles outside the domain (non-convex boundaries leave pockets
     # between the convex hull and the sampled curve)
     centroids = points[triangles].mean(axis=1)
@@ -254,20 +279,17 @@ def _generate_once(domain, inclusion, target_h, offset):
     loop = remap[np.arange(n_omega)]
     iface_loop = remap[n_omega + np.arange(n_d)] if inclusion is not None else None
 
-    edges, _, counts = edge_table(triangles)
-    _check_boundary_loop(edges, counts, loop)
-
     mesh = Mesh(vertices=points, triangles=triangles, region=region,
                 boundary_loop=loop, boundary_params=t_omega,
                 interface_loop=iface_loop,
                 interface_params=t_d if inclusion is not None else None,
                 domain=domain, inclusion=inclusion, target_h=target_h)
+    _check_loops(mesh)
 
     min_angle = mesh.min_angle_deg()
     if min_angle < _MIN_ANGLE_DEG or mesh.h_max > 1.5 * target_h:
         raise MeshQualityError(
-            f"min angle {min_angle:.2f} deg, h_max {mesh.h_max:.4f} "
-            f"(target {target_h}), offset {offset}")
+            f"min angle {min_angle:.2f} deg, h_max {mesh.h_max:.4f} (target {target_h})")
     return mesh
 
 
@@ -303,68 +325,6 @@ def _pair_keys(pairs):
     return (pairs[:, 0] << 32) | pairs[:, 1]
 
 
-def _edge_ids(edges, pairs):
-    """Id in an edge table of each vertex pair, -1 where the pair is no edge."""
-    keys = _pair_keys(edges)
-    query = _pair_keys(pairs)
-    order = np.argsort(keys)
-    found = order[np.searchsorted(keys, query, sorter=order) % len(keys)]
-    return np.where(keys[found] == query, found, -1)
-
-
-def _enforce_edges(points, triangles, required):
-    """Restore missing constraint edges by local diagonal flips.
-
-    Fine curve sampling makes required edges Gabriel (hence Delaunay) in almost
-    every case; this path exists for the rare tie near coarse inclusions.
-    """
-    missing = required[_edge_ids(edge_table(triangles)[0], required) < 0]
-    for u, v in missing:
-        for _ in range(200):
-            edges, tri_edges, counts = edge_table(triangles)
-            if _edge_ids(edges, [(u, v)])[0] >= 0:
-                break
-            crossing = (counts == 2) & _segments_cross(points[u], points[v],
-                                                       points[edges[:, 0]],
-                                                       points[edges[:, 1]])
-            for e in np.flatnonzero(crossing):
-                a, b = edges[e]
-                # the two sides on edge e, as (triangle, side); side k is
-                # opposite the triangle's vertex (k + 2) % 3
-                (t1, t2), (k1, k2) = np.divmod(np.flatnonzero(tri_edges == e), 3)
-                c = triangles[t1, (k1 + 2) % 3]
-                d = triangles[t2, (k2 + 2) % 3]
-                if not _quad_convex(points[a], points[c], points[b], points[d]):
-                    continue
-                triangles[t1] = _orient_ccw(points, np.array([[c, d, a]]))[0]
-                triangles[t2] = _orient_ccw(points, np.array([[d, c, b]]))[0]
-                break
-            else:
-                raise MeshQualityError(f"cannot recover constraint edge ({u},{v})")
-        else:
-            raise MeshQualityError(f"edge recovery did not terminate for ({u},{v})")
-    return triangles
-
-
-def _cross(o, p, q):
-    return ((p[..., 0] - o[..., 0]) * (q[..., 1] - o[..., 1])
-            - (p[..., 1] - o[..., 1]) * (q[..., 0] - o[..., 0]))
-
-
-def _segments_cross(p1, p2, q1, q2):
-    d1 = _cross(p1, p2, q1)
-    d2 = _cross(p1, p2, q2)
-    d3 = _cross(q1, q2, p1)
-    d4 = _cross(q1, q2, p2)
-    return (d1 * d2 < 0) & (d3 * d4 < 0)
-
-
-def _quad_convex(a, c, b, d):
-    pts = [a, c, b, d]
-    signs = [_cross(pts[i], pts[(i + 1) % 4], pts[(i + 2) % 4]) for i in range(4)]
-    return all(s > 0 for s in signs) or all(s < 0 for s in signs)
-
-
 def _drop_orphans(points, triangles):
     used = np.unique(triangles)
     remap = -np.ones(len(points), dtype=np.int64)
@@ -372,12 +332,26 @@ def _drop_orphans(points, triangles):
     return points[used], remap[triangles], remap
 
 
-def _check_boundary_loop(edges, counts, loop):
-    """The edges on one triangle must be exactly the edges of the loop."""
-    ids = _edge_ids(edges, np.stack([loop, np.roll(loop, -1)], axis=1))
+def _loop_edge_ids(edges, loop):
+    """Id in an edge table of each loop edge loop[i] -> loop[i+1], -1 where missing."""
+    keys = _pair_keys(edges)
+    query = _pair_keys(np.stack([loop, np.roll(loop, -1)], axis=1))
+    order = np.argsort(keys)
+    found = order[np.searchsorted(keys, query, sorter=order) % len(keys)]
+    return np.where(keys[found] == query, found, -1)
+
+
+def _check_loops(mesh):
+    """The edges on one triangle must be exactly the edges of the boundary loop,
+    and every edge of the interface loop must be a mesh edge."""
+    edges, _, counts = mesh.edge_table
+    ids = _loop_edge_ids(edges, mesh.boundary_loop)
     if (np.any(ids < 0) or np.any(counts[ids] != 1)
             or len(np.unique(ids)) != np.count_nonzero(counts == 1)):
         raise MeshQualityError("mesh boundary does not coincide with the sampled curve")
+    if mesh.interface_loop is not None and np.any(
+            _loop_edge_ids(edges, mesh.interface_loop) < 0):
+        raise MeshQualityError("mesh misses an edge of the sampled inclusion curve")
 
 
 def _circular_midpoint(t1, t2):
@@ -393,7 +367,7 @@ def refine(mesh: Mesh) -> Mesh:
     the refined mesh records mesh as its parent.
     """
     V = len(mesh.vertices)
-    edges, tri_edges, _ = edge_table(mesh.triangles)
+    edges, tri_edges, _ = mesh.edge_table
     vertices = np.vstack([mesh.vertices, 0.5 * (mesh.vertices[edges[:, 0]]
                                                 + mesh.vertices[edges[:, 1]])])
     loop, loop_params = _split_loop(mesh.boundary_loop, mesh.boundary_params,
@@ -421,7 +395,7 @@ def _split_loop(loop, params, edges, vertices, curve):
     The midpoint vertex moves onto the curve at the parameter midpoint (it stays
     the straight midpoint when curve is None).
     """
-    ids = _edge_ids(edges, np.stack([loop, np.roll(loop, -1)], axis=1))
+    ids = _loop_edge_ids(edges, loop)
     param_of = np.zeros(len(vertices))
     param_of[loop] = params
     tm = _circular_midpoint(param_of[edges[ids, 0]], param_of[edges[ids, 1]])
@@ -437,10 +411,10 @@ def validate_mesh(mesh: Mesh):
     areas = mesh.triangle_areas()
     if np.any(areas <= 0):
         raise MeshQualityError("non-positive triangle area")
-    edges, _, counts = edge_table(mesh.triangles)
+    edges, _, counts = mesh.edge_table
     if np.any(counts > 2):
         raise MeshQualityError("edge shared by more than two triangles")
-    _check_boundary_loop(edges, counts, mesh.boundary_loop)
+    _check_loops(mesh)
     euler = len(mesh.vertices) - len(edges) + len(mesh.triangles)
     if euler != 1:
         raise MeshQualityError(f"Euler relation violated: V-E+T = {euler}")

@@ -17,7 +17,6 @@ from .errors import DiagnosticError, ValidationError
 from .fem_core import (
     BoundaryTrace,
     Field,
-    _interior,
     hessian_recovery,
     normal_derivative,
     solve_one_phase,
@@ -33,7 +32,7 @@ from .geometry import (
     rho_bounds,
     serrin_constant,
 )
-from .meshgen import Mesh, edge_table, generate, refine
+from .meshgen import Mesh, generate, refine
 
 CSV_HEADER = ("c,dev_L2,dev_Linf,z_x,z_y,rho_i,rho_e,gap,osc_h,"
               "FI_lhs,FI_rhs,FI_gap,growth_min,h_max")
@@ -94,10 +93,9 @@ def max_point(mesh: Mesh, v: Field) -> np.ndarray:
     if i in set(mesh.boundary_loop.tolist()):
         raise ValidationError("max_point: maximum on the boundary")
     # i with its neighbors, widened to the two-ring when too few for the fit
-    edges = edge_table(mesh.triangles)[0]
-    patch = np.unique(edges[np.any(edges == i, axis=1)])
+    patch = mesh.adjacency[i].indices
     if len(patch) < 6:
-        patch = np.unique(edges[np.any(np.isin(edges, patch), axis=1)])
+        patch = np.unique(mesh.adjacency[patch].indices)
     x0 = mesh.vertices[i]
     d = mesh.vertices[patch] - x0
     A = np.column_stack([np.ones(len(patch)), d[:, 0], d[:, 1],
@@ -201,9 +199,8 @@ class GrowthCheck:
 
 def growth_check(mesh: Mesh, v: Field) -> GrowthCheck:
     """min over interior vertices of v/delta, and min of v - delta^2/4."""
-    interior = _interior(mesh)
-    delta = distance_to_boundary(mesh.domain, mesh.vertices[interior])
-    vals = v.values[interior]
+    delta = distance_to_boundary(mesh.domain, mesh.vertices[mesh.interior])
+    vals = v.values[mesh.interior]
     return GrowthCheck(float(np.min(vals / delta)),
                        float(np.min(vals - delta ** 2 / 4.0)))
 

@@ -286,7 +286,7 @@ class TestMultigrid:
 
     @staticmethod
     def reduced_system(mesh, sigma):
-        interior = fem_core._interior(mesh)
+        interior = mesh.interior
         K = stiffness(mesh, sigma)
         return K[interior][:, interior].tocsr(), load_constant(mesh)[interior], interior
 

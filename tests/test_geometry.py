@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from serrinlab import geometry
 from serrinlab.errors import ValidationError
@@ -298,6 +299,23 @@ class TestDistanceToBoundary:
         brute = brute_force_distance(spec, pts)
         assert np.all(d <= brute + 1e-14)
         np.testing.assert_allclose(d, brute, atol=1e-8, rtol=0)
+
+    def test_foot_on_another_branch(self):
+        # near the medial axis of a deep star the nearest boundary sample can
+        # sit on one branch while the nearest foot point lies on another
+        spec = DomainSpec("star", r0=1.0, eps=0.3, k=6)
+        pts = np.random.default_rng(0).uniform(-1.3, 1.3, (6000, 2))
+        pts = np.vstack([[[-0.19710474, 0.34151937]],
+                         pts[spec.signed_radial_margin(pts) > 0.01]])
+        # oracle: nearest of 400k samples (kd-tree), then 2001 parameters
+        # spanning that sample's two neighbours
+        t = TWO_PI * np.arange(400_000) / 400_000
+        j = cKDTree(spec.point(t)).query(pts)[1]
+        fine = t[j][:, None] + np.linspace(-1, 1, 2001) * (t[1] - t[0])
+        oracle = np.sqrt(((pts[:, None, :] - spec.point(fine)) ** 2).sum(axis=-1).min(axis=1))
+        d = distance_to_boundary(spec, pts)
+        np.testing.assert_allclose(d, oracle, atol=1e-8, rtol=0)
+        assert d[0] == pytest.approx(0.4033267, abs=1e-7)
 
     @pytest.mark.parametrize("spec", [DomainSpec("disk", radius=1.0),
                                       DomainSpec("ellipse", a=1.2, b=1.0),

@@ -1,4 +1,5 @@
 import math
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -6,13 +7,13 @@ import pytest
 
 from scipy.spatial import Delaunay
 
+from serrinlab import meshgen
 from serrinlab.errors import MeshQualityError, ValidationError
 from serrinlab.geometry import TWO_PI, DomainSpec, InclusionSpec
 from serrinlab.meshgen import (
     _OFFSETS,
     Mesh,
     _hex_lattice,
-    _enforce_edges,
     _orient_ccw,
     dump_mesh,
     edge_table,
@@ -164,6 +165,12 @@ class TestGenerate:
         got = _hex_lattice(center, extent, pitch, offset)
         assert np.array_equal(got, reference_hex_lattice(center, extent, pitch, offset))
 
+    def test_failure_names_every_offset(self):
+        with pytest.raises(MeshQualityError) as err:
+            generate(DomainSpec("ellipse", a=1.3, b=1.0), None, 0.03)
+        reasons = str(err.value).split(": ", 1)[1].split("; ")
+        assert [r.split(":")[0] for r in reasons] == [f"offset {o}" for o in _OFFSETS]
+
     def test_star_and_offcenter_inclusion(self):
         star = DomainSpec("star", r0=1.0, eps=0.08, k=3)
         m = generate(star, None, 0.05)
@@ -248,17 +255,47 @@ class TestConnectivity:
         np.testing.assert_array_equal(tri_edges, [[0, 1, 2], [1, 3, 4]])
         np.testing.assert_array_equal(counts, [1, 2, 1, 1, 1])
 
-    def test_enforce_edges_restores_missed_diagonal(self):
-        # a rhombus whose Delaunay triangulation takes the short diagonal 1-3
+    def test_missed_loop_edge_raises(self):
+        # a rhombus whose Delaunay triangulation takes the short diagonal 1-3,
+        # with the long diagonal 0-2 required as an interface loop edge
         points = np.array([[-1.0, 0.0], [0.0, -0.5], [1.0, 0.0], [0.0, 0.5]])
         tris = _orient_ccw(points, Delaunay(points).simplices.astype(np.int64))
         assert (0, 2) not in _undirected_edges(tris)
-        out = _enforce_edges(points, tris.copy(), np.array([[0, 2]]))
-        assert (0, 2) in _undirected_edges(out) and (1, 3) not in _undirected_edges(out)
-        p = points[out]
-        det = ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-               - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
-        assert len(out) == 2 and np.all(det > 0)
+        mesh = Mesh(vertices=points, triangles=tris, region=np.zeros(2, dtype=np.int8),
+                    boundary_loop=np.arange(4), boundary_params=np.zeros(4),
+                    interface_loop=np.array([0, 2]), interface_params=np.zeros(2),
+                    domain=None, inclusion=None, target_h=1.0)
+        with pytest.raises(MeshQualityError, match="misses an edge of the sampled inclusion"):
+            validate_mesh(mesh)
+        validate_mesh(replace(mesh, interface_loop=None, interface_params=None))
+
+    def test_topology_built_once_per_mesh(self, monkeypatch):
+        from serrinlab.serrin_diagnostics import full_report
+
+        attempts, tables = [], []
+        generate_once, table = meshgen._generate_once, meshgen.edge_table
+        monkeypatch.setattr(meshgen, "_generate_once",
+                            lambda *a: attempts.append(a) or generate_once(*a))
+        monkeypatch.setattr(meshgen, "edge_table",
+                            lambda tris: tables.append(len(tris)) or table(tris))
+        full_report(DomainSpec("ellipse", a=1.2, b=1.0), InclusionSpec("disk", radius=0.3),
+                    2.0, 0.1, refine_levels=1)
+        # one table per generate attempt, one for the refined mesh
+        assert len(attempts) >= 1 and len(tables) == len(attempts) + 1
+        assert tables[-1] == 4 * tables[-2]
+
+    def test_pickle_leaves_cached_topology_behind(self, concentric_mesh):
+        # sweeps send meshes to pool workers; the cached topology stays home
+        fine = refine(concentric_mesh)
+        fine.adjacency, fine.interior
+        copy = pickle.loads(pickle.dumps(fine))
+        for mesh in (copy, copy.parent):
+            assert not {"edge_table", "interior", "adjacency"} & set(vars(mesh))
+        np.testing.assert_array_equal(copy.vertices, fine.vertices)
+        np.testing.assert_array_equal(copy.interior, fine.interior)
+        assert (copy.adjacency != fine.adjacency).nnz == 0
+        for a, b in zip(copy.parent.edge_table, concentric_mesh.edge_table):
+            np.testing.assert_array_equal(a, b)
 
     def test_validate_rejects_edge_on_three_triangles(self):
         vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0], [0.5, 2.0]])
