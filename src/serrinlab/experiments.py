@@ -3,18 +3,16 @@ into desk-scale empirical checks.
 
 Each sweep measures its own numerical floor on an exact-case fixture at the
 same mesh size and excludes points whose metrics sit below 10x that floor, so
-fitted slopes are never contaminated by discretization noise.
+fitted slopes are never contaminated by discretization noise.  Each sweep
+re-pins one OpenBLAS thread on entry, so its own solves sum their dot products
+as its pool workers do, and its artifacts do not depend on `jobs`.
 """
 
 from __future__ import annotations
 
-import ctypes
-import importlib.util
 import math
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -24,6 +22,7 @@ from .fem_core import (
     CG_REL_TOLERANCE,
     l2_norm,
     normal_derivative,
+    pin_one_blas_thread,
     solve_linearized,
     solve_one_phase,
     solve_two_phase,
@@ -125,50 +124,15 @@ def _fit_kept(points, excluded, window):
     return (slope_fit(kept, window) if len(kept) >= 3 else None), kept
 
 
-def _blas_calls(stem):
-    """`scipy_openblas_<stem>` of each scipy-openblas library bundled in the
-    numpy and scipy wheels (none where there is no such library)."""
-    calls = []
-    for pkg in ("numpy", "scipy"):
-        libdir = Path(importlib.util.find_spec(pkg).origin).parents[1] / f"{pkg}.libs"
-        for path in sorted(libdir.glob("libscipy_openblas*.so*")):
-            lib = ctypes.CDLL(str(path))
-            for name in (f"scipy_openblas_{stem}64_", f"scipy_openblas_{stem}"):
-                if hasattr(lib, name):
-                    calls.append(getattr(lib, name))
-                    break
-    return calls
-
-
-def single_blas_thread():
-    """Set every bundled OpenBLAS to one thread in this process (the pool
-    initializer: `jobs` workers do not each start a thread per core)."""
-    for set_threads in _blas_calls("set_num_threads"):
-        set_threads(1)
-
-
-@contextmanager
-def one_blas_thread():
-    """One OpenBLAS thread in this process for the duration, then the old counts.
-
-    Every sweep runs under it, so its base solves in this process sum their dot
-    products in the same order as its members in the pool workers, and its
-    artifacts do not depend on `jobs` at any mesh size.
-    """
-    before = [get() for get in _blas_calls("get_num_threads")]
-    single_blas_thread()
-    try:
-        yield
-    finally:
-        for set_threads, n in zip(_blas_calls("set_num_threads"), before):
-            set_threads(n)
-
-
 def _parallel_map(fn, items, jobs):
+    """[fn(it) for it in items] on min(jobs, len(items)) processes, each given
+    one contiguous chunk, so a mesh the items share is pickled once per chunk."""
     if jobs is None or jobs <= 1 or len(items) <= 1:
         return [fn(it) for it in items]
-    with ProcessPoolExecutor(max_workers=jobs, initializer=single_blas_thread) as pool:
-        return list(pool.map(fn, items))
+    workers = min(jobs, len(items))
+    pin_one_blas_thread()  # forked workers inherit the count
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items, chunksize=math.ceil(len(items) / workers)))
 
 
 # -- one-phase stability --------------------------------------------------
@@ -187,13 +151,13 @@ def _stability_member(args):
             "h_max": mesh.h_max}
 
 
-@one_blas_thread()
 def one_phase_stability_sweep(family, target_h, window=4, jobs=1) -> SweepResult:
     """gap = rho_e - rho_i against the flux deviation across a domain family.
 
     The family parameter is each member's gap; the fit is log(gap) against
     log(dev_Linf) and its slope should sit near 1 (tau_2 = 1).
     """
+    pin_one_blas_thread()
     if len(family) < 1:
         raise ValidationError("stability sweep: empty family")
     rows = _parallel_map(_stability_member, [(d, target_h) for d in family], jobs)
@@ -233,13 +197,13 @@ def _sigma_member(args):
             "dev_Linf": dev_linf}
 
 
-@one_blas_thread()
 def sigma_sweep(domain, inclusion, t_values, target_h, window=4, jobs=1) -> SweepResult:
     """||dn u(t) - dn u(0)||_inf against |t| for sigma_c = 1 + t.
 
     Differentiability of the solution branch makes the slope approach 1; the
     max ratio is the empirical constant of the |t|-linear bound.
     """
+    pin_one_blas_thread()
     t_values = list(t_values)
     if any(t <= -1.0 for t in t_values):
         raise ValidationError("sigma sweep: t must stay above -1")
@@ -277,10 +241,10 @@ def sigma_sweep(domain, inclusion, t_values, target_h, window=4, jobs=1) -> Swee
 # -- Frechet derivative -----------------------------------------------------
 
 
-@one_blas_thread()
 def frechet_check(domain, inclusion, t0, eps_values, target_h, window=4,
                   jobs=1) -> SweepResult:
     """||(u(t0+eps) - u(t0))/eps - u'(t0)||_L2 against eps (slope ~ 1)."""
+    pin_one_blas_thread()
     eps_values = list(eps_values)
     if t0 <= -1.0 or any(t0 + e <= -1.0 for e in eps_values):
         raise ValidationError("frechet check: sigma_c must stay positive")
@@ -332,13 +296,13 @@ def _inclusion_member(args):
             "h_max": mesh.h_max}
 
 
-@one_blas_thread()
 def inclusion_sweep(domain, sigma_c, radii, target_h, window=4, jobs=1) -> SweepResult:
     """sup_boundary |grad w| against |D| for a shrinking centered disk inclusion.
 
     The coarse bound guarantees slope >= 1/2; the gradient-bounded refinement
     predicts slope ~ 1, and both comparisons are reported.
     """
+    pin_one_blas_thread()
     radii = list(radii)
     if any(radii[i] <= radii[i + 1] for i in range(len(radii) - 1)):
         raise ValidationError("inclusion sweep: radii must decrease toward 0")

@@ -9,13 +9,19 @@ unpreconditioned residual, at the fixed relative tolerance CG_REL_TOLERANCE
 within the fixed cap of 20 sqrt(unknowns) + 1000 iterations.  Each solve
 assembles its stiffness matrix once and keeps the residual K u - b on the
 boundary rows, which is all that variational flux recovery needs.
+Importing this module pins every OpenBLAS bundled with numpy and scipy to one
+thread, so CG's dot products sum in one order whatever the core count or the
+number of sweep workers, and forked workers inherit the pin.
 """
 
 from __future__ import annotations
 
+import ctypes
+import importlib.util
 import math
 from dataclasses import dataclass, replace
 from functools import partial
+from pathlib import Path
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -29,6 +35,36 @@ from .meshgen import Mesh
 # CG stops at this relative residual, or fails after 20 sqrt(n) + 1000
 # iterations on n unknowns
 CG_REL_TOLERANCE = 1e-10
+
+
+def _bundled_openblas():
+    """(get_num_threads, set_num_threads) of each scipy-openblas library
+    bundled in the numpy and scipy wheels (none where there is no such library)."""
+    calls = []
+    for pkg in ("numpy", "scipy"):
+        libdir = Path(importlib.util.find_spec(pkg).origin).parents[1] / f"{pkg}.libs"
+        for path in sorted(libdir.glob("libscipy_openblas*.so*")):
+            lib = ctypes.CDLL(str(path))
+            suffix = "64_" if hasattr(lib, "scipy_openblas_get_num_threads64_") else ""
+            get, set_ = (getattr(lib, f"scipy_openblas_{op}_num_threads{suffix}")
+                         for op in ("get", "set"))
+            set_.argtypes, set_.restype = [ctypes.c_int], None  # get: int(void), the default
+            calls.append((get, set_))
+    return calls
+
+
+_OPENBLAS = _bundled_openblas()
+
+
+def pin_one_blas_thread():
+    """Set each bundled OpenBLAS not on one thread to one: any set, even of the
+    current count, restarts the thread pool after a fork, whose threads spin."""
+    for get_threads, set_threads in _OPENBLAS:
+        if get_threads() != 1:
+            set_threads(1)
+
+
+pin_one_blas_thread()
 
 
 @dataclass

@@ -1,12 +1,17 @@
+import ast
 import math
 import os
+import subprocess
+import sys
+from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from serrinlab import experiments
+from serrinlab import experiments, fem_core
 from serrinlab.errors import ValidationError
 from serrinlab.experiments import (
     frechet_check,
@@ -17,6 +22,7 @@ from serrinlab.experiments import (
     slope_fit,
 )
 from serrinlab.geometry import DomainSpec, InclusionSpec
+from serrinlab.meshgen import Mesh
 
 ELLIPSE = DomainSpec("ellipse", a=1.2, b=1.0)
 DISK = DomainSpec("disk", radius=1.0)
@@ -221,20 +227,33 @@ class TestNonexistence:
 
 def _blas_threads(_=None):
     """(pid, OpenBLAS thread count of every bundled library) in this process."""
-    return os.getpid(), [get() for get in experiments._blas_calls("get_num_threads")]
+    return os.getpid(), [get() for get, _ in fem_core._OPENBLAS]
 
 
+needs_openblas = pytest.mark.skipif(not fem_core._OPENBLAS,
+                                    reason="no bundled scipy-openblas library")
+_SIGMA_MEMBER = experiments._sigma_member
+_SET_CALLS = []
+
+
+def _reporting_sigma_member(args):
+    """The sigma sweep's member, plus this process's pid, thread counts and
+    number of set_num_threads calls."""
+    pid, counts = _blas_threads()
+    return {**_SIGMA_MEMBER(args), "pid": pid, "counts": counts,
+            "set_calls": len(_SET_CALLS)}
+
+
+@needs_openblas
 class TestBlasThreads:
     @pytest.fixture(autouse=True)
     def _two_threads(self):
         """Start each test at two threads and restore the counts after it."""
-        if not experiments._blas_calls("get_num_threads"):
-            pytest.skip("no bundled scipy-openblas library")
         before = _blas_threads()[1]
-        for set_threads in experiments._blas_calls("set_num_threads"):
+        for _, set_threads in fem_core._OPENBLAS:
             set_threads(2)
         yield
-        for set_threads, n in zip(experiments._blas_calls("set_num_threads"), before):
+        for (_, set_threads), n in zip(fem_core._OPENBLAS, before):
             set_threads(n)
 
     def test_pool_workers_use_one_blas_thread(self):
@@ -242,9 +261,10 @@ class TestBlasThreads:
         assert all(pid != os.getpid() for pid, _ in results)
         assert all(counts and set(counts) == {1} for _, counts in results)
 
-    def test_sweep_solves_on_one_blas_thread_then_restores(self, monkeypatch):
+    def test_sweep_solves_on_one_blas_thread_and_stays_pinned(self, monkeypatch):
         """The base solves of a sweep run in this process: it must match the
-        pool workers, or results above ~10k unknowns would depend on jobs."""
+        pool workers, or results above ~10k unknowns would depend on jobs.
+        Restoring the old count afterwards would restart OpenBLAS's pool."""
         seen = []
         parallel_map = experiments._parallel_map
 
@@ -255,4 +275,67 @@ class TestBlasThreads:
         monkeypatch.setattr(experiments, "_parallel_map", spy)
         sigma_sweep(DISK, InclusionSpec("disk", radius=0.5), [0.4, 0.2, 0.1], 0.2)
         assert seen == [{1}]
-        assert set(_blas_threads()[1]) == {2}
+        assert set(_blas_threads()[1]) == {1}
+
+
+@needs_openblas
+class TestBlasPin:
+    def test_import_pins_every_bundled_library(self):
+        src = str(Path(fem_core.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "2"}
+        out = subprocess.run(
+            [sys.executable, "-c", "import serrinlab.fem_core as f; "
+             "print([get() for get, _ in f._OPENBLAS])"],
+            env=env, capture_output=True, text=True, check=True).stdout
+        counts = ast.literal_eval(out)
+        assert len(counts) == len(fem_core._OPENBLAS)
+        assert set(counts) == {1}
+
+    def test_pooled_sweep_in_pinned_process_sets_no_count(self, monkeypatch):
+        assert set(_blas_threads()[1]) == {1}
+
+        def counted(set_threads):
+            def set_and_count(n):
+                _SET_CALLS.append(n)
+                return set_threads(n)
+            return set_and_count
+
+        _SET_CALLS.clear()
+        monkeypatch.setattr(fem_core, "_OPENBLAS",
+                            [(get, counted(set_)) for get, set_ in fem_core._OPENBLAS])
+        monkeypatch.setattr(experiments, "_sigma_member", _reporting_sigma_member)
+        result = sigma_sweep(DISK, InclusionSpec("disk", radius=0.5),
+                             [0.4, 0.2, 0.1], 0.2, jobs=2)
+        assert _SET_CALLS == []
+        assert all(row["pid"] != os.getpid() for row in result.rows)
+        assert all(set(row["counts"]) == {1} and row["set_calls"] == 0
+                   for row in result.rows)
+
+
+class TestParallelMap:
+    def test_starts_at_most_one_worker_per_item(self, monkeypatch):
+        started = []
+
+        class Spy(ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                started.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", Spy)
+        assert experiments._parallel_map(abs, [-3, -2, -1], jobs=8) == [3, 2, 1]
+        assert started == [3]
+
+    def test_sigma_sweep_ships_its_mesh_once_per_worker(self, monkeypatch):
+        """Each worker gets one chunk of members, which share one pickled mesh
+        (one item per member would pickle it once per member, here 5 times)."""
+        pickled = []
+        getstate = Mesh.__getstate__
+
+        def counted(mesh):
+            pickled.append(mesh)
+            return getstate(mesh)
+
+        monkeypatch.setattr(Mesh, "__getstate__", counted)
+        sigma_sweep(DISK, InclusionSpec("disk", radius=0.5),
+                    [0.4, 0.3, 0.2, 0.15, 0.1], 0.2, jobs=2)
+        assert 1 <= len(pickled) <= 2
