@@ -349,7 +349,7 @@ def _run_sweep(cfg: RunConfig, inclusion, jobs):
                                           window=cfg.window, jobs=jobs)
         return sweep, ["gap", "dev_L2", "dev_Linf"]
     sweep = frechet_check(cfg.domain, inclusion, cfg.t0, cfg.epsilon_values,
-                          cfg.target_h, window=cfg.window, jobs=jobs)
+                          cfg.target_h, window=cfg.window)
     return sweep, ["epsilon", "fd_error_L2"]
 
 

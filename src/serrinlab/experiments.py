@@ -241,8 +241,7 @@ def sigma_sweep(domain, inclusion, t_values, target_h, window=4, jobs=1) -> Swee
 # -- Frechet derivative -----------------------------------------------------
 
 
-def frechet_check(domain, inclusion, t0, eps_values, target_h, window=4,
-                  jobs=1) -> SweepResult:
+def frechet_check(domain, inclusion, t0, eps_values, target_h, window=4) -> SweepResult:
     """||(u(t0+eps) - u(t0))/eps - u'(t0)||_L2 against eps (slope ~ 1)."""
     pin_one_blas_thread()
     eps_values = list(eps_values)

@@ -4,8 +4,12 @@ Strategy: sample both analytic curves at spacing ~ target_h, lay a hexagonal
 lattice in the bulk with a clearance band around each curve and Delaunay-
 triangulate the combined point set.  A triangulation that misses a curve edge
 is rejected like one of poor quality, and the next lattice offset is tried.
-Conductivity is then constant per element by construction.  Each Mesh builds
-its edge table, interior vertex index and vertex adjacency once, on first use.
+Conductivity is then constant per element by construction.  An offset is
+rejected before the full triangulation when the Delaunay triangulation of the
+near-curve points alone holds a defect whose circumcircle is empty of all
+points, since the full one then holds it too; every mesh kept still comes from
+the full triangulation, so this cannot change a mesh.  Each Mesh builds its
+edge table, interior vertex index and vertex adjacency once, on first use.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.spatial import Delaunay
+from scipy.spatial import Delaunay, cKDTree
 
 from .errors import MeshQualityError, ValidationError
 from .geometry import (TWO_PI, DomainSpec, InclusionSpec, Margin, exact_perimeter,
@@ -33,6 +37,10 @@ _CLEARANCE = 0.55
 _OFFSETS = ((0.0, 0.0), (0.5, 0.0), (0.25, 0.433), (0.37, 0.19))
 # minimum triangle angle of a generated mesh; validate_mesh checks it too
 _MIN_ANGLE_DEG = 20.0
+# reach (in pitches) past each clearance band of the points that the early
+# rejection triangulates: a little more than the longest edge a mesh may keep,
+# 1.5 target_h (1.76 pitches)
+_NEAR_PITCHES = 2.0
 
 
 @dataclass
@@ -260,6 +268,17 @@ def _generate_once(domain, inclusion, target_h, offset):
     pts.append(free_pts)
     points = np.vstack(pts)
 
+    # the near-curve points (both rings, the offset layers and the lattice
+    # points within reach of a clearance band) hold the corners of the defects
+    # that sink an offset; the full triangulation's triangles with near corners
+    # are all in their triangulation too
+    near = np.abs(domain.signed_radial_margin(points)) < clear_omega + _NEAR_PITCHES * pitch
+    if inclusion is not None:
+        near |= np.abs(curve_d.signed_radial_margin(points)) < clear_d + _NEAR_PITCHES * pitch
+    defect = _certain_defect(points, np.flatnonzero(near), domain, target_h)
+    if defect is not None:
+        raise MeshQualityError(defect)
+
     tri = Delaunay(points)
     if len(tri.coplanar):
         raise MeshQualityError("Delaunay dropped input points")
@@ -291,6 +310,56 @@ def _generate_once(domain, inclusion, target_h, offset):
         raise MeshQualityError(
             f"min angle {min_angle:.2f} deg, h_max {mesh.h_max:.4f} (target {target_h})")
     return mesh
+
+
+def _certain_defect(points, near, domain, target_h):
+    """A quality defect that the Delaunay triangulation of points must contain.
+
+    Triangulates only points[near].  A triangle there that fails the quality
+    floor by a clear margin, has its centroid inside the domain and whose
+    circumcircle holds none of the other points is, by the empty-circle lemma,
+    in every Delaunay triangulation of points, so the full attempt would fail
+    on it.  Returns its description, or None when no defect is certain.
+    """
+    triangles = near[Delaunay(points[near]).simplices]
+    p = points[triangles]
+    longest = _edge_lengths(points, triangles).max(axis=0)
+    smallest = _tri_angles_deg(points, triangles).min(axis=0)
+    centroids = p.mean(axis=1)
+    bad = (longest > 1.5 * target_h * (1 + 1e-9)) | (smallest < _MIN_ANGLE_DEG - 1e-6)
+    # centroid inside by more than the rounding of another corner order, and a
+    # circumcircle no wider than the near band: junk spanning the subset's holes
+    # is wider
+    bad &= domain.signed_radial_margin(centroids) > 1e-9 * target_h
+    center, radius = _circumcircles(p[bad])
+    small = radius < _NEAR_PITCHES * _PITCH * target_h
+    if not np.any(small):
+        return None
+    # the radius reaches all three corners, so a count of 3 is the corners alone
+    counts = cKDTree(points).query_ball_point(center[small], radius[small] * (1 + 1e-7),
+                                              return_length=True)
+    certain = np.flatnonzero(bad)[small][counts == 3]
+    if not len(certain):
+        return None
+    k = certain[0]
+    return (f"min angle {smallest[k]:.2f} deg, longest edge {longest[k]:.4f} "
+            f"(target {target_h}) at ({centroids[k, 0]:.4f}, {centroids[k, 1]:.4f}), "
+            f"found before the full triangulation")
+
+
+def _circumcircles(p):
+    """Centres of the circumcircles of triangles p (T, 3, 2) and, as radius,
+    the largest distance from the centre to a corner."""
+    a = p[:, 1] - p[:, 0]
+    b = p[:, 2] - p[:, 0]
+    d = 2.0 * (a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0])
+    a2 = np.einsum("ij,ij->i", a, a)
+    b2 = np.einsum("ij,ij->i", b, b)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a flat triangle has none
+        center = p[:, 0] + np.stack([b[:, 1] * a2 - a[:, 1] * b2,
+                                     a[:, 0] * b2 - b[:, 0] * a2], axis=-1) / d[:, None]
+    radius = np.hypot(*(p - center[:, None]).transpose(2, 0, 1)).max(axis=1)
+    return center, radius
 
 
 def _orient_ccw(points, triangles):

@@ -180,6 +180,75 @@ class TestGenerate:
         validate_mesh(m2)
 
 
+ELLIPSE_12 = DomainSpec("ellipse", a=1.2, b=1.0)
+ELLIPSE_13 = DomainSpec("ellipse", a=1.3, b=1.0)
+# (domain, inclusion, target_h): the first passes on the first lattice offset
+# although its near-curve triangulation holds triangles below the quality
+# floor (whose circumcircles hold other points), the next two need a second
+# offset, the last three fail on every offset
+EARLY_CASES = [
+    (ELLIPSE_12, InclusionSpec("disk", radius=0.3), 0.1),
+    (ELLIPSE_12, None, 0.025),
+    (ELLIPSE_12, InclusionSpec("disk", radius=0.3), 0.025),
+    (ELLIPSE_13, None, 0.03),
+    (DomainSpec("disk", radius=1.0), InclusionSpec("ellipse", a=0.4, b=0.3), 0.03),
+    (DomainSpec("star", r0=1.0, eps=0.2, k=5), None, 0.05),
+]
+
+
+def _generate_bytes(domain, inclusion, target_h):
+    """Every array of the generated mesh as bytes, or None when generation fails."""
+    try:
+        mesh = generate(domain, inclusion, target_h)
+    except MeshQualityError:
+        return None
+    arrays = [mesh.vertices, mesh.triangles, mesh.region, mesh.boundary_loop,
+              mesh.boundary_params, mesh.interface_loop, mesh.interface_params]
+    return [None if a is None else a.tobytes() for a in arrays]
+
+
+class TestEarlyRejection:
+    def test_meshes_identical_without_the_check(self, monkeypatch):
+        shipped = [_generate_bytes(*case) for case in EARLY_CASES]
+        monkeypatch.setattr(meshgen, "_certain_defect", lambda *args: None)
+        unchecked = [_generate_bytes(*case) for case in EARLY_CASES]
+        assert [m is None for m in shipped] == [False, False, False, True, True, True]
+        assert shipped == unchecked
+
+    @pytest.mark.parametrize("domain,target_h,full", [(ELLIPSE_13, 0.03, 0),
+                                                      (ELLIPSE_12, 0.025, 1)])
+    def test_full_triangulations(self, monkeypatch, domain, target_h, full):
+        """A rejected offset never triangulates the whole point set."""
+        checked, calls = [], []
+        certain_defect, delaunay = meshgen._certain_defect, meshgen.Delaunay
+        monkeypatch.setattr(meshgen, "_certain_defect",
+                            lambda points, *a: checked.append(points)
+                            or certain_defect(points, *a))
+        monkeypatch.setattr(meshgen, "Delaunay",
+                            lambda points: calls.append(points) or delaunay(points))
+        try:
+            generate(domain, None, target_h)
+        except MeshQualityError:
+            pass
+        assert sum(any(p is q for q in checked) for p in calls) == full
+
+    def _long_edge(self, with_far_point):
+        # corners 0-2 form the near subset; the triangle's longest edge is 0.3,
+        # twice target_h, and its circumcircle has centre (0.15, -0.0625) and
+        # radius 0.1625; point 3 lies inside that circle but not in the subset
+        points = np.array([[0.0, 0.0], [0.3, 0.0], [0.15, 0.1], [0.15, -0.15]])
+        if not with_far_point:
+            points = points[:3]
+        return meshgen._certain_defect(points, np.arange(3),
+                                       DomainSpec("disk", radius=1.0), 0.1)
+
+    def test_defect_with_a_point_in_its_circumcircle_is_not_reported(self):
+        assert self._long_edge(with_far_point=True) is None
+
+    def test_defect_with_an_empty_circumcircle_is_reported(self):
+        assert "longest edge 0.3000" in self._long_edge(with_far_point=False)
+
+
 class TestRefine:
     def test_triangle_count_times_four(self, concentric_mesh):
         fine = refine(concentric_mesh)
@@ -280,7 +349,7 @@ class TestConnectivity:
                             lambda tris: tables.append(len(tris)) or table(tris))
         full_report(DomainSpec("ellipse", a=1.2, b=1.0), InclusionSpec("disk", radius=0.3),
                     2.0, 0.1, refine_levels=1)
-        # one table per generate attempt, one for the refined mesh
+        # one table per triangulated attempt, one for the refined mesh
         assert len(attempts) >= 1 and len(tables) == len(attempts) + 1
         assert tables[-1] == 4 * tables[-2]
 
