@@ -4,7 +4,9 @@ Exit codes: 0 success, 2 validation error, 3 solver/mesh failure or failed
 numerical self-check, 4 internal error (any other exception, with its
 traceback in the manifest).  Artifact files (report.csv, fit.json, plot.svg,
 field.txt) are byte-deterministic for a fixed config; manifest.json carries the
-wall time and is not.
+wall time and is not.  Every report.csv is written from result records whose
+keys are its header: a SerrinReport's fields, a sweep row's keys plus status,
+so a column and the field it holds share one name.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .experiments import (
 from .fem_core import dump_field, evaluate, normal_derivative, solve_two_phase
 from .geometry import DomainSpec, InclusionSpec
 from .meshgen import generate, refine
-from .serrin_diagnostics import CSV_HEADER, EtaSpec, full_report
+from .serrin_diagnostics import EtaSpec, full_report
 
 COMMANDS = ("solve", "diagnose", "sweep-sigma", "sweep-inclusion",
             "sweep-stability", "frechet-check", "verify-identity", "nonexistence")
@@ -187,15 +189,16 @@ def load_config(path) -> RunConfig:
 # -- artifact writers ---------------------------------------------------------
 
 
-def _write_csv(path, header, rows):
-    """Header line, then one line per row: numbers as repr(float), text quoted
-    only when it contains a comma or a quote."""
+def _write_csv(path, rows):
+    """The keys of rows[0] as header, then the values of each row (a dict):
+    numbers as repr(float), text quoted only when it contains a comma or a
+    quote."""
     with open(path, "w", newline="") as fh:
-        fh.write(header + "\n")
         writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(rows[0])
         for row in rows:
             writer.writerow(repr(float(v)) if isinstance(v, (int, float, np.floating))
-                            and not isinstance(v, bool) else str(v) for v in row)
+                            and not isinstance(v, bool) else str(v) for v in row.values())
 
 
 def _fit_json(sweep: SweepResult) -> dict:
@@ -273,13 +276,6 @@ def emit_plot(sweep: SweepResult, path) -> bool:
 # -- command execution ---------------------------------------------------------
 
 
-def _sweep_csv_rows(sweep: SweepResult, columns):
-    rows = []
-    for row, ex in zip(sweep.rows, sweep.excluded):
-        rows.append([row[c] for c in columns] + ["excluded" if ex else "kept"])
-    return rows
-
-
 def _execute(cfg: RunConfig, outdir: Path, jobs: int) -> dict:
     inclusion = None if cfg.inclusion.is_none else cfg.inclusion
     summary = {}
@@ -291,38 +287,38 @@ def _execute(cfg: RunConfig, outdir: Path, jobs: int) -> dict:
         tr = normal_derivative(mesh, u)
         center_val = evaluate(mesh, u, cfg.domain.center)
         flux = float(tr.values @ tr.weights)
-        _write_csv(outdir / "report.csv",
-                   "center_value,min_value,max_value,boundary_flux_total,h_max",
-                   [[center_val, float(u.values.min()), float(u.values.max()),
-                     flux, mesh.h_max]])
+        _write_csv(outdir / "report.csv", [{
+            "center_value": center_val, "min_value": float(u.values.min()),
+            "max_value": float(u.values.max()), "boundary_flux_total": flux,
+            "h_max": mesh.h_max}])
         with open(outdir / "field.txt", "w", newline="\n") as fh:
             dump_field(mesh, u, fh)
         summary["center_value"] = center_val
     elif cfg.command == "diagnose":
         rep = full_report(cfg.domain, inclusion, cfg.sigma_c, cfg.target_h,
                           eta=cfg.eta, refine_levels=cfg.refine_levels)
-        _write_csv(outdir / "report.csv", CSV_HEADER, [rep.csv_row().split(",")])
+        _write_csv(outdir / "report.csv", [asdict(rep)])
         summary["gap"] = rep.gap
     elif cfg.command == "verify-identity":
         rep0 = full_report(cfg.domain, inclusion, cfg.sigma_c, cfg.target_h)
         rep1 = full_report(cfg.domain, inclusion, cfg.sigma_c, cfg.target_h,
                            refine_levels=1)
-        ratio = rep0.FI_relative_gap / max(rep1.FI_relative_gap, 1e-300)
-        _write_csv(outdir / "report.csv",
-                   "level,h_max,FI_lhs,FI_rhs,FI_gap,gap_reduction",
-                   [[0, rep0.h_max, rep0.FI_lhs, rep0.FI_rhs, rep0.FI_relative_gap, 1.0],
-                    [1, rep1.h_max, rep1.FI_lhs, rep1.FI_rhs, rep1.FI_relative_gap, ratio]])
-        summary["FI_gap"] = rep1.FI_relative_gap
+        ratio = rep0.FI_gap / max(rep1.FI_gap, 1e-300)
+        _write_csv(outdir / "report.csv", [
+            {"level": level, "h_max": rep.h_max, "FI_lhs": rep.FI_lhs,
+             "FI_rhs": rep.FI_rhs, "FI_gap": rep.FI_gap, "gap_reduction": reduction}
+            for level, rep, reduction in ((0, rep0, 1.0), (1, rep1, ratio))])
+        summary["FI_gap"] = rep1.FI_gap
     elif cfg.command == "nonexistence":
         th = nonexistence_threshold(cfg.domain, cfg.fitted_C2, cfg.fitted_C3,
                                     cfg.target_h)
-        _write_csv(outdir / "report.csv", "gap,sigma_threshold,area_threshold,label",
-                   [[th.gap, th.sigma_threshold, th.area_threshold, th.label]])
+        _write_csv(outdir / "report.csv", [asdict(th)])
         summary["sigma_threshold"] = th.sigma_threshold
     else:
-        sweep, columns = _run_sweep(cfg, inclusion, jobs)
-        _write_csv(outdir / "report.csv", ",".join(columns) + ",status",
-                   _sweep_csv_rows(sweep, columns))
+        sweep = _run_sweep(cfg, inclusion, jobs)
+        _write_csv(outdir / "report.csv",
+                   [dict(row, status="excluded" if ex else "kept")
+                    for row, ex in zip(sweep.rows, sweep.excluded)])
         with open(outdir / "fit.json", "w", newline="\n") as fh:
             json.dump(_fit_json(sweep), fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -337,20 +333,16 @@ def _execute(cfg: RunConfig, outdir: Path, jobs: int) -> dict:
 
 def _run_sweep(cfg: RunConfig, inclusion, jobs):
     if cfg.command == "sweep-sigma":
-        sweep = sigma_sweep(cfg.domain, inclusion, cfg.t_values, cfg.target_h,
-                            window=cfg.window, jobs=jobs)
-        return sweep, ["t", "delta_trace_Linf", "dev_L2", "dev_Linf"]
+        return sigma_sweep(cfg.domain, inclusion, cfg.t_values, cfg.target_h,
+                           window=cfg.window, jobs=jobs)
     if cfg.command == "sweep-inclusion":
-        sweep = inclusion_sweep(cfg.domain, cfg.sigma_c, cfg.inclusion_radii,
-                                cfg.target_h, window=cfg.window, jobs=jobs)
-        return sweep, ["radius", "area_D", "grad_w_boundary_Linf", "margin"]
+        return inclusion_sweep(cfg.domain, cfg.sigma_c, cfg.inclusion_radii,
+                               cfg.target_h, window=cfg.window, jobs=jobs)
     if cfg.command == "sweep-stability":
-        sweep = one_phase_stability_sweep(cfg.family, cfg.target_h,
-                                          window=cfg.window, jobs=jobs)
-        return sweep, ["gap", "dev_L2", "dev_Linf"]
-    sweep = frechet_check(cfg.domain, inclusion, cfg.t0, cfg.epsilon_values,
-                          cfg.target_h, window=cfg.window)
-    return sweep, ["epsilon", "fd_error_L2"]
+        return one_phase_stability_sweep(cfg.family, cfg.target_h,
+                                         window=cfg.window, jobs=jobs)
+    return frechet_check(cfg.domain, inclusion, cfg.t0, cfg.epsilon_values,
+                         cfg.target_h, window=cfg.window)
 
 
 def run_dir(cfg: RunConfig) -> Path:

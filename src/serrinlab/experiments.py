@@ -61,7 +61,7 @@ class SweepResult:
 
     kind: str
     parameters: list
-    rows: list                      # one metric dict per parameter, same order
+    rows: list                      # per parameter, same order: its report.csv columns
     fit: Optional[FitResult]
     window: int
     floors: dict = dc_field(default_factory=dict)
@@ -139,6 +139,7 @@ def _parallel_map(fn, items, jobs):
 
 
 def _stability_member(args):
+    """(row, h_max) of one family member."""
     domain, target_h = args
     mesh = generate(domain, None, target_h)
     v = solve_one_phase(mesh)
@@ -147,8 +148,7 @@ def _stability_member(args):
     dev_l2, dev_linf = deviation_norms(tr, c)
     z = max_point(mesh, v)
     rho_i, rho_e = rho_bounds(domain, z)
-    return {"gap": rho_e - rho_i, "dev_L2": dev_l2, "dev_Linf": dev_linf,
-            "h_max": mesh.h_max}
+    return {"gap": rho_e - rho_i, "dev_L2": dev_l2, "dev_Linf": dev_linf}, mesh.h_max
 
 
 def one_phase_stability_sweep(family, target_h, window=4, jobs=1) -> SweepResult:
@@ -160,8 +160,9 @@ def one_phase_stability_sweep(family, target_h, window=4, jobs=1) -> SweepResult
     pin_one_blas_thread()
     if len(family) < 1:
         raise ValidationError("stability sweep: empty family")
-    rows = _parallel_map(_stability_member, [(d, target_h) for d in family], jobs)
-    floor_row = _stability_member((DomainSpec("disk", radius=1.0), target_h))
+    results = _parallel_map(_stability_member, [(d, target_h) for d in family], jobs)
+    rows = [row for row, _ in results]
+    floor_row, _ = _stability_member((DomainSpec("disk", radius=1.0), target_h))
     floors = {"gap": floor_row["gap"], "dev_Linf": floor_row["dev_Linf"],
               "dev_L2": floor_row["dev_L2"]}
     excluded = [r["gap"] <= FLOOR_FACTOR * floors["gap"]
@@ -178,7 +179,7 @@ def one_phase_stability_sweep(family, target_h, window=4, jobs=1) -> SweepResult
     else:
         status = "degenerate: exact case" if all(excluded) else "degenerate: too few points"
     return SweepResult("stability", [r["gap"] for r in rows], rows, fit, window, floors,
-                       excluded, constants, status, max(r["h_max"] for r in rows), points)
+                       excluded, constants, status, max(h for _, h in results), points)
 
 
 # -- sigma_c -> 1 ----------------------------------------------------------
@@ -284,15 +285,15 @@ def _grad_w_boundary(mesh, u, v):
 
 
 def _inclusion_member(args):
+    """(row, M, h_max) of one inclusion radius."""
     domain, sigma_c, r, target_h = args
     inclusion = InclusionSpec("disk", center=domain.center, radius=r)
     mesh = generate(domain, inclusion, target_h)
     u = solve_two_phase(mesh, sigma_c)
     v = solve_one_phase(mesh)
-    return {"radius": r, "area_D": inclusion.area(),
-            "grad_w_boundary_Linf": _grad_w_boundary(mesh, u, v),
-            "margin": mesh.margin.margin, "M": mesh.margin.M,
-            "h_max": mesh.h_max}
+    return ({"radius": r, "area_D": exact_area(inclusion.to_domain()),
+             "grad_w_boundary_Linf": _grad_w_boundary(mesh, u, v),
+             "margin": mesh.margin.margin}, mesh.margin.M, mesh.h_max)
 
 
 def inclusion_sweep(domain, sigma_c, radii, target_h, window=4, jobs=1) -> SweepResult:
@@ -305,28 +306,29 @@ def inclusion_sweep(domain, sigma_c, radii, target_h, window=4, jobs=1) -> Sweep
     radii = list(radii)
     if any(radii[i] <= radii[i + 1] for i in range(len(radii) - 1)):
         raise ValidationError("inclusion sweep: radii must decrease toward 0")
-    rows = _parallel_map(_inclusion_member,
-                         [(domain, sigma_c, r, target_h) for r in radii], jobs)
+    results = _parallel_map(_inclusion_member,
+                            [(domain, sigma_c, r, target_h) for r in radii], jobs)
+    rows = [row for row, _, _ in results]
     m0 = rows[0]
     if any(r["margin"] < m0["margin"] - 1e-12 for r in rows):
         raise ValidationError("inclusion sweep: margin shrank below the fixed 1/M")
 
     # floor: concentric disks where the boundary flux is radius-independent
-    floor_row = _inclusion_member((DomainSpec("disk", radius=1.0), sigma_c,
-                                   radii[-1], target_h))
+    floor_row, _, _ = _inclusion_member((DomainSpec("disk", radius=1.0), sigma_c,
+                                         radii[-1], target_h))
     floor = floor_row["grad_w_boundary_Linf"]
     floors = {"grad_w_boundary_Linf": floor}
     excluded = [r["grad_w_boundary_Linf"] <= FLOOR_FACTOR * floor for r in rows]
     points = [(r["area_D"], r["grad_w_boundary_Linf"]) for r in rows]
     fit, kept = _fit_kept(points, excluded, window)
-    constants = {"M": m0["M"], "slope_floor_coarse": 0.5, "slope_improved": 1.0}
+    constants = {"M": results[0][1], "slope_floor_coarse": 0.5, "slope_improved": 1.0}
     if fit is not None:
         constants["C3_like_max_ratio"] = max(y / math.sqrt(x) for x, y in kept)
         status = "ok"
     else:
         status = "degenerate: exact solution family"
     return SweepResult("inclusion", radii, rows, fit, window, floors, excluded,
-                       constants, status, max(r["h_max"] for r in rows), points)
+                       constants, status, max(h for *_, h in results), points)
 
 
 # -- non-existence thresholds -------------------------------------------------
@@ -348,7 +350,7 @@ def nonexistence_threshold(domain, fitted_C2, fitted_C3, target_h) -> ThresholdR
     """
     if fitted_C2 <= 0 or fitted_C3 <= 0:
         raise ValidationError("nonexistence: fitted constants must be positive")
-    gap = _stability_member((domain, target_h))["gap"]
+    gap = _stability_member((domain, target_h))[0]["gap"]
     if gap <= FLOOR_FACTOR * target_h ** 2:
         raise ValidationError(
             "nonexistence: domain indistinguishable from a ball at this resolution")

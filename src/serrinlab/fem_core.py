@@ -29,7 +29,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .errors import SolverError, ValidationError
-from .meshgen import Mesh
+from .meshgen import Mesh, dump_mesh
 
 
 # CG stops at this relative residual, or fails after 20 sqrt(n) + 1000
@@ -410,8 +410,6 @@ def l2_norm(mesh: Mesh, values: np.ndarray) -> float:
 
 def dump_field(mesh: Mesh, f: Field, fh):
     """Mesh dump plus a VALUES section (17 significant digits)."""
-    from .meshgen import dump_mesh
-
     dump_mesh(mesh, fh)
     fh.write("VALUES\n")
     for v in f.values:

@@ -24,6 +24,9 @@ TWO_PI = 2.0 * math.pi
 # (bisection alone takes the 4 pi/256 bracket below 1e-14 in 43 halvings)
 _FOOT_STEP_TOL = 1e-14
 _FOOT_MAX_ITER = 60
+# curve samples that seed the foot-point searches; the star diameter takes more
+_BOUNDARY_SAMPLES = 256
+_DIAMETER_SAMPLES = 512
 
 
 def _newton_root(fn, x, half_width):
@@ -80,7 +83,6 @@ class DomainSpec:
     r0: Optional[float] = None
     eps: Optional[float] = None
     k: Optional[int] = None
-    boundary_samples: int = 256
 
     def __post_init__(self):
         if self.kind == "disk":
@@ -98,8 +100,6 @@ class DomainSpec:
                 raise ValidationError("domain.k: require integer k >= 1")
         else:
             raise ValidationError(f"domain.kind: unknown kind {self.kind!r}")
-        if self.boundary_samples < 64 or self.boundary_samples % 2 != 0:
-            raise ValidationError("domain.boundary_samples: must be >= 64 and even")
 
     # -- parametric curve ---------------------------------------------------
 
@@ -192,22 +192,13 @@ class InclusionSpec:
     def is_none(self):
         return self.kind == "none"
 
-    def to_domain(self, boundary_samples=256):
+    def to_domain(self):
         """View the inclusion boundary as a DomainSpec (shares curve machinery)."""
         if self.is_none:
             raise ValidationError("inclusion.kind: 'none' has no boundary curve")
         if self.kind == "disk":
-            return DomainSpec("disk", center=self.center, radius=self.radius,
-                              boundary_samples=boundary_samples)
-        return DomainSpec("ellipse", center=self.center, a=self.a, b=self.b,
-                          boundary_samples=boundary_samples)
-
-    def area(self):
-        if self.is_none:
-            return 0.0
-        if self.kind == "disk":
-            return math.pi * self.radius ** 2
-        return math.pi * self.a * self.b
+            return DomainSpec("disk", center=self.center, radius=self.radius)
+        return DomainSpec("ellipse", center=self.center, a=self.a, b=self.b)
 
 
 def serrin_constant(area: float, perimeter: float) -> float:
@@ -248,7 +239,7 @@ def diameter(spec: DomainSpec) -> float:
         return 2.0 * spec.radius
     if spec.kind == "ellipse":
         return 2.0 * spec.a
-    n = max(512, spec.boundary_samples)
+    n = _DIAMETER_SAMPLES
     t = TWO_PI * np.arange(n) / n
     p = spec.point(t)
     d2 = ((p[:, None, :] - p[None, :, :]) ** 2).sum(axis=-1)
@@ -277,11 +268,11 @@ def curvature_max(spec: DomainSpec) -> float:
 
 def _nearest_foot(spec: DomainSpec, pts) -> np.ndarray:
     """Foot-point parameters of pts: _foot_point in t_j +- 2 pi/n from the
-    nearest of n = max(boundary_samples, 256) samples (kd-tree), at distance
+    nearest of n = _BOUNDARY_SAMPLES samples (kd-tree), at distance
     d_s, and from every sample beyond one spacing of it within sqrt(d_s^2 +
     (l_max/2)^2), l_max the longest sample chord (near the medial axis the
     nearest foot may lie on another branch); the nearest foot wins."""
-    n = max(spec.boundary_samples, 256)
+    n = _BOUNDARY_SAMPLES
     t = TWO_PI * np.arange(n) / n
     samples = spec.point(t)
     tree = cKDTree(samples)
@@ -317,7 +308,7 @@ def rho_bounds(spec: DomainSpec, z) -> tuple:
     z = np.asarray(z, dtype=float)
     if spec.signed_radial_margin(z[None, :])[0] <= 0:
         raise ValidationError("rho_bounds.z: must lie strictly inside the domain")
-    n = max(spec.boundary_samples, 256)
+    n = _BOUNDARY_SAMPLES
     t = TWO_PI * np.arange(n) / n
     je = int(np.argmax(((spec.point(t) - z) ** 2).sum(axis=-1)))
     te = _foot_point(spec, z, t[je], TWO_PI / n, sign=-1.0)

@@ -25,8 +25,8 @@ import scipy.sparse as sp
 from scipy.spatial import Delaunay, cKDTree
 
 from .errors import MeshQualityError, ValidationError
-from .geometry import (TWO_PI, DomainSpec, InclusionSpec, Margin, exact_perimeter,
-                       inclusion_margin)
+from .geometry import (TWO_PI, DomainSpec, InclusionSpec, Margin, curvature_max,
+                       exact_perimeter, inclusion_margin)
 
 # lattice pitch and ring spacing relative to target_h; clearance band half-width
 # relative to local ring spacing (tuned so the worst band triangle keeps its
@@ -228,7 +228,6 @@ def _generate_once(domain, inclusion, target_h, offset):
         band_d = depth * float(ell_loc_d.max())
         layers_d.append(layer_out)
         # inner layer only when the offset stays clear of the medial axis
-        from .geometry import curvature_max
         if band_d < 0.5 / curvature_max(curve_d):
             layer_in, _ = _offset_ring(curve_d, t_d, depth, -1.0)
             layers_d.append(layer_in)

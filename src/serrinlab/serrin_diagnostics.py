@@ -34,10 +34,6 @@ from .geometry import (
 )
 from .meshgen import Mesh, generate, refine
 
-CSV_HEADER = ("c,dev_L2,dev_Linf,z_x,z_y,rho_i,rho_e,gap,osc_h,"
-              "FI_lhs,FI_rhs,FI_gap,growth_min,h_max")
-
-
 @dataclass(frozen=True)
 class EtaSpec:
     """Boundary perturbation eta(theta) = amplitude * cos(mode*theta + phase)."""
@@ -49,40 +45,32 @@ class EtaSpec:
     def __call__(self, theta):
         return self.amplitude * np.cos(self.mode * np.asarray(theta) + self.phase)
 
-    def describe(self):
-        return f"{self.amplitude}*cos({self.mode}*theta+{self.phase})"
-
 
 @dataclass
 class SerrinReport:
+    """One `diagnose` result; its fields, in order, are the report.csv columns."""
+
     c: float
-    deviation_L2: float
-    deviation_Linf: float
-    z: tuple
+    dev_L2: float
+    dev_Linf: float
+    z_x: float
+    z_y: float
     rho_i: float
     rho_e: float
     gap: float
     osc_h: float
-    osc_identity_residual: float
     FI_lhs: float
     FI_rhs: float
-    FI_relative_gap: float
-    growth_ratio_min: float
+    FI_gap: float
+    growth_min: float
     h_max: float
-    eta: Optional[str] = None
 
     def __post_init__(self):
         if self.gap < -1e-12:
             raise ValidationError("report: gap must be nonnegative")
-        for name in ("FI_lhs", "FI_rhs", "FI_relative_gap"):
+        for name in ("FI_lhs", "FI_rhs", "FI_gap"):
             if not math.isfinite(getattr(self, name)):
                 raise ValidationError(f"report: {name} not finite")
-
-    def csv_row(self):
-        vals = (self.c, self.deviation_L2, self.deviation_Linf, self.z[0], self.z[1],
-                self.rho_i, self.rho_e, self.gap, self.osc_h, self.FI_lhs,
-                self.FI_rhs, self.FI_relative_gap, self.growth_ratio_min, self.h_max)
-        return ",".join(repr(float(v)) for v in vals)
 
 
 def max_point(mesh: Mesh, v: Field) -> np.ndarray:
@@ -224,13 +212,11 @@ def full_report(domain: DomainSpec, inclusion: Optional[InclusionSpec],
     tr_u = normal_derivative(mesh, u)
 
     eta_vals = None
-    eta_desc = None
     if eta is not None:
         theta = mesh.boundary_params
         raw = np.asarray(eta(theta), dtype=float)
         w = tr_u.weights
         eta_vals = raw - float((raw * w).sum() / w.sum())  # project to zero mean
-        eta_desc = eta.describe() if isinstance(eta, EtaSpec) else "custom"
     dev_l2, dev_linf = deviation_norms(tr_u, c, eta_vals)
 
     z = max_point(mesh, v)
@@ -245,12 +231,11 @@ def full_report(domain: DomainSpec, inclusion: Optional[InclusionSpec],
     growth = growth_check(mesh, v)
 
     report = SerrinReport(
-        c=c, deviation_L2=dev_l2, deviation_Linf=dev_linf,
-        z=(float(z[0]), float(z[1])), rho_i=rho_i, rho_e=rho_e,
-        gap=rho_e - rho_i, osc_h=osc.osc, osc_identity_residual=osc.residual,
-        FI_lhs=lhs, FI_rhs=rhs, FI_relative_gap=fi_gap,
-        growth_ratio_min=growth.ratio_min, h_max=mesh.h_max, eta=eta_desc)
+        c=c, dev_L2=dev_l2, dev_Linf=dev_linf, z_x=float(z[0]), z_y=float(z[1]),
+        rho_i=rho_i, rho_e=rho_e, gap=rho_e - rho_i, osc_h=osc.osc,
+        FI_lhs=lhs, FI_rhs=rhs, FI_gap=fi_gap, growth_min=growth.ratio_min,
+        h_max=mesh.h_max)
     # the L2/Linf deviation bridge holds exactly in the discrete norms
-    if report.deviation_L2 > math.sqrt(float(tr_u.weights.sum())) * report.deviation_Linf + 1e-12:
+    if report.dev_L2 > math.sqrt(float(tr_u.weights.sum())) * report.dev_Linf + 1e-12:
         raise DiagnosticError("report: discrete L2/Linf deviation bridge violated")
     return report

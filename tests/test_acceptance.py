@@ -89,11 +89,11 @@ def test_criterion_3_fundamental_identity():
     _reports.extend([(rep, ELLIPSE), (rep_fine, ELLIPSE)])
     lhs_rel = abs(rep.FI_lhs - FI_EXACT) / FI_EXACT
     rhs_rel = abs(rep.FI_rhs - FI_EXACT) / FI_EXACT
-    decay = rep.FI_relative_gap / max(rep_fine.FI_relative_gap, 1e-300)
-    ok = (lhs_rel <= 0.05 and rhs_rel <= 0.05 and rep.FI_relative_gap <= 0.05
+    decay = rep.FI_gap / max(rep_fine.FI_gap, 1e-300)
+    ok = (lhs_rel <= 0.05 and rhs_rel <= 0.05 and rep.FI_gap <= 0.05
           and decay >= 1.3)
     _verdict(3, ok, f"lhs off {lhs_rel:.2%}, rhs off {rhs_rel:.2%} (<=5% of "
-                    f"{FI_EXACT:.4g}), relgap {rep.FI_relative_gap:.1e} <= 0.05, "
+                    f"{FI_EXACT:.4g}), relgap {rep.FI_gap:.1e} <= 0.05, "
                     f"refine decay {decay:.1f}x >= 1.3")
 
 
@@ -219,8 +219,8 @@ def test_criterion_9_bridge_inequality():
     for rep, spec in _reports:
         # the discrete inequality uses the polygonal perimeter, which the
         # analytic perimeter dominates (inscribed polygon), so this holds too
-        assert rep.deviation_L2 <= math.sqrt(
-            exact_perimeter(spec)) * rep.deviation_Linf + 1e-12
+        assert rep.dev_L2 <= math.sqrt(
+            exact_perimeter(spec)) * rep.dev_Linf + 1e-12
         checked += 1
     ok = checked >= 2  # 4 when criterion 3 ran first in the same session
     _verdict(9, ok, f"dev_L2 <= sqrt(perimeter) * dev_Linf on all {checked} report rows")

@@ -4,6 +4,7 @@ import json
 import math
 import re
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -24,7 +25,7 @@ from serrinlab import cli_io, experiments, serrin_diagnostics
 from serrinlab.errors import ValidationError
 from serrinlab.experiments import FitResult, SweepResult
 from serrinlab.geometry import DomainSpec, InclusionSpec
-from serrinlab.serrin_diagnostics import CSV_HEADER, EtaSpec, OscCheck
+from serrinlab.serrin_diagnostics import EtaSpec, OscCheck, SerrinReport
 
 
 def _write(tmp_path, name, obj):
@@ -105,15 +106,13 @@ DISK = {"kind": "disk", "radius": 1.0}
 # every field set, each to a valid value of its type
 FULL_CFG = {
     "command": "sweep-sigma", "name": "typed", "output_dir": "out", "plot": False,
-    "domain": {"kind": "star", "center": [0.0, 0.0], "r0": 1.0, "eps": 0.1, "k": 3,
-               "boundary_samples": 256},
+    "domain": {"kind": "star", "center": [0.0, 0.0], "r0": 1.0, "eps": 0.1, "k": 3},
     "inclusion": {"kind": "disk", "center": [0.1, 0.0], "radius": 0.3},
     "sigma_c": 2.0, "target_h": 0.05, "refine_levels": 0, "window": 4,
     "t_values": [0.2, 0.1], "t0": 0.5, "epsilon_values": [0.1, 0.05],
     "inclusion_radii": [0.3, 0.2],
-    "family": [dict(DISK, center=[0.0, 0.0], boundary_samples=128),
-               {"kind": "ellipse", "center": [0.0, 0.0], "a": 1.2, "b": 1.0,
-                "boundary_samples": 256}],
+    "family": [dict(DISK, center=[0.0, 0.0]),
+               {"kind": "ellipse", "center": [0.0, 0.0], "a": 1.2, "b": 1.0}],
     "eta": {"amplitude": 0.01, "mode": 2, "phase": 0.0},
     "fitted_C2": 4.0, "fitted_C3": 2.0}
 
@@ -154,8 +153,9 @@ ILL_TYPED = [
     ({"command": "sweep-sigma", "domain": DISK, "t_values": "abc"}, "t_values"),
     ({"command": "solve", "domain": dict(DISK, center=[0])}, "domain.center"),
 ]
-# well-typed configs that once ran: a negative level count ran level 0, and a
-# name that is not one path component wrote outside the output root
+# well-typed configs that once ran: a negative level count ran level 0, a
+# name that is not one path component wrote outside the output root, and
+# domain.boundary_samples, a field no reader honoured below 256 samples
 BAD_VALUES = {
     "refine_levels-negative": (dict(DIAG_CFG, refine_levels=-2), "refine_levels"),
     "name-parent": (dict(DIAG_CFG, name="../escaped"), "name"),
@@ -163,6 +163,9 @@ BAD_VALUES = {
     "name-nested": (dict(DIAG_CFG, name="a/b"), "name"),
     "name-absolute": (dict(DIAG_CFG, name=str(Path(tempfile.gettempdir()) / "escaped")),
                       "name"),
+    "boundary_samples-unknown": (
+        dict(DIAG_CFG, domain=dict(DIAG_CFG["domain"], boundary_samples=256)),
+        "domain.boundary_samples"),
 }
 
 
@@ -234,12 +237,33 @@ class TestRun:
                                     output_dir=str(tmp_path)))
         assert run(cfg) == 0
         report = (tmp_path / "diag" / "report.csv").read_text().splitlines()
-        assert report[0] == CSV_HEADER
+        assert report[0].split(",") == [f.name for f in fields(SerrinReport)]
         row = dict(zip(report[0].split(","), map(float, report[1].split(","))))
+        assert all(map(math.isfinite, row.values()))
         assert row["gap"] == pytest.approx(0.2, abs=2e-3)
         manifest = json.loads((tmp_path / "diag" / "manifest.json").read_text())
         assert manifest["status"] == "ok"
         assert "wall_time_s" in manifest
+
+    @pytest.mark.parametrize("cfg", [
+        SIGMA_CFG,
+        {"command": "sweep-inclusion", "domain": DIAG_CFG["domain"], "sigma_c": 2.0,
+         "inclusion_radii": [0.4, 0.3, 0.2], "target_h": 0.1, "window": 3},
+        {"command": "sweep-stability", "target_h": 0.1,
+         "family": [{"kind": "ellipse", "a": a, "b": 1.0} for a in (1.2, 1.1)]},
+        {"command": "frechet-check", "domain": DIAG_CFG["domain"],
+         "inclusion": {"kind": "disk", "radius": 0.3}, "t0": 0.5,
+         "epsilon_values": [0.2, 0.1, 0.05], "target_h": 0.1},
+    ], ids=lambda cfg: cfg["command"])
+    def test_sweep_header_is_row_keys(self, cfg, tmp_path, monkeypatch):
+        sweeps = []
+        fit_json = cli_io._fit_json
+        monkeypatch.setattr(cli_io, "_fit_json",
+                            lambda sweep: sweeps.append(sweep) or fit_json(sweep))
+        assert run(config_from_dict(dict(cfg, name="s", output_dir=str(tmp_path)))) == 0
+        report = (tmp_path / "s" / "report.csv").read_text().splitlines()
+        assert report[0].split(",") == list(sweeps[0].rows[0]) + ["status"]
+        assert len(report) == len(sweeps[0].rows) + 1
 
     def test_solve_concentric_center_value(self, tmp_path):
         cfg = config_from_dict({

@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -6,13 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from serrinlab import fem_core
+from serrinlab.cli_io import _write_csv
 from serrinlab.errors import ValidationError
 from serrinlab.fem_core import normal_derivative, solve_one_phase, stiffness
 from serrinlab.geometry import DomainSpec, InclusionSpec
 from serrinlab.meshgen import generate, refine
 from serrinlab.serrin_diagnostics import (
-    CSV_HEADER,
     EtaSpec,
+    SerrinReport,
     deviation_norms,
     full_report,
     fundamental_identity,
@@ -206,27 +208,26 @@ class TestFullReport:
         rep = full_report(DomainSpec("disk", radius=1.0),
                           InclusionSpec("disk", radius=0.5), 2.0, 0.05)
         assert rep.gap == pytest.approx(0.0, abs=1e-10)
-        assert rep.deviation_Linf <= 10 * 0.05 ** 2
+        assert rep.dev_Linf <= 10 * 0.05 ** 2
         assert rep.c == pytest.approx(-0.5, abs=1e-12)
 
     @pytest.mark.parametrize("sigma_c", [0.5, 2.0, 5.0])
     def test_concentric_exactness_across_sigma(self, sigma_c):
         rep = full_report(DomainSpec("disk", radius=1.0),
                           InclusionSpec("disk", radius=0.5), sigma_c, 0.05)
-        assert rep.deviation_Linf <= 10 * 0.05 ** 2
+        assert rep.dev_Linf <= 10 * 0.05 ** 2
 
     def test_ellipse_reference(self):
         rep = full_report(DomainSpec("ellipse", a=1.2, b=1.0), None, 1.0, 0.05)
         assert rep.gap == pytest.approx(0.2, abs=1e-3)
-        assert rep.deviation_Linf == pytest.approx(0.0525, abs=2e-3)
+        assert rep.dev_Linf == pytest.approx(0.0525, abs=2e-3)
         assert rep.osc_h == pytest.approx(0.11, abs=1e-3)
 
     def test_disk_with_eta(self):
         rep = full_report(DomainSpec("disk", radius=1.0), None, 1.0, 0.05,
                           eta=EtaSpec(0.01, 1))
-        assert rep.deviation_Linf == pytest.approx(0.01, abs=5e-3)
-        assert rep.deviation_Linf > 5e-3  # eta is not absorbed on the disk
-        assert rep.eta == "0.01*cos(1*theta+0.0)"
+        assert rep.dev_Linf == pytest.approx(0.01, abs=5e-3)
+        assert rep.dev_Linf > 5e-3  # eta is not absorbed on the disk
 
     def test_bridge_inequality_on_reports(self):
         for rep, perim in ((full_report(DomainSpec("ellipse", a=1.2, b=1.0),
@@ -234,7 +235,7 @@ class TestFullReport:
                            (full_report(DomainSpec("disk", radius=1.0),
                                         InclusionSpec("disk", radius=0.5),
                                         2.0, 0.08), 2 * math.pi)):
-            assert rep.deviation_L2 <= math.sqrt(perim) * rep.deviation_Linf + 1e-12
+            assert rep.dev_L2 <= math.sqrt(perim) * rep.dev_Linf + 1e-12
 
     @pytest.mark.parametrize("inclusion,assemblies", [
         (None, 1), (InclusionSpec("disk", radius=0.5), 2)])
@@ -245,8 +246,10 @@ class TestFullReport:
         full_report(DomainSpec("disk", radius=1.0), inclusion, 2.0, 0.1)
         assert len(calls) == assemblies
 
-    def test_csv_row_shape(self):
+    def test_csv_row_shape(self, tmp_path):
         rep = full_report(DomainSpec("disk", radius=1.0), None, 1.0, 0.1)
-        row = rep.csv_row()
-        assert len(row.split(",")) == len(CSV_HEADER.split(","))
+        _write_csv(tmp_path / "report.csv", [asdict(rep)])
+        header, row = (tmp_path / "report.csv").read_text().splitlines()
+        assert header.split(",") == [f.name for f in fields(SerrinReport)]
+        assert len(row.split(",")) == len(header.split(","))
         assert all(math.isfinite(float(tok)) for tok in row.split(","))

@@ -43,8 +43,6 @@ class TestPolygonize:
             DomainSpec("disk", radius=-1.0)
         with pytest.raises(ValidationError):
             DomainSpec("star", r0=1.0, eps=1.0, k=3)
-        with pytest.raises(ValidationError):
-            DomainSpec("disk", radius=1.0, boundary_samples=63)
 
 
 class TestAreaPerimeter:
@@ -208,7 +206,7 @@ def reference_distance_to_boundary(spec, pts):
     """Chunked scan of the curve samples plus golden-section refinement
     (parameter tolerance 1e-10), for comparison."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    n = max(spec.boundary_samples, 256)
+    n = geometry._BOUNDARY_SAMPLES
     t = TWO_PI * np.arange(n) / n
     curve = spec.point(t)
     out = np.empty(len(pts))
