@@ -185,8 +185,17 @@ def one_phase_stability_sweep(family, target_h, window=4, jobs=1) -> SweepResult
 # -- sigma_c -> 1 ----------------------------------------------------------
 
 
+def _sigma_base(domain, inclusion, target_h):
+    """(mesh, one-phase trace values, base dev_Linf, c) that the members share."""
+    mesh = generate(domain, inclusion, target_h)
+    base = normal_derivative(mesh, solve_one_phase(mesh))
+    c = serrin_constant(exact_area(domain), exact_perimeter(domain))
+    _, base_dev = deviation_norms(base, c)
+    return mesh, base.values, base_dev, c
+
+
 def _sigma_member(args):
-    mesh, t, base_trace, base_dev, c = args
+    (mesh, base_trace, base_dev, c), t = args
     u = solve_two_phase(mesh, 1.0 + t)
     tr = normal_derivative(mesh, u)
     diff = float(np.abs(tr.values - base_trace).max())
@@ -208,22 +217,16 @@ def sigma_sweep(domain, inclusion, t_values, target_h, window=4, jobs=1) -> Swee
     t_values = list(t_values)
     if any(t <= -1.0 for t in t_values):
         raise ValidationError("sigma sweep: t must stay above -1")
-    mesh = generate(domain, inclusion, target_h)
-    u0 = solve_one_phase(mesh)
-    base = normal_derivative(mesh, u0)
-    c = serrin_constant(exact_area(domain), exact_perimeter(domain))
-    _, base_dev = deviation_norms(base, c)
-    rows = _parallel_map(_sigma_member,
-                         [(mesh, t, base.values, base_dev, c) for t in t_values], jobs)
+    base = _sigma_base(domain, inclusion, target_h)
+    mesh, _, base_dev, _ = base
+    rows = _parallel_map(_sigma_member, [(base, t) for t in t_values], jobs)
 
     # floor: concentric disks (an exact solution family: the flux is t-independent)
     r_f = inclusion.radius if inclusion is not None and inclusion.kind == "disk" else 0.5
-    floor_mesh = generate(DomainSpec("disk", radius=1.0),
-                          InclusionSpec("disk", radius=min(0.5, r_f)), target_h)
-    f0 = normal_derivative(floor_mesh, solve_one_phase(floor_mesh)).values
+    floor_base = _sigma_base(DomainSpec("disk", radius=1.0),
+                             InclusionSpec("disk", radius=min(0.5, r_f)), target_h)
     t_big = max(abs(t) for t in t_values)
-    fu = solve_two_phase(floor_mesh, 1.0 + t_big)
-    floor = float(np.abs(normal_derivative(floor_mesh, fu).values - f0).max())
+    floor = _sigma_member((floor_base, t_big))["delta_trace_Linf"]
     floors = {"delta_trace_Linf": floor}
 
     excluded = [r["delta_trace_Linf"] <= FLOOR_FACTOR * floor for r in rows]

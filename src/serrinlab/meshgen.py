@@ -1,21 +1,25 @@
 """Conforming triangulation of the domain with the inclusion boundary resolved.
 
-Strategy: sample both analytic curves at spacing ~ target_h, lay a hexagonal
-lattice in the bulk with a clearance band around each curve and Delaunay-
-triangulate the combined point set.  A triangulation that misses a curve edge
-is rejected like one of poor quality, and the next lattice offset is tried.
-Conductivity is then constant per element by construction.  An offset is
-rejected before the full triangulation when the Delaunay triangulation of the
-near-curve points alone holds a defect whose circumcircle is empty of all
-points, since the full one then holds it too; every mesh kept still comes from
-the full triangulation, so this cannot change a mesh.  Each Mesh builds its
-edge table, interior vertex index and vertex adjacency once, on first use.
+Strategy: sample each analytic curve once per mesh at spacing ~ target_h (one
+staggered offset layer inside the outer boundary; one outside the inclusion,
+plus one inside where it clears the medial axis), lay a hexagonal lattice in
+the bulk with a clearance band around each curve and Delaunay-triangulate the
+combined point set.  A triangulation that misses a curve edge is rejected like
+one of poor quality, and the next lattice offset is tried; a retry re-lays
+only the lattice.  Conductivity is then constant per element by construction.
+An offset is rejected before the full triangulation when the Delaunay
+triangulation of the near-curve points alone holds a defect whose
+circumcircle is empty of all points, since the full one then holds it too;
+every mesh kept still comes from the full triangulation, so this cannot change
+a mesh.  Each Mesh builds its edge table, interior vertex index and vertex
+adjacency once, on first use.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
@@ -161,8 +165,9 @@ def generate(domain: DomainSpec, inclusion: Optional[InclusionSpec],
              target_h: float) -> Mesh:
     """Build a conforming mesh with h_max <= 1.5 * target_h and min angle >= 20 deg.
 
-    Deterministic for fixed (specs, target_h); retries a fixed schedule of
-    lattice offsets before giving up with a quality report.
+    Deterministic for fixed (specs, target_h).  Each curve is sampled once;
+    a fixed schedule of lattice offsets is then tried, each retry re-laying
+    only the lattice, before giving up with a quality report.
     """
     if target_h is None or target_h <= 0:
         raise ValidationError("target_h: must be positive")
@@ -171,17 +176,59 @@ def generate(domain: DomainSpec, inclusion: Optional[InclusionSpec],
     # raises if D touches/exits Omega
     margin = inclusion_margin(domain, inclusion) if inclusion is not None else None
 
+    # one staggered layer inside the boundary keeps the boundary-adjacent strip
+    # structurally regular (flux recovery quality depends on it); the inclusion
+    # gets one outside and one inside where that clears its medial axis
+    rings = [_sample_curve(domain, target_h, 32, (-1.0,))]
+    if inclusion is not None:
+        rings.append(_sample_curve(inclusion.to_domain(), target_h, 12, (+1.0, -1.0)))
+    # the offset layers of one curve must stay out of the other curve's band
+    layers = [layer[_clear_of(rings, layer, skip=k)]
+              for k, ring in enumerate(rings) for layer in ring.layers]
+
     reports = []
     for offset in _OFFSETS:
         try:
-            mesh = _generate_once(domain, inclusion, target_h, offset)
+            return _generate_once(domain, inclusion, target_h, margin, rings, layers, offset)
         except MeshQualityError as exc:
             reports.append(f"offset {offset}: {exc}")
-            continue
-        mesh.margin = margin
-        return mesh
     raise MeshQualityError(
         f"mesh quality unreachable for target_h={target_h}: {'; '.join(reports)}")
+
+
+# a curve sampled for meshing: ring parameters t and points, the staggered
+# offset layers, and the half-width of the clearance band around the curve
+_Ring = namedtuple("_Ring", "curve t points layers clear")
+
+
+def _sample_curve(curve, target_h, n_min, signs):
+    """Sample curve at spacing ~ _PITCH * target_h (at least n_min points).
+
+    Lays one staggered layer per sign (-1 inward, +1 outward); a layer after
+    the first only when the band stays clear of the medial axis.
+    """
+    perim = exact_perimeter(curve)
+    n = max(n_min, int(math.ceil(perim / (_PITCH * target_h))))
+    t = TWO_PI * np.arange(n) / n
+    depth = math.sqrt(3.0) / 2.0
+    first, ell_loc = _offset_ring(curve, t, depth, signs[0])
+    band = depth * float(ell_loc.max())
+    layers = [first]
+    if len(signs) > 1 and band < 0.5 / curvature_max(curve):
+        layers += [_offset_ring(curve, t, depth, sign)[0] for sign in signs[1:]]
+    return _Ring(curve, t, curve.point(t), layers, band + _CLEARANCE * (perim / n) - 1e-12)
+
+
+def _clear_of(rings, pts, skip=None):
+    """Mask of pts outside the clearance band of every ring but rings[skip]:
+    inside the outer boundary (rings[0]) by its clearance, and at least the
+    clearance away from an inclusion curve on either side."""
+    keep = np.ones(len(pts), dtype=bool)
+    for k, ring in enumerate(rings):
+        if k != skip:
+            margin = ring.curve.signed_radial_margin(pts)
+            keep &= (np.abs(margin) if k else margin) >= ring.clear
+    return keep
 
 
 def _offset_ring(curve, t, depth_factor, sign):
@@ -199,81 +246,33 @@ def _offset_ring(curve, t, depth_factor, sign):
     return curve.point(tm) + sign * depth_factor * ell[:, None] * normal, ell
 
 
-def _generate_once(domain, inclusion, target_h, offset):
-    perim = exact_perimeter(domain)
-    n_omega = max(32, int(math.ceil(perim / (_PITCH * target_h))))
-    t_omega = TWO_PI * np.arange(n_omega) / n_omega
-    ring_omega = domain.point(t_omega)
-    ell_omega = perim / n_omega
-    # one staggered layer inside the boundary keeps the boundary-adjacent strip
-    # structurally regular (flux recovery quality depends on it)
-    depth = math.sqrt(3.0) / 2.0
-    layer_omega, ell_loc_omega = _offset_ring(domain, t_omega, depth, -1.0)
-    band_omega = depth * float(ell_loc_omega.max())
-
-    pts = [ring_omega]
-    n_d = 0
-    band_d = 0.0
-    ell_d = 0.0
-    layers_d = []
-    if inclusion is not None:
-        curve_d = inclusion.to_domain()
-        perim_d = exact_perimeter(curve_d)
-        n_d = max(12, int(math.ceil(perim_d / (_PITCH * target_h))))
-        t_d = TWO_PI * np.arange(n_d) / n_d
-        ring_d = curve_d.point(t_d)
-        ell_d = perim_d / n_d
-        pts.append(ring_d)
-        layer_out, ell_loc_d = _offset_ring(curve_d, t_d, depth, +1.0)
-        band_d = depth * float(ell_loc_d.max())
-        layers_d.append(layer_out)
-        # inner layer only when the offset stays clear of the medial axis
-        if band_d < 0.5 / curvature_max(curve_d):
-            layer_in, _ = _offset_ring(curve_d, t_d, depth, -1.0)
-            layers_d.append(layer_in)
-
+def _generate_once(domain, inclusion, target_h, margin, rings, layers, offset):
+    """One attempt: the lattice at offset around the sampled rings and their
+    filtered layers, triangulated and checked; raises MeshQualityError."""
     pitch = _PITCH * target_h
     extent = float(np.max(np.abs(domain.point(
         TWO_PI * np.arange(512) / 512) - np.asarray(domain.center)))) + 2 * pitch
     lattice = _hex_lattice(domain.center, extent, pitch, offset)
-
-    # per-class clearance filters: the offset layers of one curve must stay out
-    # of the other curve's band; the lattice stays out of both bands
-    clear_omega = band_omega + _CLEARANCE * ell_omega - 1e-12
-    clear_d = band_d + _CLEARANCE * ell_d - 1e-12 if inclusion is not None else 0.0
-
-    def _clear_of_omega(arr):
-        return domain.signed_radial_margin(arr) >= clear_omega
-
-    def _clear_of_d(arr):
-        if inclusion is None:
-            return np.ones(len(arr), dtype=bool)
-        return np.abs(curve_d.signed_radial_margin(arr)) >= clear_d
-
-    kept = [layer_omega[_clear_of_d(layer_omega)]]
-    for arr in layers_d:
-        kept.append(arr[_clear_of_omega(arr)])
-    kept.append(lattice[_clear_of_omega(lattice) & _clear_of_d(lattice)])
+    kept = layers + [lattice[_clear_of(rings, lattice)]]
     free_pts = np.vstack([a for a in kept if len(a)])
-    order = np.lexsort((free_pts[:, 0], free_pts[:, 1]))
-    free_pts = free_pts[order]
+    free_pts = free_pts[np.lexsort((free_pts[:, 0], free_pts[:, 1]))]
 
+    pts = [ring.points for ring in rings]
     if inclusion is not None:
         dc = free_pts - np.asarray(inclusion.center)
-        inside_d = curve_d.signed_radial_margin(free_pts) > 0
-        near_center = inside_d & (np.hypot(dc[:, 0], dc[:, 1]) <= 0.75 * pitch)
-        if not np.any(near_center):
+        inside_d = rings[1].curve.signed_radial_margin(free_pts) > 0
+        if not np.any(inside_d & (np.hypot(dc[:, 0], dc[:, 1]) <= 0.75 * pitch)):
             pts.append(np.asarray(inclusion.center, dtype=float)[None, :])
-    pts.append(free_pts)
-    points = np.vstack(pts)
+    points = np.vstack(pts + [free_pts])
 
     # the near-curve points (both rings, the offset layers and the lattice
     # points within reach of a clearance band) hold the corners of the defects
     # that sink an offset; the full triangulation's triangles with near corners
     # are all in their triangulation too
-    near = np.abs(domain.signed_radial_margin(points)) < clear_omega + _NEAR_PITCHES * pitch
-    if inclusion is not None:
-        near |= np.abs(curve_d.signed_radial_margin(points)) < clear_d + _NEAR_PITCHES * pitch
+    reach = _NEAR_PITCHES * pitch
+    near = np.zeros(len(points), dtype=bool)
+    for ring in rings:
+        near |= np.abs(ring.curve.signed_radial_margin(points)) < ring.clear + reach
     defect = _certain_defect(points, np.flatnonzero(near), domain, target_h)
     if defect is not None:
         raise MeshQualityError(defect)
@@ -284,24 +283,24 @@ def _generate_once(domain, inclusion, target_h, offset):
     triangles = _orient_ccw(points, tri.simplices.astype(np.int64))
 
     # drop triangles outside the domain (non-convex boundaries leave pockets
-    # between the convex hull and the sampled curve)
+    # between the convex hull and the sampled curve); tag those inside D
     centroids = points[triangles].mean(axis=1)
     inside = domain.signed_radial_margin(centroids) > 0
-    triangles = triangles[inside]
+    triangles, centroids = triangles[inside], centroids[inside]
     region = np.zeros(len(triangles), dtype=np.int8)
-    if inclusion is not None:
-        centroids = points[triangles].mean(axis=1)
-        region[curve_d.signed_radial_margin(centroids) > 0] = 1
+    for ring in rings[1:]:
+        region[ring.curve.signed_radial_margin(centroids) > 0] = 1
 
     points, triangles, remap = _drop_orphans(points, triangles)
-    loop = remap[np.arange(n_omega)]
-    iface_loop = remap[n_omega + np.arange(n_d)] if inclusion is not None else None
+    ends = np.cumsum([len(ring.t) for ring in rings])
+    (loop, t_omega), *iface = [(remap[end - len(ring.t):end], ring.t)
+                               for end, ring in zip(ends, rings)]
+    iface_loop, t_d = iface[0] if iface else (None, None)
 
     mesh = Mesh(vertices=points, triangles=triangles, region=region,
                 boundary_loop=loop, boundary_params=t_omega,
-                interface_loop=iface_loop,
-                interface_params=t_d if inclusion is not None else None,
-                domain=domain, inclusion=inclusion, target_h=target_h)
+                interface_loop=iface_loop, interface_params=t_d,
+                domain=domain, inclusion=inclusion, target_h=target_h, margin=margin)
     _check_loops(mesh)
 
     min_angle = mesh.min_angle_deg()

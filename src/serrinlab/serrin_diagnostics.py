@@ -165,32 +165,22 @@ def fundamental_identity(mesh: Mesh, v: Field, z):
 
 @dataclass
 class OscCheck:
-    residual: float
     osc: float
     bound_holds: bool
 
 
 def osc_check(h_boundary, rho_i, rho_e, d_omega, slack=0.0) -> OscCheck:
-    """|osc h - (rho_e^2 - rho_i^2)/4| and the bound gap <= (8/d) osc + slack."""
+    """osc h over the boundary and the bound gap <= (8/d) osc + slack."""
     h_boundary = np.asarray(h_boundary, dtype=float)
     osc = float(h_boundary.max() - h_boundary.min())
-    residual = abs(osc - (rho_e ** 2 - rho_i ** 2) / 4.0)
     bound = (rho_e - rho_i) <= (8.0 / d_omega) * osc + slack
-    return OscCheck(residual, osc, bool(bound))
+    return OscCheck(osc, bool(bound))
 
 
-@dataclass
-class GrowthCheck:
-    ratio_min: float
-    quadratic_slack_min: float
-
-
-def growth_check(mesh: Mesh, v: Field) -> GrowthCheck:
-    """min over interior vertices of v/delta, and min of v - delta^2/4."""
+def growth_check(mesh: Mesh, v: Field) -> float:
+    """min over interior vertices of v/delta."""
     delta = distance_to_boundary(mesh.domain, mesh.vertices[mesh.interior])
-    vals = v.values[mesh.interior]
-    return GrowthCheck(float(np.min(vals / delta)),
-                       float(np.min(vals - delta ** 2 / 4.0)))
+    return float(np.min(v.values[mesh.interior] / delta))
 
 
 def full_report(domain: DomainSpec, inclusion: Optional[InclusionSpec],
@@ -228,12 +218,12 @@ def full_report(domain: DomainSpec, inclusion: Optional[InclusionSpec],
                     slack=10.0 * mesh.h_max ** 2)
     if not osc.bound_holds:
         raise DiagnosticError("osc_check: oscillation bound violated beyond mesh slack")
-    growth = growth_check(mesh, v)
+    growth_min = growth_check(mesh, v)
 
     report = SerrinReport(
         c=c, dev_L2=dev_l2, dev_Linf=dev_linf, z_x=float(z[0]), z_y=float(z[1]),
         rho_i=rho_i, rho_e=rho_e, gap=rho_e - rho_i, osc_h=osc.osc,
-        FI_lhs=lhs, FI_rhs=rhs, FI_gap=fi_gap, growth_min=growth.ratio_min,
+        FI_lhs=lhs, FI_rhs=rhs, FI_gap=fi_gap, growth_min=growth_min,
         h_max=mesh.h_max)
     # the L2/Linf deviation bridge holds exactly in the discrete norms
     if report.dev_L2 > math.sqrt(float(tr_u.weights.sum())) * report.dev_Linf + 1e-12:

@@ -359,7 +359,7 @@ class TestRun:
 
 
     @pytest.mark.parametrize("module,name,fake,cfg", [
-        (serrin_diagnostics, "osc_check", lambda *a, **k: OscCheck(0.0, 0.0, False),
+        (serrin_diagnostics, "osc_check", lambda *a, **k: OscCheck(0.0, False),
          DIAG_CFG),
         (serrin_diagnostics, "deviation_norms", lambda *a: (1.0, 1e-6), DIAG_CFG),
         (experiments, "deviation_norms", _true_for_base_only(),

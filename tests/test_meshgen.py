@@ -249,6 +249,20 @@ class TestEarlyRejection:
         assert "longest edge 0.3000" in self._long_edge(with_far_point=False)
 
 
+@pytest.mark.parametrize("inclusion,perimeters", [(None, 1),
+                                                  (InclusionSpec("disk", radius=0.3), 2)])
+def test_each_curve_sampled_once_per_generate(monkeypatch, inclusion, perimeters):
+    """Both cases take two attempts; the retry re-lays only the lattice."""
+    attempts, calls = [], []
+    generate_once, perimeter = meshgen._generate_once, meshgen.exact_perimeter
+    monkeypatch.setattr(meshgen, "_generate_once",
+                        lambda *a: attempts.append(a) or generate_once(*a))
+    monkeypatch.setattr(meshgen, "exact_perimeter",
+                        lambda spec: calls.append(spec) or perimeter(spec))
+    generate(ELLIPSE_12, inclusion, 0.025)
+    assert len(attempts) == 2 and len(calls) == perimeters
+
+
 class TestRefine:
     def test_triangle_count_times_four(self, concentric_mesh):
         fine = refine(concentric_mesh)

@@ -18,3 +18,14 @@ def test_stability_scalings_smoke(capsys):
     out = capsys.readouterr().out
     assert len(re.findall(r" slope +-?\d+\.\d{3} ", out)) == 4
     assert "no solution pair once" in out
+
+
+def test_mesh_probe_grid_and_fingerprint():
+    probe = _load("mesh_probe")
+    labels = [label for label, *_ in probe.CASES]
+    assert len(labels) == len(set(labels)) == 140
+    label, domain, inclusion, target_h = probe.CASES[5]
+    assert label == "disk disk-0.3 h=0.05"
+    first = probe.probe(domain, inclusion, target_h)
+    assert re.fullmatch(r"[0-9a-f]{40}", first)
+    assert probe.probe(domain, inclusion, target_h) == first
