@@ -3,9 +3,9 @@ into desk-scale empirical checks.
 
 Each sweep measures its own numerical floor on an exact-case fixture at the
 same mesh size and excludes points whose metrics sit below 10x that floor, so
-fitted slopes are never contaminated by discretization noise.  Each sweep
-re-pins one OpenBLAS thread on entry, so its own solves sum their dot products
-as its pool workers do, and its artifacts do not depend on `jobs`.
+fitted slopes are never contaminated by discretization noise.  Every solve
+pins one OpenBLAS thread, so a sweep's own solves sum their dot products as
+its pool workers do, and its artifacts do not depend on `jobs`.
 """
 
 from __future__ import annotations
@@ -72,11 +72,16 @@ class SweepResult:
     points: list = dc_field(default_factory=list)
 
     def __post_init__(self):
-        p = np.asarray(self.parameters, dtype=float)
-        if len(p) >= 2 and not (np.all(np.diff(p) > 0) or np.all(np.diff(p) < 0)):
+        if not _monotone(np.asarray(self.parameters, dtype=float)):
             raise ValidationError("sweep: parameters must be strictly monotone")
         if self.fit is not None and not (0.0 <= self.fit.r_squared <= 1.0 + 1e-12):
             raise ValidationError("sweep: R^2 out of [0, 1]")
+
+
+def _monotone(x):
+    """Whether x is strictly increasing or strictly decreasing."""
+    d = np.diff(x)
+    return bool(np.all(d > 0) or np.all(d < 0))
 
 
 def slope_fit(points, window=4) -> FitResult:
@@ -89,8 +94,7 @@ def slope_fit(points, window=4) -> FitResult:
     pts = [(float(x), float(y)) for x, y in points]
     if len(pts) < 3:
         raise ValidationError("slope_fit: need at least 3 points")
-    xs = np.array([p[0] for p in pts])
-    if not (np.all(np.diff(xs) > 0) or np.all(np.diff(xs) < 0)):
+    if not _monotone([x for x, _ in pts]):
         raise ValidationError("slope_fit: x must be strictly monotone")
     usable = [i for i, (x, y) in enumerate(pts) if x > 0 and y > 0]
     if len(usable) < 3:
@@ -122,6 +126,14 @@ def _fit_kept(points, excluded, window):
     None when fewer than 3 remain, and those kept points."""
     kept = [(x, y) for (x, y), ex in zip(points, excluded) if not ex and x > 0 and y > 0]
     return (slope_fit(kept, window) if len(kept) >= 3 else None), kept
+
+
+def _check_monotone(name, values):
+    """A sweep's rows keep the order of its values and its fit runs against
+    their magnitudes, so both must be strictly monotone."""
+    if not (_monotone(values) and _monotone(np.abs(values))):
+        raise ValidationError(f"{name}: values and their magnitudes must be "
+                              "strictly monotone")
 
 
 def _parallel_map(fn, items, jobs):
@@ -157,7 +169,6 @@ def one_phase_stability_sweep(family, target_h, window=4, jobs=1) -> SweepResult
     The family parameter is each member's gap; the fit is log(gap) against
     log(dev_Linf) and its slope should sit near 1 (tau_2 = 1).
     """
-    pin_one_blas_thread()
     if len(family) < 1:
         raise ValidationError("stability sweep: empty family")
     results = _parallel_map(_stability_member, [(d, target_h) for d in family], jobs)
@@ -213,10 +224,10 @@ def sigma_sweep(domain, inclusion, t_values, target_h, window=4, jobs=1) -> Swee
     Differentiability of the solution branch makes the slope approach 1; the
     max ratio is the empirical constant of the |t|-linear bound.
     """
-    pin_one_blas_thread()
     t_values = list(t_values)
     if any(t <= -1.0 for t in t_values):
         raise ValidationError("sigma sweep: t must stay above -1")
+    _check_monotone("t_values", t_values)
     base = _sigma_base(domain, inclusion, target_h)
     mesh, _, base_dev, _ = base
     rows = _parallel_map(_sigma_member, [(base, t) for t in t_values], jobs)
@@ -247,12 +258,12 @@ def sigma_sweep(domain, inclusion, t_values, target_h, window=4, jobs=1) -> Swee
 
 def frechet_check(domain, inclusion, t0, eps_values, target_h, window=4) -> SweepResult:
     """||(u(t0+eps) - u(t0))/eps - u'(t0)||_L2 against eps (slope ~ 1)."""
-    pin_one_blas_thread()
     eps_values = list(eps_values)
     if t0 <= -1.0 or any(t0 + e <= -1.0 for e in eps_values):
         raise ValidationError("frechet check: sigma_c must stay positive")
     if 0.0 in eps_values:
         raise ValidationError("epsilon_values: entries must be nonzero")
+    _check_monotone("epsilon_values", eps_values)
     mesh = generate(domain, inclusion, target_h)
     u_t0 = solve_two_phase(mesh, 1.0 + t0)
     u_prime = solve_linearized(mesh, 1.0 + t0, u_t0)
@@ -305,7 +316,6 @@ def inclusion_sweep(domain, sigma_c, radii, target_h, window=4, jobs=1) -> Sweep
     The coarse bound guarantees slope >= 1/2; the gradient-bounded refinement
     predicts slope ~ 1, and both comparisons are reported.
     """
-    pin_one_blas_thread()
     radii = list(radii)
     if any(radii[i] <= radii[i + 1] for i in range(len(radii) - 1)):
         raise ValidationError("inclusion sweep: radii must decrease toward 0")

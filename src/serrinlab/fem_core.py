@@ -3,15 +3,18 @@
 All solves share one assembly path (exact P1 stiffness, centroid rule for the
 constant load, elementwise-constant conductivity) and one deterministic
 preconditioned conjugate-gradient kernel.  On a mesh made by refine() the
-preconditioner is one symmetric multigrid V-cycle down the parent chain;
-on a generated mesh it is Jacobi.  Either way CG stops on the same
-unpreconditioned residual, at the fixed relative tolerance CG_REL_TOLERANCE
-within the fixed cap of 20 sqrt(unknowns) + 1000 iterations.  Each solve
+preconditioner is one symmetric multigrid V-cycle down the parent chain,
+interpolating by each level's Mesh.prolongation; on a generated mesh it is
+Jacobi.  Either way CG stops on the same unpreconditioned residual, at the
+fixed relative tolerance CG_REL_TOLERANCE within the fixed cap of
+20 sqrt(unknowns) + 1000 iterations.  Each solve
 assembles its stiffness matrix once and keeps the residual K u - b on the
 boundary rows, which is all that variational flux recovery needs.
 Importing this module pins every OpenBLAS bundled with numpy and scipy to one
-thread, so CG's dot products sum in one order whatever the core count or the
-number of sweep workers, and forked workers inherit the pin.
+thread, and each solve pins it again (a no-op in a pinned process), so CG's
+dot products sum in one order whatever the core count, the number of sweep
+workers or a host program's later thread setting; forked workers inherit the
+pin.
 """
 
 from __future__ import annotations
@@ -69,7 +72,7 @@ pin_one_blas_thread()
 
 @dataclass
 class Field:
-    """Nodal scalar field tied to a mesh.
+    """Nodal scalar field on the mesh it holds.
 
     boundary_residual is (K u - b)[boundary_loop] of the variational problem the
     field solves, the boundary load that variational flux recovery inverts;
@@ -78,7 +81,7 @@ class Field:
     solve no problem.
     """
 
-    mesh_key: str
+    mesh: Mesh
     values: np.ndarray
     label: str
     sigma_c: float = 1.0
@@ -184,35 +187,19 @@ _OMEGA = 0.7
 _SWEEPS = 2
 
 
-def _prolongation(mesh):
-    """Interpolation from the interior of mesh.parent to the interior of mesh.
-
-    refine() keeps parent vertex i as vertex i and puts the midpoint of edge e
-    of the parent's edge table at V + e, so that row is half of each end of e.
-    Dirichlet rows and columns are dropped.
-    """
-    coarse = mesh.parent
-    V = len(coarse.vertices)
-    edges = coarse.edge_table[0]
-    rows = np.concatenate([np.arange(V), np.repeat(V + np.arange(len(edges)), 2)])
-    cols = np.concatenate([np.arange(V), edges.ravel()])
-    vals = np.concatenate([np.ones(V), np.full(2 * len(edges), 0.5)])
-    P = sp.csr_matrix((vals, (rows, cols)), shape=(len(mesh.vertices), V))
-    return P[mesh.interior][:, coarse.interior].tocsr()
-
-
 def _vcycle(mesh, A):
     """Symmetric V-cycle for the interior system A of a refined mesh.
 
     One level per refine() step: damped-Jacobi smoothing around the Galerkin
-    coarse operator P^T A P, factored by sparse LU on the generated mesh at
+    coarse operator P^T A P, with P the mesh's prolongation restricted to the
+    interior rows and columns, factored by sparse LU on the generated mesh at
     the bottom of the chain.  refine() moves interface midpoints onto the
     curve, where P still interpolates linearly; that weakens the cycle a
     little, never the solution.  Returns the preconditioner r -> B r.
     """
     levels = []
     while mesh.parent is not None:
-        P = _prolongation(mesh)
+        P = mesh.prolongation[mesh.interior][:, mesh.parent.interior].tocsr()
         R = P.T.tocsr()
         levels.append((A, _OMEGA / A.diagonal(), P, R))
         A = (R @ A @ P).tocsr()
@@ -239,7 +226,9 @@ def _cycle(levels, bottom, r, k=0):
 def _solve_dirichlet(mesh, sigma, load, boundary_values, label, sigma_c=1.0):
     """Assemble the stiffness of conductivity sigma, eliminate the Dirichlet rows
     and solve the reduced SPD system by CG, V-cycle-preconditioned on a refined
-    mesh; the Field keeps its boundary residual and its CG record."""
+    mesh, on one OpenBLAS thread; the Field keeps its boundary residual and its
+    CG record."""
+    pin_one_blas_thread()
     K = stiffness(mesh, sigma)
     n = len(mesh.vertices)
     bnd = mesh.boundary_loop
@@ -253,7 +242,7 @@ def _solve_dirichlet(mesh, sigma, load, boundary_values, label, sigma_c=1.0):
     max_iter = int(20 * math.sqrt(len(interior))) + 1000
     xi, its, res = _pcg(Kii, rhs, CG_REL_TOLERANCE, max_iter, precond)
     x[interior] = xi
-    return Field(mesh.key, x, label, sigma_c, (K @ x - load)[bnd], its, res)
+    return Field(mesh, x, label, sigma_c, (K @ x - load)[bnd], its, res)
 
 
 def solve_two_phase(mesh: Mesh, sigma_c: float) -> Field:
@@ -285,7 +274,7 @@ def solve_linearized(mesh: Mesh, sigma_c: float, u_base: Field) -> Field:
         int sigma(t0) grad u' . grad phi = - int_D grad u_base . grad phi,
     so the load is minus the inclusion-masked stiffness applied to u_base.
     """
-    if u_base.mesh_key != mesh.key:
+    if u_base.mesh is not mesh:
         raise ValidationError("solve_linearized: u_base belongs to a different mesh")
     if u_base.sigma_c != sigma_c:
         raise ValidationError("solve_linearized: u_base was solved with another sigma_c")
@@ -301,7 +290,7 @@ def normal_derivative(mesh: Mesh, f: Field) -> BoundaryTrace:
     - (load, phi)  over boundary test functions, whose right-hand side is the
     residual the solve kept; superconvergent on smooth data.
     """
-    if f.mesh_key != mesh.key:
+    if f.mesh is not mesh:
         raise ValidationError("normal_derivative: field belongs to a different mesh")
     if f.boundary_residual is None:
         raise ValidationError("normal_derivative: field does not carry its boundary residual")
@@ -369,7 +358,7 @@ def recovered_gradient(mesh: Mesh, values: np.ndarray) -> np.ndarray:
 def hessian_recovery(mesh: Mesh, f: Field) -> np.ndarray:
     """Per-vertex symmetric Hessian by least-squares linear fits of the
     recovered gradient over two-ring vertex patches."""
-    if f.mesh_key != mesh.key:
+    if f.mesh is not mesh:
         raise ValidationError("hessian_recovery: field belongs to a different mesh")
     g = recovered_gradient(mesh, f.values)
     two_ring = mesh.adjacency @ mesh.adjacency

@@ -330,8 +330,6 @@ def inclusion_margin(domain: DomainSpec, inclusion: InclusionSpec) -> Margin:
     foot-point condition gives h' = |q'|^2 + (q - p) . q''
     - (q' . p')^2 / (|p'|^2 - (q - p) . p'').  Rejects D touching or exiting Omega.
     """
-    if inclusion.is_none:
-        return Margin(math.inf, 1.0)
     curve = inclusion.to_domain()
     n = 256
     s = TWO_PI * np.arange(n) / n

@@ -12,12 +12,12 @@ triangulation of the near-curve points alone holds a defect whose
 circumcircle is empty of all points, since the full one then holds it too;
 every mesh kept still comes from the full triangulation, so this cannot change
 a mesh.  Each Mesh builds its edge table, interior vertex index and vertex
-adjacency once, on first use.
+adjacency once, on first use; a refined mesh also builds its prolongation
+from the parent, whose vertex numbering refine() defines.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -38,7 +38,7 @@ from .geometry import (TWO_PI, DomainSpec, InclusionSpec, Margin, curvature_max,
 _PITCH = 0.85
 _CLEARANCE = 0.55
 # deterministic lattice-offset retry schedule (units of the pitch)
-_OFFSETS = ((0.0, 0.0), (0.5, 0.0), (0.25, 0.433), (0.37, 0.19))
+_OFFSETS = ((0.0, 0.0), (0.5, 0.0))
 # minimum triangle angle of a generated mesh; validate_mesh checks it too
 _MIN_ANGLE_DEG = 20.0
 # reach (in pitches) past each clearance band of the points that the early
@@ -58,7 +58,9 @@ class Mesh:
     vertices are kept so refinement can project midpoints back onto the curves.
     parent is the mesh that refine() split into this one (None for a generated
     mesh); the solver builds its multigrid hierarchy from that chain.  The
-    topology (edge_table, interior, adjacency) is computed once, on first use.
+    topology (edge_table, interior, adjacency, and prolongation on a refined
+    mesh) is computed once, on first use, and left out of pickles.  A mesh is
+    identified by the object itself: fields hold the mesh they live on.
     """
 
     vertices: np.ndarray
@@ -71,17 +73,12 @@ class Mesh:
     domain: Optional[DomainSpec]
     inclusion: Optional[InclusionSpec]
     target_h: float
-    level: int = 0
     margin: Optional[Margin] = None
     parent: Optional["Mesh"] = field(default=None, repr=False, compare=False)
     h_max: float = field(init=False)
-    key: str = field(init=False)
 
     def __post_init__(self):
         self.h_max = float(_edge_lengths(self.vertices, self.triangles).max())
-        sig = repr((self.domain, self.inclusion, self.target_h, self.level,
-                    len(self.vertices), len(self.triangles)))
-        self.key = hashlib.sha1(sig.encode()).hexdigest()[:16]
 
     def boundary_edge_lengths(self):
         """Length of each CCW boundary edge i -> i+1."""
@@ -124,10 +121,25 @@ class Mesh:
         adj.sort_indices()
         return adj
 
+    @cached_property
+    def prolongation(self):
+        """Sparse (V, V_parent) interpolation from the parent of a refined mesh.
+
+        refine() keeps parent vertex i as vertex i and puts the midpoint of
+        edge e of the parent's edge table at V_parent + e, so that row is half
+        of each end of e.
+        """
+        V = len(self.parent.vertices)
+        edges = self.parent.edge_table[0]
+        rows = np.concatenate([np.arange(V), np.repeat(V + np.arange(len(edges)), 2)])
+        cols = np.concatenate([np.arange(V), edges.ravel()])
+        vals = np.concatenate([np.ones(V), np.full(2 * len(edges), 0.5)])
+        return sp.csr_matrix((vals, (rows, cols)), shape=(len(self.vertices), V))
+
     def __getstate__(self):
         """Pickle without the cached topology: a pool worker rebuilds what it reads."""
         return {k: v for k, v in vars(self).items()
-                if k not in ("edge_table", "interior", "adjacency")}
+                if k not in ("edge_table", "interior", "adjacency", "prolongation")}
 
 
 def _edge_lengths(vertices, triangles):
@@ -171,8 +183,6 @@ def generate(domain: DomainSpec, inclusion: Optional[InclusionSpec],
     """
     if target_h is None or target_h <= 0:
         raise ValidationError("target_h: must be positive")
-    if inclusion is not None and inclusion.is_none:
-        inclusion = None
     # raises if D touches/exits Omega
     margin = inclusion_margin(domain, inclusion) if inclusion is not None else None
 
@@ -452,8 +462,7 @@ def refine(mesh: Mesh) -> Mesh:
                 boundary_loop=loop, boundary_params=loop_params,
                 interface_loop=iloop, interface_params=iparams,
                 domain=mesh.domain, inclusion=mesh.inclusion,
-                target_h=mesh.target_h / 2.0, level=mesh.level + 1,
-                margin=mesh.margin, parent=mesh)
+                target_h=mesh.target_h / 2.0, margin=mesh.margin, parent=mesh)
 
 
 def _split_loop(loop, params, edges, vertices, curve):
@@ -487,7 +496,7 @@ def validate_mesh(mesh: Mesh):
         raise MeshQualityError(f"Euler relation violated: V-E+T = {euler}")
     if mesh.min_angle_deg() < _MIN_ANGLE_DEG:
         raise MeshQualityError(f"min angle {mesh.min_angle_deg():.2f} below {_MIN_ANGLE_DEG}")
-    if mesh.inclusion is not None and not mesh.inclusion.is_none:
+    if mesh.inclusion is not None:
         # margins of the three corners and the centroid of every triangle
         p = mesh.vertices[mesh.triangles]
         p = np.concatenate([p, p.mean(axis=1, keepdims=True)], axis=1)
@@ -506,13 +515,6 @@ def validate_mesh(mesh: Mesh):
         mid = 0.5 * (p + np.roll(p, -1, axis=0))
         if np.any(np.sum(mesh.boundary_normals * (mid - center), axis=1) <= 0):
             raise MeshQualityError("boundary normal points inward")
-
-
-def region_areas(mesh: Mesh):
-    """(area inside D, area outside D) as exact triangle-area sums."""
-    areas = mesh.triangle_areas()
-    inside = float(areas[mesh.region == 1].sum())
-    return inside, float(areas.sum()) - inside
 
 
 def dump_mesh(mesh: Mesh, fh):

@@ -123,7 +123,7 @@ def h_field(mesh: Mesh, v: Field, z) -> Field:
     """h = v + |x-z|^2/4, the harmonic companion of the torsion function (N=2)."""
     z = np.asarray(z, dtype=float)
     q = ((mesh.vertices - z) ** 2).sum(axis=1) / 4.0
-    return Field(mesh.key, v.values + q, "h")
+    return Field(mesh, v.values + q, "h")
 
 
 def fundamental_identity(mesh: Mesh, v: Field, z):
@@ -193,7 +193,7 @@ def full_report(domain: DomainSpec, inclusion: Optional[InclusionSpec],
         mesh = refine(mesh)
 
     v = solve_one_phase(mesh)
-    if inclusion is None or inclusion.is_none or sigma_c == 1.0:
+    if inclusion is None or sigma_c == 1.0:
         u = replace(v, label="u")
     else:
         u = solve_two_phase(mesh, sigma_c)

@@ -197,7 +197,7 @@ class TestGrowthCheck:
         from serrinlab.fem_core import Field
 
         v = solve_one_phase(disk_mesh)
-        doubled = Field(v.mesh_key, 2.0 * v.values, "v")
+        doubled = Field(v.mesh, 2.0 * v.values, "v")
         assert growth_check(disk_mesh, doubled) == pytest.approx(
             2 * growth_check(disk_mesh, v), rel=1e-12)
 

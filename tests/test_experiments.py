@@ -1,4 +1,5 @@
 import ast
+import json
 import math
 import os
 import subprocess
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from serrinlab import experiments, fem_core
+from serrinlab.cli_io import config_from_dict, run
 from serrinlab.errors import ValidationError
 from serrinlab.experiments import (
     frechet_check,
@@ -130,6 +132,27 @@ class TestSigmaSweep:
             # ||dn u(t) - c|| <= ||dn u(t) - dn u(0)|| + ||dn u(0) - c||,
             # exact in the discrete sup norm
             assert row["dev_Linf"] <= row["delta_trace_Linf"] + dev0 + 1e-12
+
+
+@pytest.mark.parametrize("command,field,values", [
+    ("sweep-sigma", "t_values", [0.1, 0.3, 0.2]),
+    ("sweep-sigma", "t_values", [-0.1, 0.1, 0.2]),
+    ("frechet-check", "epsilon_values", [0.1, 0.2, 0.05]),
+])
+def test_non_monotone_values_rejected_before_meshing(command, field, values, tmp_path,
+                                                     monkeypatch):
+    # the fit runs against |value|, so a list it cannot fit fails before any solve
+    meshed = []
+    monkeypatch.setattr(experiments, "generate", lambda *a: meshed.append(a))
+    cfg = config_from_dict({
+        "command": command, "name": "bad", "output_dir": str(tmp_path),
+        "domain": {"kind": "ellipse", "a": 1.2, "b": 1.0},
+        "inclusion": {"kind": "disk", "radius": 0.3}, "t0": 0.5,
+        field: values, "target_h": 0.08})
+    assert run(cfg) == 2
+    manifest = json.loads((tmp_path / "bad" / "manifest.json").read_text())
+    assert manifest["error"].startswith(f"{field}:")
+    assert meshed == []
 
 
 class TestFrechetCheck:

@@ -1,5 +1,8 @@
 import gc
 import math
+import pickle
+from dataclasses import replace
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -11,7 +14,7 @@ from serrinlab.analytic_oracle import (
     ellipse_torsion,
     ellipse_torsion_gradient,
 )
-from serrinlab import fem_core
+from serrinlab import fem_core, meshgen
 from serrinlab.errors import ValidationError
 from serrinlab.fem_core import (
     element_sigma,
@@ -244,6 +247,36 @@ class TestLinearized:
         with pytest.raises(ValidationError):
             solve_linearized(concentric_mesh, 2.0, u)
 
+    def test_field_rejected_on_a_moved_copy(self, concentric_mesh):
+        # the same specs and sizes with other vertices is another mesh
+        moved = replace(concentric_mesh, vertices=1.01 * concentric_mesh.vertices)
+        u = solve_two_phase(concentric_mesh, 2.0)
+        with pytest.raises(ValidationError, match="normal_derivative: field belongs"):
+            normal_derivative(moved, u)
+        with pytest.raises(ValidationError, match="hessian_recovery: field belongs"):
+            hessian_recovery(moved, u)
+        with pytest.raises(ValidationError, match="solve_linearized: u_base belongs"):
+            solve_linearized(moved, 2.0, u)
+
+    @pytest.mark.skipif(not fem_core._OPENBLAS, reason="no bundled scipy-openblas library")
+    def test_solve_runs_on_one_blas_thread(self, concentric_mesh, monkeypatch):
+        # a host program may raise the count after import; the solve re-pins
+        def counts():
+            return {get() for get, _ in fem_core._OPENBLAS}
+
+        seen = []
+        pcg = fem_core._pcg
+        monkeypatch.setattr(fem_core, "_pcg", lambda *a: seen.append(counts()) or pcg(*a))
+        before = [get() for get, _ in fem_core._OPENBLAS]
+        for _, set_threads in fem_core._OPENBLAS:
+            set_threads(2)
+        try:
+            solve_two_phase(concentric_mesh, 2.0)
+        finally:
+            for (_, set_threads), n in zip(fem_core._OPENBLAS, before):
+                set_threads(n)
+        assert seen == [{1}]
+
 
 class TestBoundaryResidual:
     """Each solve keeps (K u - b) on the boundary rows, bit for bit."""
@@ -331,6 +364,21 @@ class TestMultigrid:
         x, its, res = fem_core._pcg(Kii, b, 1e-10, 10000)
         assert its == iterations and res == u.residual
         assert np.array_equal(u.values[interior], x)
+
+    def test_prolongation_built_once_per_mesh(self, concentric_mesh, monkeypatch):
+        # the one-phase and two-phase solves of one mesh share its prolongation
+        built = meshgen.Mesh.__dict__["prolongation"].func
+        calls = []
+        counted = cached_property(lambda mesh: calls.append(mesh) or built(mesh))
+        counted.__set_name__(meshgen.Mesh, "prolongation")
+        monkeypatch.setattr(meshgen.Mesh, "prolongation", counted)
+        fine = refine(concentric_mesh)
+        solve_one_phase(fine)
+        P = vars(fine)["prolongation"]
+        solve_two_phase(fine, 2.0)
+        assert calls == [fine] and vars(fine)["prolongation"] is P
+        assert P.shape == (len(fine.vertices), len(concentric_mesh.vertices))
+        assert "prolongation" not in vars(pickle.loads(pickle.dumps(fine)))
 
     def test_vcycle_is_symmetric_positive_definite(self, disk_mesh):
         fine = refine(refine(disk_mesh))
@@ -425,7 +473,7 @@ class TestNormalDerivative:
     def test_derived_field_rejected(self, disk_mesh):
         from serrinlab.fem_core import Field
 
-        bogus = Field(disk_mesh.key, np.zeros(len(disk_mesh.vertices)), "h")
+        bogus = Field(disk_mesh, np.zeros(len(disk_mesh.vertices)), "h")
         with pytest.raises(ValidationError):
             normal_derivative(disk_mesh, bogus)
 
@@ -460,7 +508,7 @@ class TestHessianRecovery:
     def test_quadratic_x2(self, disk_mesh):
         from serrinlab.fem_core import Field
 
-        f = Field(disk_mesh.key, disk_mesh.vertices[:, 0] ** 2, "custom")
+        f = Field(disk_mesh, disk_mesh.vertices[:, 0] ** 2, "custom")
         H = hessian_recovery(disk_mesh, f)
         r = np.hypot(*disk_mesh.vertices.T)
         deep = r < 0.6
@@ -470,7 +518,7 @@ class TestHessianRecovery:
     def test_linear_exact(self, disk_mesh):
         from serrinlab.fem_core import Field
 
-        f = Field(disk_mesh.key, 3.0 * disk_mesh.vertices[:, 0]
+        f = Field(disk_mesh, 3.0 * disk_mesh.vertices[:, 0]
                   - 2.0 * disk_mesh.vertices[:, 1], "custom")
         H = hessian_recovery(disk_mesh, f)
         assert np.abs(H).max() < 1e-10

@@ -388,11 +388,6 @@ class TestInclusionMargin:
             inclusion_margin(DomainSpec("disk", radius=1.0),
                              InclusionSpec("disk", center=(0.5, 0.0), radius=0.6))
 
-    def test_none_inclusion_sentinel(self):
-        m = inclusion_margin(DomainSpec("disk", radius=1.0), InclusionSpec("none"))
-        assert math.isinf(m.margin)
-        assert m.M == 1.0
-
 
 class TestMisc:
     def test_diameter(self):

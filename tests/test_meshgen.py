@@ -19,11 +19,15 @@ from serrinlab.meshgen import (
     edge_table,
     generate,
     refine,
-    region_areas,
     validate_mesh,
 )
 
 from conftest import make_square_mesh
+
+
+def inside_area(mesh):
+    """Area of the elements tagged inside D."""
+    return float(mesh.triangle_areas()[mesh.region == 1].sum())
 
 
 def _circular_midpoint(t1, t2):
@@ -121,17 +125,17 @@ class TestGenerate:
 
     def test_inclusion_area_convergence(self, concentric_mesh):
         validate_mesh(concentric_mesh)
-        inside, outside = region_areas(concentric_mesh)
-        assert abs(inside - math.pi / 4) <= 2 * 0.1 ** 2
+        assert abs(inside_area(concentric_mesh) - math.pi / 4) <= 2 * 0.1 ** 2
 
     def test_degenerate_target_h_rejected(self, disk_spec):
         with pytest.raises(ValidationError):
             generate(disk_spec, None, 0.0)
 
-    def test_region_partition_exact(self, concentric_mesh):
-        inside, outside = region_areas(concentric_mesh)
-        total = float(concentric_mesh.triangle_areas().sum())
-        assert abs(inside + outside - total) < 1e-12
+    def test_none_spec_is_not_an_inclusion(self, disk_spec):
+        # no inclusion is None; the config's {"kind": "none"} is turned into
+        # it before the library sees it
+        with pytest.raises(ValidationError, match="no boundary curve"):
+            generate(disk_spec, InclusionSpec("none"), 0.1)
 
     def test_euler_relation(self, concentric_mesh):
         edges = set()
@@ -160,7 +164,8 @@ class TestGenerate:
     @pytest.mark.parametrize("center,extent,pitch", [((0.0, 0.0), 1.3, 0.025),
                                                      ((0.3, -0.2), 1.05, 0.0375),
                                                      ((-1.0, 2.5), 0.4, 0.1)])
-    @pytest.mark.parametrize("offset", _OFFSETS)
+    @pytest.mark.parametrize("offset", [(0.0, 0.0), (0.5, 0.0), (0.25, 0.433),
+                                        (0.37, 0.19)])
     def test_hex_lattice_matches_loop(self, center, extent, pitch, offset):
         got = _hex_lattice(center, extent, pitch, offset)
         assert np.array_equal(got, reference_hex_lattice(center, extent, pitch, offset))
@@ -277,8 +282,8 @@ class TestRefine:
     def test_inclusion_area_error_drops_4x(self, concentric_mesh):
         fine = refine(concentric_mesh)
         validate_mesh(fine)
-        e0 = abs(region_areas(concentric_mesh)[0] - math.pi / 4)
-        e1 = abs(region_areas(fine)[0] - math.pi / 4)
+        e0 = abs(inside_area(concentric_mesh) - math.pi / 4)
+        e1 = abs(inside_area(fine) - math.pi / 4)
         assert 3.5 <= e0 / e1 <= 4.5
 
     def test_h_max_halves(self, concentric_mesh):
@@ -313,9 +318,8 @@ class TestRefine:
         assert refine(fine).parent is fine
         for k, v in before.items():
             np.testing.assert_array_equal(getattr(concentric_mesh, k), v)
-        # the parent is no part of the key or the repr
+        # the parent is no part of the repr
         orphan = replace(fine, parent=None)
-        assert orphan.key == fine.key and orphan.level == 1
         assert "parent" not in repr(fine)
         for k, v in vars(fine).items():
             if isinstance(v, np.ndarray):
