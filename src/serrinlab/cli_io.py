@@ -117,6 +117,11 @@ def spec_to_dict(spec) -> dict:
             if getattr(spec, f.name) is not None}
 
 
+def _is_component(name) -> bool:
+    """Whether name is a string naming one directory below a root."""
+    return isinstance(name, str) and name not in ("", "..") and Path(name).name == name
+
+
 @dataclass
 class RunConfig:
     command: str
@@ -147,8 +152,7 @@ class RunConfig:
             raise ValidationError("window: must be >= 0 (0 fits all points)")
         if self.refine_levels < 0:
             raise ValidationError("refine_levels: must be >= 0")
-        if self.name is not None and (self.name in ("", "..")
-                                      or Path(self.name).name != self.name):
+        if self.name is not None and not _is_component(self.name):
             raise ValidationError("name: must be a single path component")
         needs_domain = self.command != "sweep-stability"
         if needs_domain and self.domain is None:
@@ -175,15 +179,19 @@ inclusion_from_dict = partial(spec_from_dict, InclusionSpec, path="inclusion")
 config_to_dict = domain_to_dict = spec_to_dict
 
 
-def load_config(path) -> RunConfig:
+def _read_config(path):
+    """The JSON value in the config file at path, not yet decoded."""
     try:
         with open(path) as fh:
-            raw = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise ValidationError(f"config: cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"config: invalid JSON: {exc}") from exc
-    return config_from_dict(raw)
+
+
+def load_config(path) -> RunConfig:
+    return config_from_dict(_read_config(path))
 
 
 # -- artifact writers ---------------------------------------------------------
@@ -345,11 +353,33 @@ def _run_sweep(cfg: RunConfig, inclusion, jobs):
                          cfg.target_h, window=cfg.window)
 
 
+def _run_dir(output_dir, name) -> Path:
+    return Path(os.environ.get("SERRIN_LAB_OUT") or output_dir or "outputs") / name
+
+
 def run_dir(cfg: RunConfig) -> Path:
     """<root>/<name>: root is SERRIN_LAB_OUT, else output_dir, else outputs;
     name is the config's name, else its command."""
-    root = os.environ.get("SERRIN_LAB_OUT") or cfg.output_dir or "outputs"
-    return Path(root) / (cfg.name or cfg.command)
+    return _run_dir(cfg.output_dir, cfg.name or cfg.command)
+
+
+def _undecoded_run_dir(raw) -> Path:
+    """run_dir of a config that did not decode, from the raw JSON: its
+    output_dir where that is a string, and its name, else its command, where
+    either is valid; <root>/invalid-config when no name resolves."""
+    d = raw if isinstance(raw, dict) else {}
+    output_dir = d.get("output_dir") if isinstance(d.get("output_dir"), str) else None
+    name = d.get("name") if _is_component(d.get("name")) else None
+    if name is None and d.get("command") in COMMANDS:
+        name = d["command"]
+    return _run_dir(output_dir, name or "invalid-config")
+
+
+def _write_manifest(outdir, manifest):
+    outdir.mkdir(parents=True, exist_ok=True)
+    with open(outdir / "manifest.json", "w", newline="\n") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def run(cfg: RunConfig, jobs: int = 1) -> int:
@@ -374,9 +404,7 @@ def run(cfg: RunConfig, jobs: int = 1) -> int:
         manifest.update(status="ok", summary=summary)
         code = 0
     manifest["wall_time_s"] = time.perf_counter() - t0
-    with open(outdir / "manifest.json", "w", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_manifest(outdir, manifest)
     return code
 
 
@@ -391,13 +419,18 @@ def main(argv=None) -> int:
     parser.add_argument("--plot", action="store_true",
                         help="emit plot.svg for sweep commands")
     args = parser.parse_args(argv)
+    raw = None
     try:
-        cfg = load_config(args.config)
+        raw = _read_config(args.config)
+        cfg = config_from_dict(raw)
         if cfg.command != args.command:
             raise ValidationError(
                 f"command: config says {cfg.command!r}, CLI says {args.command!r}")
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        _write_manifest(_undecoded_run_dir(raw), {
+            "config": raw, "version": __version__, "status": "validation-error",
+            "error": str(exc)})
         return 2
     if args.plot:
         cfg.plot = True

@@ -173,6 +173,9 @@ def one_phase_stability_sweep(family, target_h, window=4, jobs=1) -> SweepResult
         raise ValidationError("stability sweep: empty family")
     results = _parallel_map(_stability_member, [(d, target_h) for d in family], jobs)
     rows = [row for row, _ in results]
+    # the gaps are the sweep's parameters: check them before the floor solve
+    if not _monotone([r["gap"] for r in rows]):
+        raise ValidationError("family: member gaps must be strictly monotone")
     floor_row, _ = _stability_member((DomainSpec("disk", radius=1.0), target_h))
     floors = {"gap": floor_row["gap"], "dev_Linf": floor_row["dev_Linf"],
               "dev_L2": floor_row["dev_L2"]}

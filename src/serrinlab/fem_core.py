@@ -305,43 +305,61 @@ def normal_derivative(mesh: Mesh, f: Field) -> BoundaryTrace:
     return BoundaryTrace(mesh.vertices[mesh.boundary_loop], lam, 0.5 * lumped)
 
 
-def _patch_fit(owner, d, values, n):
-    """Batched least-squares linear fits, one per patch.
+# a patch is degenerate when the determinant of its centred second moments
+# falls to this fraction of their squared trace (collinear samples give 0)
+_DEGENERATE_PATCH = 1e-10
 
-    Sample k belongs to patch owner[k], sits at offset d[k] from the patch
-    center and carries the row values[k].  The normal equations of the design
-    rows (1, dx, dy) are summed with bincount, one product at a time, and
-    solved together.  Returns the (n, 3, m) coefficients, rows 1, x, y.
+
+def _linear_fits(patches, px, py, x0, y0, values, caller):
+    """Least-squares linear fits c + b . (p - (x0, y0)) of the columns of
+    values, one per row of the CSR matrix patches, in centred moment form.
+
+    Row i lists the samples k of patch i (data ignored) at (px[k], py[k]).
+    With offsets d_k = p_k - (x0[i], y0[i]), their patch mean m and e_k =
+    d_k - m, the slopes solve (sum e e^T) b = sum e values[k] in closed form
+    and c = mean values - b . m.  The sums are reduceat over the 1-D offsets
+    and mat-vecs with the (e_x | e_y | 1, indices, indptr) matrices.  A patch of
+    fewer than 3 samples, or whose determinant is at most _DEGENERATE_PATCH
+    times its squared trace (collinear samples), raises ValidationError.
+    Returns (c, b_x, b_y), each (n, m).
     """
-    cols = (np.ones(len(d)), d[:, 0], d[:, 1])
-    AtA = np.empty((n, 3, 3))
-    Atb = np.empty((n, 3, values.shape[1]))
-    for i in range(3):
-        for j in range(i, 3):
-            AtA[:, i, j] = AtA[:, j, i] = np.bincount(owner, cols[i] * cols[j], minlength=n)
-        for k in range(values.shape[1]):
-            Atb[:, i, k] = np.bincount(owner, cols[i] * values[:, k], minlength=n)
-    return np.linalg.solve(AtA, Atb)
-
-
-def _csr_pairs(M):
-    """(row, column) of every stored entry of a CSR matrix, columns sorted."""
-    M.sort_indices()
-    return np.repeat(np.arange(M.shape[0]), np.diff(M.indptr)), M.indices
+    indptr, indices = patches.indptr, patches.indices
+    counts = np.diff(indptr)
+    if np.any(counts < 3):
+        raise ValidationError(f"{caller}: degenerate vertex patch")
+    starts = indptr[:-1]
+    dx = np.take(px, indices) - np.repeat(x0, counts)
+    dy = np.take(py, indices) - np.repeat(y0, counts)
+    mx = np.add.reduceat(dx, starts) / counts
+    my = np.add.reduceat(dy, starts) / counts
+    ex = dx - np.repeat(mx, counts)
+    ey = dy - np.repeat(my, counts)
+    sxx = np.add.reduceat(ex * ex, starts)
+    sxy = np.add.reduceat(ex * ey, starts)
+    syy = np.add.reduceat(ey * ey, starts)
+    det = sxx * syy - sxy * sxy
+    if not np.all(det > _DEGENERATE_PATCH * (sxx + syy) ** 2):
+        raise ValidationError(f"{caller}: degenerate vertex patch")
+    rx, ry, total = (sp.csr_matrix((data, indices, indptr), shape=patches.shape) @ values
+                     for data in (ex, ey, np.ones(len(indices))))
+    bx = (syy[:, None] * rx - sxy[:, None] * ry) / det[:, None]
+    by = (sxx[:, None] * ry - sxy[:, None] * rx) / det[:, None]
+    return total / counts[:, None] - bx * mx[:, None] - by * my[:, None], bx, by
 
 
 def recovered_gradient(mesh: Mesh, values: np.ndarray) -> np.ndarray:
     """Superconvergent patch recovery of the gradient at each vertex.
 
     Least-squares linear fit of the element-centroid gradients over the
-    incident elements, evaluated at the vertex.  Exact for linear fields on
-    any patch, and for quadratic fields on point-symmetric patches, where
-    the element gradient errors cancel.
+    incident elements, evaluated at the vertex, by _linear_fits' centred
+    moment sums.  Exact for linear fields on any patch, and for quadratic
+    fields on point-symmetric patches, where the element gradient errors
+    cancel.
     """
     n = len(mesh.vertices)
     _, grads = _element_geometry(mesh)
     ge = np.einsum("tie,ti->te", grads, values[mesh.triangles])
-    centroids = mesh.vertices[mesh.triangles].mean(axis=1)
+    x, y = mesh.vertices.T
 
     corners = mesh.triangles.ravel()
     patches = sp.csr_matrix((np.ones(len(corners)),
@@ -351,23 +369,23 @@ def recovered_gradient(mesh: Mesh, values: np.ndarray) -> np.ndarray:
         # starved vertices (2 incident elements on the boundary): widen to the
         # elements touching any neighbor vertex
         patches = patches + sp.diags(starved * 1.0) @ mesh.adjacency @ patches
-    owner, tris = _csr_pairs(patches)
-    return _patch_fit(owner, centroids[tris] - mesh.vertices[owner], ge[tris], n)[:, 0, :]
+    return _linear_fits(patches, np.take(x, mesh.triangles).mean(axis=1),
+                        np.take(y, mesh.triangles).mean(axis=1), x, y, ge,
+                        "recovered_gradient")[0]
 
 
 def hessian_recovery(mesh: Mesh, f: Field) -> np.ndarray:
-    """Per-vertex symmetric Hessian by least-squares linear fits of the
-    recovered gradient over two-ring vertex patches."""
+    """Per-vertex symmetric Hessian: the slopes of least-squares linear fits
+    of the recovered gradient over two-ring vertex patches (the rows of
+    adjacency @ adjacency), by _linear_fits' centred moment sums."""
     if f.mesh is not mesh:
         raise ValidationError("hessian_recovery: field belongs to a different mesh")
     g = recovered_gradient(mesh, f.values)
-    two_ring = mesh.adjacency @ mesh.adjacency
-    if np.any(np.diff(two_ring.indptr) < 3):
-        raise ValidationError("hessian_recovery: degenerate vertex patch")
-    owner, w = _csr_pairs(two_ring)
-    n = len(mesh.vertices)
-    Hv = _patch_fit(owner, mesh.vertices[w] - mesh.vertices[owner], g[w], n)[:, 1:, :]
+    x, y = mesh.vertices.T
+    _, bx, by = _linear_fits(mesh.adjacency @ mesh.adjacency, x, y, x, y, g,
+                             "hessian_recovery")
     # Hv[v, i, j] = d g_j / d x_i
+    Hv = np.stack([bx, by], axis=1)
     return 0.5 * (Hv + Hv.transpose(0, 2, 1))
 
 

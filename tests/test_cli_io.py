@@ -188,7 +188,8 @@ class TestTypedConfig:
             config_from_dict(dict(DIAG_CFG, target_h=None))
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
-    def test_non_finite_number_rejected(self, value, tmp_path, capsys):
+    def test_non_finite_number_rejected(self, value, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("SERRIN_LAB_OUT", str(tmp_path))
         p = _write(tmp_path, "c.json", dict(DIAG_CFG, domain=dict(DISK, radius=value)))
         assert main(["diagnose", "--config", str(p)]) == 2
         assert "error: domain.radius: expected a finite number" in capsys.readouterr().err
@@ -390,10 +391,47 @@ class TestRun:
 
 
 class TestMain:
-    def test_missing_command_exit_2(self, tmp_path, capsys):
+    def test_missing_command_exit_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("SERRIN_LAB_OUT", str(tmp_path))
         p = _write(tmp_path, "c.json", {"domain": {"kind": "disk", "radius": 1.0}})
         assert main(["solve", "--config", str(p)]) == 2
         assert "command: required" in capsys.readouterr().err
+
+    def test_malformed_json_writes_manifest_to_invalid_config(self, tmp_path, capsys,
+                                                               monkeypatch):
+        monkeypatch.setenv("SERRIN_LAB_OUT", str(tmp_path / "root"))
+        p = tmp_path / "c.json"
+        p.write_text('{"command": "diagnose", "name": "m",')
+        assert main(["diagnose", "--config", str(p)]) == 2
+        assert "error: config: invalid JSON" in capsys.readouterr().err
+        manifest = json.loads((tmp_path / "root" / "invalid-config" / "manifest.json")
+                              .read_text())
+        assert manifest["status"] == "validation-error"
+        assert manifest["error"].startswith("config: invalid JSON")
+        assert manifest["config"] is None
+        assert [d.name for d in (tmp_path / "root").iterdir()] == ["invalid-config"]
+
+    @pytest.mark.parametrize("extra,subdir", [({"name": "typo"}, "typo"), ({}, "diagnose"),
+                                               ({"name": "../up"}, "diagnose")])
+    def test_string_radius_writes_manifest_to_run_dir(self, extra, subdir, tmp_path,
+                                                      capsys, monkeypatch):
+        monkeypatch.setenv("SERRIN_LAB_OUT", str(tmp_path / "root"))
+        cfg = dict(DIAG_CFG, domain=dict(DISK, radius="1.0"), **extra)
+        p = _write(tmp_path, "c.json", cfg)
+        assert main(["diagnose", "--config", str(p)]) == 2
+        assert "error: domain.radius: expected a number" in capsys.readouterr().err
+        manifest = json.loads((tmp_path / "root" / subdir / "manifest.json").read_text())
+        assert manifest["status"] == "validation-error"
+        assert manifest["error"].startswith("domain.radius: expected a number")
+        assert manifest["config"] == cfg
+        assert [d.name for d in (tmp_path / "root").iterdir()] == [subdir]
+
+    def test_unparsed_config_honours_output_dir(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("SERRIN_LAB_OUT", raising=False)
+        cfg = dict(DIAG_CFG, domain=dict(DISK, radius="1.0"), name="m",
+                   output_dir=str(tmp_path))
+        assert main(["diagnose", "--config", str(_write(tmp_path, "c.json", cfg))]) == 2
+        assert json.loads((tmp_path / "m" / "manifest.json").read_text())["config"] == cfg
 
     def test_command_mismatch_exit_2(self, tmp_path):
         p = _write(tmp_path, "c.json", dict(DIAG_CFG, output_dir=str(tmp_path)))

@@ -201,6 +201,51 @@ class TestGrowthCheck:
         assert growth_check(disk_mesh, doubled) == pytest.approx(
             2 * growth_check(disk_mesh, v), rel=1e-12)
 
+    @pytest.mark.parametrize("case", ["disk", "ellipse_refined", "star", "off_centre_inclusion"])
+    def test_screen_matches_brute_force(self, case, request):
+        mesh = {
+            "disk": lambda: request.getfixturevalue("disk_mesh"),
+            "ellipse_refined": lambda: refine(request.getfixturevalue("ellipse_mesh")),
+            "star": lambda: generate(DomainSpec("star", r0=1.0, eps=0.1, k=3), None, 0.08),
+            "off_centre_inclusion": lambda: generate(
+                DomainSpec("ellipse", a=1.2, b=1.0),
+                InclusionSpec("disk", center=(0.3, 0.2), radius=0.25), 0.06),
+        }[case]()
+        v = solve_one_phase(mesh)
+        interior = mesh.interior
+        delta = distance_to_boundary(mesh.domain, mesh.vertices[interior])
+        brute = float(np.min(v.values[interior] / delta))
+        assert growth_check(mesh, v) == pytest.approx(brute, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("name", ["disk_mesh", "ellipse_mesh"])
+    def test_screen_reaches_boundary_minimum(self, name, request, monkeypatch):
+        # values = delta^2 puts the minimum of v/delta = delta next to the
+        # boundary, where the screen delta^2/margin ties it at many vertices
+        from serrinlab import serrin_diagnostics
+        from serrinlab.fem_core import Field
+
+        mesh = request.getfixturevalue(name)
+        interior = mesh.interior
+        delta = distance_to_boundary(mesh.domain, mesh.vertices[interior])
+        values = np.zeros(len(mesh.vertices))
+        values[interior] = delta ** 2
+        argmin = interior[np.argmin(delta)]
+        assert np.intersect1d(mesh.adjacency[argmin].indices, mesh.boundary_loop).size
+        sizes = []
+
+        def spy(spec, pts):
+            sizes.append(len(pts))
+            return distance_to_boundary(spec, pts)
+
+        monkeypatch.setattr(serrin_diagnostics, "distance_to_boundary", spy)
+        got = growth_check(mesh, Field(mesh, values, "custom"))
+        assert got == pytest.approx(float(delta.min()), rel=1e-14, abs=0.0)
+        # one seed call and one candidate call, the candidates past the seeds
+        # where the screen ties
+        assert len(sizes) == 2
+        if name == "disk_mesh":
+            assert sizes[1] > sizes[0]
+
     def test_quadratic_lower_bound(self, disk_mesh):
         # v >= delta^2/4, by comparison with the inscribed ball
         v = solve_one_phase(disk_mesh)

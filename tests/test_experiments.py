@@ -101,6 +101,22 @@ class TestStabilitySweep:
         assert sweep.fit is not None
         assert 0.8 <= sweep.fit.slope <= 1.2
 
+    def test_non_monotone_gaps_rejected_before_floor_member(self, monkeypatch):
+        # the members' gaps are the sweep's parameters; the disk floor member
+        # is not built once they fail
+        family = [DomainSpec("ellipse", a=a, b=1.0) for a in (1.2, 1.05, 1.1)]
+        meshed = []
+        real_generate = experiments.generate
+
+        def spy(*args):
+            meshed.append(args)
+            return real_generate(*args)
+
+        monkeypatch.setattr(experiments, "generate", spy)
+        with pytest.raises(ValidationError, match="^family:"):
+            one_phase_stability_sweep(family, 0.1)
+        assert len(meshed) == len(family)
+
 
 class TestSigmaSweep:
     def test_ellipse_with_inclusion_slope(self):

@@ -6,6 +6,7 @@ from functools import cached_property
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from serrinlab.analytic_oracle import (
@@ -502,6 +503,45 @@ class TestRecoveredGradient:
         ref = reference_gradient(mesh, values)
         np.testing.assert_allclose(recovered_gradient(mesh, values), ref, rtol=1e-10,
                                    atol=1e-10 * np.abs(ref).max())
+
+
+def fan_mesh():
+    """Three triangles fanned from the origin to four points on y = 1: every
+    recovery patch holds their three centroids, which lie on y = 2/3."""
+    vertices = np.array([[0.0, 0.0], [1.5, 1.0], [0.5, 1.0], [-0.5, 1.0], [-1.5, 1.0]])
+    triangles = np.array([[0, 1, 2], [0, 2, 3], [0, 3, 4]], dtype=np.int64)
+    loop = np.arange(5, dtype=np.int64)
+    return meshgen.Mesh(vertices=vertices, triangles=triangles,
+                        region=np.zeros(3, dtype=np.int8), boundary_loop=loop,
+                        boundary_params=2.0 * np.pi * loop / 5, interface_loop=None,
+                        interface_params=None, domain=None, inclusion=None, target_h=1.0)
+
+
+class TestDegeneratePatch:
+    def test_collinear_centroids_rejected(self):
+        mesh = fan_mesh()
+        with pytest.raises(ValidationError, match="^recovered_gradient: degenerate vertex patch"):
+            recovered_gradient(mesh, mesh.vertices[:, 0] ** 2)
+
+    @pytest.mark.parametrize("slope", [0.0, 0.3, np.inf])
+    def test_collinear_samples_rejected_by_the_fit(self, slope):
+        # four samples on a line through (0.1, 0.2), one patch holding them all
+        t = np.array([0.1, 0.25, 0.7, 1.3])
+        px, py = (0.1 + 0 * t, 0.2 + t) if slope == np.inf else (t, 0.2 + slope * t)
+        patches = sp.csr_matrix(np.ones((1, 4)))
+        with pytest.raises(ValidationError, match="^caller: degenerate vertex patch"):
+            fem_core._linear_fits(patches, px, py, np.zeros(1), np.zeros(1),
+                                  np.ones((4, 2)), "caller")
+
+    def test_fit_of_a_plane_is_exact(self):
+        # the same patch off the line fits a linear field exactly
+        px, py = np.array([0.1, 0.25, 0.7, 1.3]), np.array([0.2, 0.5, 0.1, 0.9])
+        values = np.column_stack([1.0 + 2.0 * px - py, -3.0 * py])
+        c, bx, by = fem_core._linear_fits(sp.csr_matrix(np.ones((1, 4))), px, py,
+                                          np.array([0.5]), np.array([0.5]), values, "fit")
+        np.testing.assert_allclose(c, [[1.5, -1.5]], rtol=1e-13)
+        np.testing.assert_allclose(bx, [[2.0, 0.0]], atol=1e-13)
+        np.testing.assert_allclose(by, [[-1.0, -3.0]], rtol=1e-13)
 
 
 class TestHessianRecovery:
