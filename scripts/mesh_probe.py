@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
 """Fingerprint the mesher over a fixed grid of 140 (domain, inclusion, h) cases.
 
-Prints one line per case: its label, then either the sha1 of the mesh arrays
-(vertices, triangles, region, both loops and their curve parameters) or the
-MeshQualityError text.  Run it in two checkouts and `diff` the outputs: equal
-output means the mesher builds bit-identical meshes and fails identically.
-Takes no options; runs in about 17 s in one process.
+Prints one line per case: its label, then either the MeshQualityError text of
+generate or one sha1 over the generated mesh, its refinement and how they are
+checked: the arrays of both meshes (vertices, triangles, region, both loops
+and their curve parameters), both edge tables, and the outcome of
+validate_mesh on the refined mesh.  Run it in two checkouts and `diff` the
+outputs: equal output means generate, refine, edge_table and validate_mesh
+give bit-identical results and fail identically.  Takes no options; runs in
+about 13 s in one process.
 """
 
 import hashlib
@@ -18,7 +21,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from serrinlab.errors import MeshQualityError  # noqa: E402
 from serrinlab.geometry import DomainSpec, InclusionSpec  # noqa: E402
-from serrinlab.meshgen import generate  # noqa: E402
+from serrinlab.meshgen import generate, refine, validate_mesh  # noqa: E402
 
 DOMAINS = [
     ("disk", DomainSpec("disk", radius=1.0)),
@@ -39,12 +42,21 @@ CASES = [(f"{dname} {iname} h={h}", domain, inclusion, h)
 
 
 def fingerprint(mesh):
-    """sha1 over every array that defines the mesh."""
+    """sha1 over every array that defines the mesh and refine(mesh), the edge
+    tables of both, and the outcome of validate_mesh(refine(mesh))."""
+    fine = refine(mesh)
+    try:
+        validate_mesh(fine)
+        outcome = "ok"
+    except MeshQualityError as exc:
+        outcome = str(exc)
     sha = hashlib.sha1()
-    for arr in (mesh.vertices, mesh.triangles, mesh.region, mesh.boundary_loop,
-                mesh.boundary_params, mesh.interface_loop, mesh.interface_params):
-        if arr is not None:
-            sha.update(np.ascontiguousarray(arr).tobytes())
+    for m in (mesh, fine):
+        for arr in (m.vertices, m.triangles, m.region, m.boundary_loop, m.boundary_params,
+                    m.interface_loop, m.interface_params, *m.edge_table):
+            if arr is not None:
+                sha.update(np.ascontiguousarray(arr).tobytes())
+    sha.update(outcome.encode())
     return sha.hexdigest()
 
 

@@ -13,7 +13,10 @@ circumcircle is empty of all points, since the full one then holds it too;
 every mesh kept still comes from the full triangulation, so this cannot change
 a mesh.  Each Mesh builds its edge table, interior vertex index and vertex
 adjacency once, on first use; a refined mesh also builds its prolongation
-from the parent, whose vertex numbering refine() defines.
+from the parent, whose vertex numbering refine() defines.  The edge table
+costs one sort per mesh: edges are numbered by first appearance in O(n) from
+that sort's groups, and the table keeps the order of its edges by key, so
+every boundary or interface loop lookup is a searchsorted on it.
 """
 
 from __future__ import annotations
@@ -42,9 +45,13 @@ _OFFSETS = ((0.0, 0.0), (0.5, 0.0))
 # minimum triangle angle of a generated mesh; validate_mesh checks it too
 _MIN_ANGLE_DEG = 20.0
 # reach (in pitches) past each clearance band of the points that the early
-# rejection triangulates: a little more than the longest edge a mesh may keep,
-# 1.5 target_h (1.76 pitches)
-_NEAR_PITCHES = 2.0
+# rejection triangulates, and the widest circumcircle it tests.  Soundness
+# rests on counting all points, not only the near ones, in a defect's
+# circumcircle, so no value of either can reject an offset that would mesh;
+# they set only how many doomed offsets are caught before the full
+# triangulation: at these values all 116 on the grid of scripts/mesh_probe.py
+_NEAR_PITCHES = 1.0
+_NEAR_RADIUS_PITCHES = 2.0
 
 
 @dataclass
@@ -93,12 +100,11 @@ class Mesh:
         return np.stack([e[:, 1], -e[:, 0]], axis=-1) / self.boundary_edge_lengths()[:, None]
 
     def triangle_areas(self):
-        p = self.vertices[self.triangles]
-        return 0.5 * ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-                      - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
+        x, y = _corners(self.vertices, self.triangles)
+        return 0.5 * ((x[1] - x[0]) * (y[2] - y[0]) - (x[2] - x[0]) * (y[1] - y[0]))
 
     def min_angle_deg(self):
-        return float(np.min(_tri_angles_deg(self.vertices, self.triangles)))
+        return float(np.min(_tri_angles_deg(_edge_lengths(self.vertices, self.triangles))))
 
     @cached_property
     def edge_table(self):
@@ -108,7 +114,9 @@ class Mesh:
     @cached_property
     def interior(self):
         """Sorted ids of the vertices off the boundary loop."""
-        return np.setdiff1d(np.arange(len(self.vertices)), self.boundary_loop)
+        off_loop = np.ones(len(self.vertices), dtype=bool)
+        off_loop[self.boundary_loop] = False
+        return np.flatnonzero(off_loop)
 
     @cached_property
     def adjacency(self):
@@ -137,20 +145,25 @@ class Mesh:
         return sp.csr_matrix((vals, (rows, cols)), shape=(len(self.vertices), V))
 
     def __getstate__(self):
-        """Pickle without the cached topology: a pool worker rebuilds what it reads."""
+        """Pickle without any cached_property: a pool worker rebuilds what it reads."""
         return {k: v for k, v in vars(self).items()
-                if k not in ("edge_table", "interior", "adjacency", "prolongation")}
+                if not isinstance(vars(Mesh).get(k), cached_property)}
+
+
+def _corners(vertices, triangles):
+    """x and y of the corners of each triangle, each (3, T)."""
+    return np.take(vertices[:, 0], triangles.T), np.take(vertices[:, 1], triangles.T)
 
 
 def _edge_lengths(vertices, triangles):
-    p = vertices[triangles]
-    e = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 1], p[:, 0] - p[:, 2]])
-    return np.hypot(e[..., 0], e[..., 1])
+    """(3, T) lengths of the sides v0v1, v1v2, v2v0 of each triangle."""
+    x, y = _corners(vertices, triangles)
+    return np.hypot(np.roll(x, -1, axis=0) - x, np.roll(y, -1, axis=0) - y)
 
 
-def _tri_angles_deg(vertices, triangles):
-    ell = _edge_lengths(vertices, triangles)  # (3, T): |v1v2|, |v2v0|... opposite sides
-    a, b, c = ell[0], ell[1], ell[2]
+def _tri_angles_deg(ell):
+    """(3, T) angles in degrees, from the (3, T) side lengths of _edge_lengths."""
+    a, b, c = ell
     angles = []
     for opp, s1, s2 in ((b, c, a), (c, a, b), (a, b, c)):
         cosang = np.clip((s1 ** 2 + s2 ** 2 - opp ** 2) / (2 * s1 * s2), -1.0, 1.0)
@@ -331,8 +344,9 @@ def _certain_defect(points, near, domain, target_h):
     """
     triangles = near[Delaunay(points[near]).simplices]
     p = points[triangles]
-    longest = _edge_lengths(points, triangles).max(axis=0)
-    smallest = _tri_angles_deg(points, triangles).min(axis=0)
+    ell = _edge_lengths(points, triangles)
+    longest = ell.max(axis=0)
+    smallest = _tri_angles_deg(ell).min(axis=0)
     centroids = p.mean(axis=1)
     bad = (longest > 1.5 * target_h * (1 + 1e-9)) | (smallest < _MIN_ANGLE_DEG - 1e-6)
     # centroid inside by more than the rounding of another corner order, and a
@@ -340,7 +354,7 @@ def _certain_defect(points, near, domain, target_h):
     # is wider
     bad &= domain.signed_radial_margin(centroids) > 1e-9 * target_h
     center, radius = _circumcircles(p[bad])
-    small = radius < _NEAR_PITCHES * _PITCH * target_h
+    small = radius < _NEAR_RADIUS_PITCHES * _PITCH * target_h
     if not np.any(small):
         return None
     # the radius reaches all three corners, so a count of 3 is the corners alone
@@ -379,55 +393,67 @@ def _orient_ccw(points, triangles):
     return triangles
 
 
+class EdgeTable(tuple):
+    """(edges, tri_edges, counts) as edge_table() returns them; by_key holds
+    the edge ids in increasing key order (int32), the sorter of loop lookups."""
+
+
 def edge_table(triangles):
     """Edges of a triangle array, numbered by first appearance.
 
     The sides of each triangle (a, b, c) are visited as (a, b), (b, c), (c, a),
     triangle by triangle, and each edge keeps the orientation of its first
     visit.  Returns the (E, 2) edges, the (T, 3) edge id of each side, and the
-    number of triangles on each edge.
+    number of triangles on each edge, as an EdgeTable.
     """
     sides = np.stack([triangles, np.roll(triangles, -1, axis=1)], axis=-1).reshape(-1, 2)
-    _, first, inverse, counts = np.unique(_pair_keys(sides), return_index=True,
-                                          return_inverse=True, return_counts=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return sides[first[order]], rank[inverse].reshape(-1, 3), counts[order]
+    # one unstable sort groups the sides by key; the first side of each group
+    # and its rank among the first sides then number the edges in O(n)
+    _, inverse, counts = np.unique(_pair_keys(sides), return_inverse=True,
+                                   return_counts=True)
+    first = np.full(len(counts), len(sides))
+    np.minimum.at(first, inverse, np.arange(len(sides)))
+    is_first = np.zeros(len(sides), dtype=bool)
+    is_first[first] = True
+    rank = (np.cumsum(is_first) - 1)[first]
+    by_id = np.empty_like(counts)
+    by_id[rank] = counts
+    table = EdgeTable((np.compress(is_first, sides, axis=0), rank[inverse].reshape(-1, 3),
+                       by_id))
+    table.by_key = rank.astype(np.int32)
+    return table
 
 
 def _pair_keys(pairs):
     """Orientation-free int64 key of each vertex pair."""
-    pairs = np.sort(np.asarray(pairs, dtype=np.int64), axis=1)
-    return (pairs[:, 0] << 32) | pairs[:, 1]
+    pairs = np.asarray(pairs, dtype=np.int64)
+    return (np.minimum(pairs[:, 0], pairs[:, 1]) << 32) | np.maximum(pairs[:, 0], pairs[:, 1])
 
 
 def _drop_orphans(points, triangles):
-    used = np.unique(triangles)
-    remap = -np.ones(len(points), dtype=np.int64)
-    remap[used] = np.arange(len(used))
-    return points[used], remap[triangles], remap
+    used = np.bincount(triangles.ravel(), minlength=len(points)) > 0
+    remap = np.where(used, np.cumsum(used) - 1, -1)
+    return np.compress(used, points, axis=0), remap[triangles], remap
 
 
-def _loop_edge_ids(edges, loop):
-    """Id in an edge table of each loop edge loop[i] -> loop[i+1], -1 where missing."""
-    keys = _pair_keys(edges)
+def _loop_edge_ids(table, loop):
+    """Id in an EdgeTable of each loop edge loop[i] -> loop[i+1], -1 where missing."""
+    keys = _pair_keys(table[0])
     query = _pair_keys(np.stack([loop, np.roll(loop, -1)], axis=1))
-    order = np.argsort(keys)
-    found = order[np.searchsorted(keys, query, sorter=order) % len(keys)]
+    found = table.by_key[np.searchsorted(keys, query, sorter=table.by_key) % len(keys)]
     return np.where(keys[found] == query, found, -1)
 
 
 def _check_loops(mesh):
     """The edges on one triangle must be exactly the edges of the boundary loop,
     and every edge of the interface loop must be a mesh edge."""
-    edges, _, counts = mesh.edge_table
-    ids = _loop_edge_ids(edges, mesh.boundary_loop)
+    counts = mesh.edge_table[2]
+    ids = _loop_edge_ids(mesh.edge_table, mesh.boundary_loop)
     if (np.any(ids < 0) or np.any(counts[ids] != 1)
             or len(np.unique(ids)) != np.count_nonzero(counts == 1)):
         raise MeshQualityError("mesh boundary does not coincide with the sampled curve")
     if mesh.interface_loop is not None and np.any(
-            _loop_edge_ids(edges, mesh.interface_loop) < 0):
+            _loop_edge_ids(mesh.edge_table, mesh.interface_loop) < 0):
         raise MeshQualityError("mesh misses an edge of the sampled inclusion curve")
 
 
@@ -448,11 +474,11 @@ def refine(mesh: Mesh) -> Mesh:
     vertices = np.vstack([mesh.vertices, 0.5 * (mesh.vertices[edges[:, 0]]
                                                 + mesh.vertices[edges[:, 1]])])
     loop, loop_params = _split_loop(mesh.boundary_loop, mesh.boundary_params,
-                                    edges, vertices, mesh.domain)
+                                    mesh.edge_table, vertices, mesh.domain)
     iloop, iparams = None, None
     if mesh.interface_loop is not None:
         iloop, iparams = _split_loop(mesh.interface_loop, mesh.interface_params,
-                                     edges, vertices, mesh.inclusion.to_domain())
+                                     mesh.edge_table, vertices, mesh.inclusion.to_domain())
     a, b, c = mesh.triangles.T
     mab, mbc, mca = (V + tri_edges).T
     triangles = np.stack([a, mab, mca, b, mbc, mab, c, mca, mbc, mab, mbc, mca],
@@ -465,13 +491,14 @@ def refine(mesh: Mesh) -> Mesh:
                 target_h=mesh.target_h / 2.0, margin=mesh.margin, parent=mesh)
 
 
-def _split_loop(loop, params, edges, vertices, curve):
+def _split_loop(loop, params, table, vertices, curve):
     """Refined loop and its curve parameters: each loop edge gains its midpoint.
 
     The midpoint vertex moves onto the curve at the parameter midpoint (it stays
     the straight midpoint when curve is None).
     """
-    ids = _loop_edge_ids(edges, loop)
+    edges = table[0]
+    ids = _loop_edge_ids(table, loop)
     param_of = np.zeros(len(vertices))
     param_of[loop] = params
     tm = _circular_midpoint(param_of[edges[ids, 0]], param_of[edges[ids, 1]])
@@ -494,17 +521,21 @@ def validate_mesh(mesh: Mesh):
     euler = len(mesh.vertices) - len(edges) + len(mesh.triangles)
     if euler != 1:
         raise MeshQualityError(f"Euler relation violated: V-E+T = {euler}")
-    if mesh.min_angle_deg() < _MIN_ANGLE_DEG:
-        raise MeshQualityError(f"min angle {mesh.min_angle_deg():.2f} below {_MIN_ANGLE_DEG}")
+    min_angle = mesh.min_angle_deg()
+    if min_angle < _MIN_ANGLE_DEG:
+        raise MeshQualityError(f"min angle {min_angle:.2f} below {_MIN_ANGLE_DEG}")
     if mesh.inclusion is not None:
-        # margins of the three corners and the centroid of every triangle
-        p = mesh.vertices[mesh.triangles]
-        p = np.concatenate([p, p.mean(axis=1, keepdims=True)], axis=1)
-        m = mesh.inclusion.to_domain().signed_radial_margin(p.reshape(-1, 2)).reshape(-1, 4)
-        if np.any((mesh.region == 1) & np.any(m < -1e-9, axis=1)):
+        # margins to D of each vertex, read at the corners of every triangle,
+        # and of the centroid of each inside-tagged triangle: an inside-tagged
+        # triangle fails on any of these outside D, an outside-tagged one only
+        # on a corner inside D
+        curve = mesh.inclusion.to_domain()
+        corner = curve.signed_radial_margin(mesh.vertices)[mesh.triangles]
+        inside = mesh.region == 1
+        centroid = curve.signed_radial_margin(mesh.vertices[mesh.triangles[inside]].mean(axis=1))
+        if np.any(corner[inside] < -1e-9) or np.any(centroid < -1e-9):
             raise MeshQualityError("inside-tagged triangle leaks outside D")
-        if np.any((mesh.region == 0) & np.any(m > 1e-9, axis=1)
-                  & ~np.all(m[:, :3] <= 1e-9, axis=1)):
+        if np.any(corner[mesh.region == 0] > 1e-9):
             raise MeshQualityError("outside-tagged triangle straddles D")
     if mesh.domain is not None:
         onb = mesh.domain.signed_radial_margin(mesh.vertices[mesh.boundary_loop])

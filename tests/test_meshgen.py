@@ -1,9 +1,12 @@
 import math
 import pickle
-from dataclasses import replace
+from dataclasses import fields, replace
+from functools import cached_property
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scipy.spatial import Delaunay
 
@@ -334,6 +337,48 @@ def _undirected_edges(triangles):
     return {tuple(e) for e in np.sort(edge_table(triangles)[0], axis=1).tolist()}
 
 
+def reference_edge_table(triangles):
+    """edge_table numbered through np.unique's return_index, for comparison."""
+    sides = np.stack([triangles, np.roll(triangles, -1, axis=1)], axis=-1).reshape(-1, 2)
+    pairs = np.sort(sides, axis=1)
+    _, first, inverse, counts = np.unique((pairs[:, 0] << 32) | pairs[:, 1],
+                                          return_index=True, return_inverse=True,
+                                          return_counts=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return sides[first[order]], rank[inverse].reshape(-1, 3), counts[order]
+
+
+def reference_loop_edge_ids(triangles, loop):
+    """Edge id of each loop edge loop[i] -> loop[i+1] by a dict of vertex pairs."""
+    ids = {frozenset(e): k for k, e in enumerate(edge_table(triangles)[0].tolist())}
+    return [ids.get(frozenset((a, b)), -1) for a, b in zip(loop, loop[1:] + loop[:1])]
+
+
+def reference_tag_check(mesh):
+    """validate_mesh's region-tag checks on the margins of the three corners
+    and the centroid of every triangle; the failing check's message or None."""
+    p = mesh.vertices[mesh.triangles]
+    p = np.concatenate([p, p.mean(axis=1, keepdims=True)], axis=1)
+    m = mesh.inclusion.to_domain().signed_radial_margin(p.reshape(-1, 2)).reshape(-1, 4)
+    if np.any((mesh.region == 1) & np.any(m < -1e-9, axis=1)):
+        return "inside-tagged triangle leaks outside D"
+    if np.any((mesh.region == 0) & np.any(m > 1e-9, axis=1)
+              & ~np.all(m[:, :3] <= 1e-9, axis=1)):
+        return "outside-tagged triangle straddles D"
+    return None
+
+
+@st.composite
+def triangle_arrays(draw):
+    """Triangles with three distinct corners among a few vertices, so that
+    edges repeat, in both orientations and on more than two triangles."""
+    n = draw(st.integers(3, 10))
+    corners = st.lists(st.integers(0, n - 1), min_size=3, max_size=3, unique=True)
+    return np.array(draw(st.lists(corners, min_size=1, max_size=30)), dtype=np.int64)
+
+
 class TestConnectivity:
     def test_edge_table_first_appearance(self):
         tris = np.array([[0, 1, 2], [2, 1, 3]])
@@ -383,6 +428,98 @@ class TestConnectivity:
         assert (copy.adjacency != fine.adjacency).nnz == 0
         for a, b in zip(copy.parent.edge_table, concentric_mesh.edge_table):
             np.testing.assert_array_equal(a, b)
+
+    @given(triangle_arrays())
+    @settings(max_examples=200, deadline=None)
+    def test_edge_table_matches_unique_return_index(self, triangles):
+        for got, want in zip(edge_table(triangles), reference_edge_table(triangles)):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
+    @given(triangle_arrays(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_loop_edge_ids_match_dict_lookup(self, triangles, data):
+        table = edge_table(triangles)
+        # vertex n is on no triangle, so its loop edges are missing
+        n = int(triangles.max()) + 1
+        loop = data.draw(st.lists(st.integers(0, n), min_size=1, max_size=20))
+        for walk in (loop, loop[::-1]):
+            np.testing.assert_array_equal(
+                meshgen._loop_edge_ids(table, np.array(walk, dtype=np.int64)),
+                reference_loop_edge_ids(triangles, walk))
+        # every edge, walked against its stored orientation
+        edges = table[0]
+        ids = meshgen._loop_edge_ids(table, edges[:, ::-1].ravel())
+        np.testing.assert_array_equal(ids[::2], np.arange(len(edges)))
+        np.testing.assert_array_equal(meshgen._loop_edge_ids(table, np.array([n, 0])),
+                                      [-1, -1])
+
+    @given(triangle_arrays(), st.integers(0, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_drop_orphans_matches_unique(self, triangles, unused):
+        V = int(triangles.max()) + 1 + unused
+        points = np.arange(2.0 * V).reshape(V, 2)
+        used = np.unique(triangles)
+        remap = -np.ones(V, dtype=np.int64)
+        remap[used] = np.arange(len(used))
+        for got, want in zip(meshgen._drop_orphans(points, triangles),
+                             (points[used], remap[triangles], remap)):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
+    @given(st.lists(st.integers(0, 24), min_size=1, max_size=25, unique=True))
+    @settings(max_examples=100, deadline=None)
+    def test_interior_matches_setdiff(self, loop):
+        square = make_square_mesh(n=4)
+        mesh = replace(square, boundary_loop=np.array(loop, dtype=np.int64),
+                       boundary_params=np.zeros(len(loop)))
+        want = np.setdiff1d(np.arange(len(square.vertices)), mesh.boundary_loop)
+        assert mesh.interior.dtype == want.dtype
+        np.testing.assert_array_equal(mesh.interior, want)
+
+    def test_validate_tag_checks_match_corner_and_centroid_margins(self, concentric_mesh):
+        """Flip the tag of each triangle touching the interface in turn, and
+        move interface vertices just off the curve (D is the disk 0.5)."""
+        mesh = concentric_mesh
+        touching = np.flatnonzero(np.isin(mesh.triangles, mesh.interface_loop).any(axis=1))
+        cases = []
+        for t in touching:
+            region = mesh.region.copy()
+            region[t] = 1 - region[t]
+            cases.append(replace(mesh, region=region))
+        for v in mesh.interface_loop[:8]:
+            for scale in (1 - 1e-6, 1 + 1e-6):
+                vertices = mesh.vertices.copy()
+                vertices[v] *= scale
+                cases.append(replace(mesh, vertices=vertices))
+        outcomes = set()
+        for mesh in cases:
+            want = reference_tag_check(mesh)
+            try:
+                validate_mesh(mesh)
+                got = None
+            except MeshQualityError as exc:
+                got = str(exc)
+            assert got == want
+            outcomes.add(got)
+        assert outcomes == {"inside-tagged triangle leaks outside D",
+                            "outside-tagged triangle straddles D"}
+
+    def test_pickle_state_is_the_fields(self, concentric_mesh, monkeypatch):
+        # a cache added to Mesh later stays out of pickles too
+        extra = cached_property(lambda mesh: np.zeros(len(mesh.vertices)))
+        extra.__set_name__(Mesh, "extra_cache")
+        monkeypatch.setattr(Mesh, "extra_cache", extra, raising=False)
+        cached = [k for k, v in vars(Mesh).items() if isinstance(v, cached_property)]
+        assert {"edge_table", "interior", "adjacency", "prolongation"} < set(cached)
+        fine = refine(concentric_mesh)
+        for mesh in (fine, concentric_mesh):
+            for name in cached:
+                if mesh.parent is not None or name != "prolongation":
+                    getattr(mesh, name)
+        copy = pickle.loads(pickle.dumps(fine))
+        names = {f.name for f in fields(Mesh)}
+        assert set(vars(copy)) == names and set(vars(copy.parent)) == names
 
     def test_validate_rejects_edge_on_three_triangles(self):
         vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0], [0.5, 2.0]])
