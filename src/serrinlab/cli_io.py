@@ -1,5 +1,8 @@
-"""Batch entry point: JSON configs in, CSV/JSON/SVG artifacts plus a manifest out.
-
+"""Batch entry point: `serrin-lab --config <path> [--jobs N]`, a JSON config in,
+CSV/JSON/SVG artifacts plus a manifest out.  The config's command picks its row
+of COMMANDS: the runner that writes the command's artifacts and returns its
+summary, and the fields it requires.  Runners call the library through this
+module's names at call time, so a tracer that re-points them sees each call.
 Exit codes: 0 success, 2 validation error, 3 solver/mesh failure or failed
 numerical self-check, 4 internal error (any other exception, with its
 traceback in the manifest).  Artifact files (report.csv, fit.json, plot.svg,
@@ -40,10 +43,6 @@ from .fem_core import dump_field, evaluate, normal_derivative, solve_two_phase
 from .geometry import DomainSpec, InclusionSpec
 from .meshgen import generate, refine
 from .serrin_diagnostics import EtaSpec, full_report
-
-COMMANDS = ("solve", "diagnose", "sweep-sigma", "sweep-inclusion",
-            "sweep-stability", "frechet-check", "verify-identity", "nonexistence")
-
 
 def _join(path, name):
     return f"{path}.{name}" if path else name
@@ -154,23 +153,11 @@ class RunConfig:
             raise ValidationError("refine_levels: must be >= 0")
         if self.name is not None and not _is_component(self.name):
             raise ValidationError("name: must be a single path component")
-        needs_domain = self.command != "sweep-stability"
-        if needs_domain and self.domain is None:
-            raise ValidationError("domain: required")
-        if self.command == "sweep-sigma" and not self.t_values:
-            raise ValidationError("t_values: required for sweep-sigma")
-        if self.command == "frechet-check":
-            if self.t0 is None:
-                raise ValidationError("t0: required for frechet-check")
-            if not self.epsilon_values:
-                raise ValidationError("epsilon_values: required for frechet-check")
-        if self.command == "sweep-inclusion" and not self.inclusion_radii:
-            raise ValidationError("inclusion_radii: required for sweep-inclusion")
-        if self.command == "sweep-stability" and not self.family:
-            raise ValidationError("family: required for sweep-stability")
-        if self.command == "nonexistence":
-            if self.fitted_C2 is None or self.fitted_C3 is None:
-                raise ValidationError("fitted_C2/fitted_C3: required for nonexistence")
+        if self.sigma_c <= 0:
+            raise ValidationError("sigma_c: must be positive")
+        for name in COMMANDS[self.command][1]:
+            if getattr(self, name) in (None, []):
+                raise ValidationError(f"{name}: required for {self.command}")
 
 
 config_from_dict = partial(spec_from_dict, RunConfig)
@@ -284,73 +271,90 @@ def emit_plot(sweep: SweepResult, path) -> bool:
 # -- command execution ---------------------------------------------------------
 
 
-def _execute(cfg: RunConfig, outdir: Path, jobs: int) -> dict:
-    inclusion = None if cfg.inclusion.is_none else cfg.inclusion
-    summary = {}
-    if cfg.command == "solve":
-        mesh = generate(cfg.domain, inclusion, cfg.target_h)
-        for _ in range(cfg.refine_levels):
-            mesh = refine(mesh)
-        u = solve_two_phase(mesh, cfg.sigma_c)
-        tr = normal_derivative(mesh, u)
-        center_val = evaluate(mesh, u, cfg.domain.center)
-        flux = float(tr.values @ tr.weights)
-        _write_csv(outdir / "report.csv", [{
-            "center_value": center_val, "min_value": float(u.values.min()),
-            "max_value": float(u.values.max()), "boundary_flux_total": flux,
-            "h_max": mesh.h_max}])
-        with open(outdir / "field.txt", "w", newline="\n") as fh:
-            dump_field(mesh, u, fh)
-        summary["center_value"] = center_val
-    elif cfg.command == "diagnose":
-        rep = full_report(cfg.domain, inclusion, cfg.sigma_c, cfg.target_h,
-                          eta=cfg.eta, refine_levels=cfg.refine_levels)
-        _write_csv(outdir / "report.csv", [asdict(rep)])
-        summary["gap"] = rep.gap
-    elif cfg.command == "verify-identity":
-        rep0 = full_report(cfg.domain, inclusion, cfg.sigma_c, cfg.target_h)
-        rep1 = full_report(cfg.domain, inclusion, cfg.sigma_c, cfg.target_h,
-                           refine_levels=1)
-        ratio = rep0.FI_gap / max(rep1.FI_gap, 1e-300)
-        _write_csv(outdir / "report.csv", [
-            {"level": level, "h_max": rep.h_max, "FI_lhs": rep.FI_lhs,
-             "FI_rhs": rep.FI_rhs, "FI_gap": rep.FI_gap, "gap_reduction": reduction}
-            for level, rep, reduction in ((0, rep0, 1.0), (1, rep1, ratio))])
-        summary["FI_gap"] = rep1.FI_gap
-    elif cfg.command == "nonexistence":
-        th = nonexistence_threshold(cfg.domain, cfg.fitted_C2, cfg.fitted_C3,
-                                    cfg.target_h)
-        _write_csv(outdir / "report.csv", [asdict(th)])
-        summary["sigma_threshold"] = th.sigma_threshold
-    else:
-        sweep = _run_sweep(cfg, inclusion, jobs)
-        _write_csv(outdir / "report.csv",
-                   [dict(row, status="excluded" if ex else "kept")
-                    for row, ex in zip(sweep.rows, sweep.excluded)])
-        with open(outdir / "fit.json", "w", newline="\n") as fh:
-            json.dump(_fit_json(sweep), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        if cfg.plot:
-            if not emit_plot(sweep, outdir / "plot.svg"):
-                summary["plot"] = "skipped: fewer than 2 positive points"
-        summary["status"] = sweep.status
-        if sweep.fit is not None:
-            summary["slope"] = sweep.fit.slope
+def _solve(cfg, inclusion, outdir, jobs):
+    mesh = generate(cfg.domain, inclusion, cfg.target_h)
+    for _ in range(cfg.refine_levels):
+        mesh = refine(mesh)
+    u = solve_two_phase(mesh, cfg.sigma_c)
+    tr = normal_derivative(mesh, u)
+    center_val = evaluate(mesh, u, cfg.domain.center)
+    _write_csv(outdir / "report.csv", [{
+        "center_value": center_val, "min_value": float(u.values.min()),
+        "max_value": float(u.values.max()), "boundary_flux_total": tr.values @ tr.weights,
+        "h_max": mesh.h_max}])
+    with open(outdir / "field.txt", "w", newline="\n") as fh:
+        dump_field(mesh, u, fh)
+    return {"center_value": center_val}
+
+
+def _diagnose(cfg, inclusion, outdir, jobs):
+    rep = full_report(cfg.domain, inclusion, cfg.sigma_c, cfg.target_h,
+                      eta=cfg.eta, refine_levels=cfg.refine_levels)
+    _write_csv(outdir / "report.csv", [asdict(rep)])
+    return {"gap": rep.gap}
+
+
+def _verify_identity(cfg, inclusion, outdir, jobs):
+    rep0 = full_report(cfg.domain, inclusion, cfg.sigma_c, cfg.target_h)
+    rep1 = full_report(cfg.domain, inclusion, cfg.sigma_c, cfg.target_h, refine_levels=1)
+    ratio = rep0.FI_gap / max(rep1.FI_gap, 1e-300)
+    _write_csv(outdir / "report.csv", [
+        {"level": level, "h_max": rep.h_max, "FI_lhs": rep.FI_lhs,
+         "FI_rhs": rep.FI_rhs, "FI_gap": rep.FI_gap, "gap_reduction": reduction}
+        for level, rep, reduction in ((0, rep0, 1.0), (1, rep1, ratio))])
+    return {"FI_gap": rep1.FI_gap}
+
+
+def _nonexistence(cfg, inclusion, outdir, jobs):
+    th = nonexistence_threshold(cfg.domain, cfg.fitted_C2, cfg.fitted_C3, cfg.target_h)
+    _write_csv(outdir / "report.csv", [asdict(th)])
+    return {"sigma_threshold": th.sigma_threshold}
+
+
+def _write_sweep(cfg, outdir, sweep: SweepResult) -> dict:
+    """report.csv, fit.json and, when cfg.plot, plot.svg of a sweep; its summary."""
+    _write_csv(outdir / "report.csv", [dict(row, status="excluded" if ex else "kept")
+                                       for row, ex in zip(sweep.rows, sweep.excluded)])
+    (outdir / "fit.json").write_text(
+        json.dumps(_fit_json(sweep), indent=2, sort_keys=True) + "\n", newline="\n")
+    summary = {"status": sweep.status}
+    if cfg.plot and not emit_plot(sweep, outdir / "plot.svg"):
+        summary["plot"] = "skipped: fewer than 2 positive points"
+    if sweep.fit is not None:
+        summary["slope"] = sweep.fit.slope
     return summary
 
 
-def _run_sweep(cfg: RunConfig, inclusion, jobs):
-    if cfg.command == "sweep-sigma":
-        return sigma_sweep(cfg.domain, inclusion, cfg.t_values, cfg.target_h,
-                           window=cfg.window, jobs=jobs)
-    if cfg.command == "sweep-inclusion":
-        return inclusion_sweep(cfg.domain, cfg.sigma_c, cfg.inclusion_radii,
-                               cfg.target_h, window=cfg.window, jobs=jobs)
-    if cfg.command == "sweep-stability":
-        return one_phase_stability_sweep(cfg.family, cfg.target_h,
-                                         window=cfg.window, jobs=jobs)
-    return frechet_check(cfg.domain, inclusion, cfg.t0, cfg.epsilon_values,
-                         cfg.target_h, window=cfg.window)
+def _sweep_sigma(cfg, inclusion, outdir, jobs):
+    return _write_sweep(cfg, outdir, sigma_sweep(
+        cfg.domain, inclusion, cfg.t_values, cfg.target_h, window=cfg.window, jobs=jobs))
+
+
+def _sweep_inclusion(cfg, inclusion, outdir, jobs):
+    return _write_sweep(cfg, outdir, inclusion_sweep(
+        cfg.domain, cfg.sigma_c, cfg.inclusion_radii, cfg.target_h, window=cfg.window, jobs=jobs))
+
+
+def _sweep_stability(cfg, inclusion, outdir, jobs):
+    return _write_sweep(cfg, outdir, one_phase_stability_sweep(
+        cfg.family, cfg.target_h, window=cfg.window, jobs=jobs))
+
+
+def _frechet_check(cfg, inclusion, outdir, jobs):
+    return _write_sweep(cfg, outdir, frechet_check(
+        cfg.domain, inclusion, cfg.t0, cfg.epsilon_values, cfg.target_h, window=cfg.window))
+
+
+COMMANDS = {
+    "solve": (_solve, ("domain",)),
+    "diagnose": (_diagnose, ("domain",)),
+    "sweep-sigma": (_sweep_sigma, ("domain", "t_values")),
+    "sweep-inclusion": (_sweep_inclusion, ("domain", "inclusion_radii")),
+    "sweep-stability": (_sweep_stability, ("family",)),
+    "frechet-check": (_frechet_check, ("domain", "t0", "epsilon_values")),
+    "verify-identity": (_verify_identity, ("domain",)),
+    "nonexistence": (_nonexistence, ("domain", "fitted_C2", "fitted_C3")),
+}
 
 
 def _run_dir(output_dir, name) -> Path:
@@ -370,7 +374,7 @@ def _undecoded_run_dir(raw) -> Path:
     d = raw if isinstance(raw, dict) else {}
     output_dir = d.get("output_dir") if isinstance(d.get("output_dir"), str) else None
     name = d.get("name") if _is_component(d.get("name")) else None
-    if name is None and d.get("command") in COMMANDS:
+    if name is None and d.get("command") in tuple(COMMANDS):
         name = d["command"]
     return _run_dir(output_dir, name or "invalid-config")
 
@@ -389,7 +393,8 @@ def run(cfg: RunConfig, jobs: int = 1) -> int:
     manifest = {"config": config_to_dict(cfg), "version": __version__}
     t0 = time.perf_counter()
     try:
-        summary = _execute(cfg, outdir, jobs)
+        inclusion = None if cfg.inclusion.is_none else cfg.inclusion
+        summary = COMMANDS[cfg.command][0](cfg, inclusion, outdir, jobs)
     except ValidationError as exc:
         manifest.update(status="validation-error", error=str(exc))
         code = 2
@@ -412,31 +417,25 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="serrin-lab",
         description="two-phase Serrin laboratory: JSON config in, CSV/JSON/SVG out")
-    parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("--config", required=True, help="path to a JSON run config")
+    parser.add_argument("--config", required=True,
+                        help="path to a JSON run config, which names its command")
     parser.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
                         help="parallel sweep workers (default: all cores)")
-    parser.add_argument("--plot", action="store_true",
-                        help="emit plot.svg for sweep commands")
     args = parser.parse_args(argv)
     raw = None
     try:
         raw = _read_config(args.config)
         cfg = config_from_dict(raw)
-        if cfg.command != args.command:
-            raise ValidationError(
-                f"command: config says {cfg.command!r}, CLI says {args.command!r}")
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         _write_manifest(_undecoded_run_dir(raw), {
             "config": raw, "version": __version__, "status": "validation-error",
             "error": str(exc)})
         return 2
-    if args.plot:
-        cfg.plot = True
     code = run(cfg, jobs=args.jobs)
     if code != 0:
-        print(f"error: see manifest.json (exit {code})", file=sys.stderr)
+        error = json.loads((run_dir(cfg) / "manifest.json").read_text())["error"]
+        print(f"error: {error} (exit {code}, see manifest.json)", file=sys.stderr)
     return code
 
 

@@ -170,7 +170,7 @@ def one_phase_stability_sweep(family, target_h, window=4, jobs=1) -> SweepResult
     log(dev_Linf) and its slope should sit near 1 (tau_2 = 1).
     """
     if len(family) < 1:
-        raise ValidationError("stability sweep: empty family")
+        raise ValidationError("family: must not be empty")
     results = _parallel_map(_stability_member, [(d, target_h) for d in family], jobs)
     rows = [row for row, _ in results]
     # the gaps are the sweep's parameters: check them before the floor solve
@@ -229,7 +229,7 @@ def sigma_sweep(domain, inclusion, t_values, target_h, window=4, jobs=1) -> Swee
     """
     t_values = list(t_values)
     if any(t <= -1.0 for t in t_values):
-        raise ValidationError("sigma sweep: t must stay above -1")
+        raise ValidationError("t_values: entries must stay above -1")
     _check_monotone("t_values", t_values)
     base = _sigma_base(domain, inclusion, target_h)
     mesh, _, base_dev, _ = base
@@ -262,8 +262,10 @@ def sigma_sweep(domain, inclusion, t_values, target_h, window=4, jobs=1) -> Swee
 def frechet_check(domain, inclusion, t0, eps_values, target_h, window=4) -> SweepResult:
     """||(u(t0+eps) - u(t0))/eps - u'(t0)||_L2 against eps (slope ~ 1)."""
     eps_values = list(eps_values)
-    if t0 <= -1.0 or any(t0 + e <= -1.0 for e in eps_values):
-        raise ValidationError("frechet check: sigma_c must stay positive")
+    if t0 <= -1.0:
+        raise ValidationError("t0: must stay above -1 (sigma_c = 1 + t0 > 0)")
+    if any(t0 + e <= -1.0 for e in eps_values):
+        raise ValidationError("epsilon_values: t0 + epsilon must stay above -1")
     if 0.0 in eps_values:
         raise ValidationError("epsilon_values: entries must be nonzero")
     _check_monotone("epsilon_values", eps_values)
@@ -320,8 +322,10 @@ def inclusion_sweep(domain, sigma_c, radii, target_h, window=4, jobs=1) -> Sweep
     predicts slope ~ 1, and both comparisons are reported.
     """
     radii = list(radii)
+    if any(r <= 0 for r in radii):
+        raise ValidationError("inclusion_radii: entries must be positive")
     if any(radii[i] <= radii[i + 1] for i in range(len(radii) - 1)):
-        raise ValidationError("inclusion sweep: radii must decrease toward 0")
+        raise ValidationError("inclusion_radii: must decrease toward 0")
     results = _parallel_map(_inclusion_member,
                             [(domain, sigma_c, r, target_h) for r in radii], jobs)
     rows = [row for row, _, _ in results]
@@ -364,8 +368,9 @@ def nonexistence_threshold(domain, fitted_C2, fitted_C3, target_h) -> ThresholdR
     With tau_2 = 1: no solution pair exists once |sigma_c - 1| < gap/C2 or
     |D| < (gap/C3)^2, where gap = rho_e - rho_i of the given domain.
     """
-    if fitted_C2 <= 0 or fitted_C3 <= 0:
-        raise ValidationError("nonexistence: fitted constants must be positive")
+    for name, value in (("fitted_C2", fitted_C2), ("fitted_C3", fitted_C3)):
+        if value <= 0:
+            raise ValidationError(f"{name}: must be positive")
     gap = _stability_member((domain, target_h))[0]["gap"]
     if gap <= FLOOR_FACTOR * target_h ** 2:
         raise ValidationError(

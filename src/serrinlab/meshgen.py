@@ -66,8 +66,9 @@ class Mesh:
     parent is the mesh that refine() split into this one (None for a generated
     mesh); the solver builds its multigrid hierarchy from that chain.  The
     topology (edge_table, interior, adjacency, and prolongation on a refined
-    mesh) is computed once, on first use, and left out of pickles.  A mesh is
-    identified by the object itself: fields hold the mesh they live on.
+    mesh) and h_max, the longest edge of the edge table, are computed once, on
+    first use, and left out of pickles.  A mesh is identified by the object
+    itself: fields hold the mesh they live on.
     """
 
     vertices: np.ndarray
@@ -82,10 +83,6 @@ class Mesh:
     target_h: float
     margin: Optional[Margin] = None
     parent: Optional["Mesh"] = field(default=None, repr=False, compare=False)
-    h_max: float = field(init=False)
-
-    def __post_init__(self):
-        self.h_max = float(_edge_lengths(self.vertices, self.triangles).max())
 
     def boundary_edge_lengths(self):
         """Length of each CCW boundary edge i -> i+1."""
@@ -110,6 +107,12 @@ class Mesh:
     def edge_table(self):
         """edge_table(triangles): edges, edge id of each side, triangles per edge."""
         return edge_table(self.triangles)
+
+    @cached_property
+    def h_max(self):
+        """Length of the longest edge of the edge table."""
+        d = np.diff(self.vertices[self.edge_table[0]], axis=1)[:, 0]
+        return float(np.hypot(d[:, 0], d[:, 1]).max())
 
     @cached_property
     def interior(self):

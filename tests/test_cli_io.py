@@ -2,7 +2,10 @@ import copy
 import csv
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from dataclasses import fields
 from pathlib import Path
@@ -21,7 +24,7 @@ from serrinlab.cli_io import (
     main,
     run,
 )
-from serrinlab import cli_io, experiments, serrin_diagnostics
+from serrinlab import cli_io, experiments, meshgen, serrin_diagnostics
 from serrinlab.errors import ValidationError
 from serrinlab.experiments import FitResult, SweepResult
 from serrinlab.geometry import DomainSpec, InclusionSpec
@@ -191,14 +194,14 @@ class TestTypedConfig:
     def test_non_finite_number_rejected(self, value, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("SERRIN_LAB_OUT", str(tmp_path))
         p = _write(tmp_path, "c.json", dict(DIAG_CFG, domain=dict(DISK, radius=value)))
-        assert main(["diagnose", "--config", str(p)]) == 2
+        assert main(["--config", str(p)]) == 2
         assert "error: domain.radius: expected a finite number" in capsys.readouterr().err
 
     @pytest.mark.parametrize("cfg,path", ILL_TYPED + list(BAD_VALUES.values()),
                              ids=[p for _, p in ILL_TYPED] + list(BAD_VALUES))
     def test_ill_typed_exit_2_names_field(self, cfg, path, tmp_path, capsys):
         p = _write(tmp_path, "c.json", dict(cfg, output_dir=str(tmp_path)))
-        assert main([cfg["command"], "--config", str(p), "--jobs", "1"]) == 2
+        assert main(["--config", str(p), "--jobs", "1"]) == 2
         assert f"error: {path}: " in capsys.readouterr().err
 
     @given(data=st.data())
@@ -380,7 +383,7 @@ class TestRun:
         def broken(*args):
             raise RuntimeError("wires crossed")
 
-        monkeypatch.setattr(cli_io, "_execute", broken)
+        monkeypatch.setitem(cli_io.COMMANDS, "diagnose", (broken, ("domain",)))
         cfg = config_from_dict(dict(DIAG_CFG, name="oops", output_dir=str(tmp_path)))
         assert run(cfg) == 4
         manifest = json.loads((tmp_path / "oops" / "manifest.json").read_text())
@@ -394,7 +397,7 @@ class TestMain:
     def test_missing_command_exit_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("SERRIN_LAB_OUT", str(tmp_path))
         p = _write(tmp_path, "c.json", {"domain": {"kind": "disk", "radius": 1.0}})
-        assert main(["solve", "--config", str(p)]) == 2
+        assert main(["--config", str(p)]) == 2
         assert "command: required" in capsys.readouterr().err
 
     def test_malformed_json_writes_manifest_to_invalid_config(self, tmp_path, capsys,
@@ -402,7 +405,7 @@ class TestMain:
         monkeypatch.setenv("SERRIN_LAB_OUT", str(tmp_path / "root"))
         p = tmp_path / "c.json"
         p.write_text('{"command": "diagnose", "name": "m",')
-        assert main(["diagnose", "--config", str(p)]) == 2
+        assert main(["--config", str(p)]) == 2
         assert "error: config: invalid JSON" in capsys.readouterr().err
         manifest = json.loads((tmp_path / "root" / "invalid-config" / "manifest.json")
                               .read_text())
@@ -418,7 +421,7 @@ class TestMain:
         monkeypatch.setenv("SERRIN_LAB_OUT", str(tmp_path / "root"))
         cfg = dict(DIAG_CFG, domain=dict(DISK, radius="1.0"), **extra)
         p = _write(tmp_path, "c.json", cfg)
-        assert main(["diagnose", "--config", str(p)]) == 2
+        assert main(["--config", str(p)]) == 2
         assert "error: domain.radius: expected a number" in capsys.readouterr().err
         manifest = json.loads((tmp_path / "root" / subdir / "manifest.json").read_text())
         assert manifest["status"] == "validation-error"
@@ -430,18 +433,14 @@ class TestMain:
         monkeypatch.delenv("SERRIN_LAB_OUT", raising=False)
         cfg = dict(DIAG_CFG, domain=dict(DISK, radius="1.0"), name="m",
                    output_dir=str(tmp_path))
-        assert main(["diagnose", "--config", str(_write(tmp_path, "c.json", cfg))]) == 2
+        assert main(["--config", str(_write(tmp_path, "c.json", cfg))]) == 2
         assert json.loads((tmp_path / "m" / "manifest.json").read_text())["config"] == cfg
-
-    def test_command_mismatch_exit_2(self, tmp_path):
-        p = _write(tmp_path, "c.json", dict(DIAG_CFG, output_dir=str(tmp_path)))
-        assert main(["solve", "--config", str(p)]) == 2
 
     def test_negative_window_exit_2(self, tmp_path, capsys):
         p = _write(tmp_path, "c.json", {
             "command": "sweep-sigma", "domain": DIAG_CFG["domain"], "target_h": 0.1,
             "t_values": [0.2, 0.1, 0.05], "window": -1, "output_dir": str(tmp_path)})
-        assert main(["sweep-sigma", "--config", str(p), "--jobs", "1"]) == 2
+        assert main(["--config", str(p), "--jobs", "1"]) == 2
         assert "error: window: must be >= 0" in capsys.readouterr().err
 
     def test_zero_epsilon_exit_2_with_manifest(self, tmp_path):
@@ -450,7 +449,7 @@ class TestMain:
             "inclusion": {"kind": "disk", "radius": 0.3}, "t0": 0.5,
             "epsilon_values": [0.1, 0.05, 0.0], "name": "fc",
             "output_dir": str(tmp_path)})
-        assert main(["frechet-check", "--config", str(p), "--jobs", "1"]) == 2
+        assert main(["--config", str(p), "--jobs", "1"]) == 2
         manifest = json.loads((tmp_path / "fc" / "manifest.json").read_text())
         assert manifest["status"] == "validation-error"
         assert manifest["error"].startswith("epsilon_values: ")
@@ -459,7 +458,121 @@ class TestMain:
     def test_ok_path(self, tmp_path):
         p = _write(tmp_path, "c.json",
                    dict(DIAG_CFG, name="m", output_dir=str(tmp_path)))
-        assert main(["diagnose", "--config", str(p), "--jobs", "1"]) == 0
+        assert main(["--config", str(p), "--jobs", "1"]) == 0
+
+
+REQUIRED = [(command, name) for command, (_, required) in cli_io.COMMANDS.items()
+            for name in required]
+
+INCLUSION_CFG = {"command": "sweep-inclusion", "domain": DIAG_CFG["domain"],
+                 "sigma_c": 2.0, "inclusion_radii": [0.3, 0.2, 0.1], "target_h": 0.1}
+FRECHET_CFG = {"command": "frechet-check", "domain": DIAG_CFG["domain"],
+               "inclusion": {"kind": "disk", "radius": 0.3}, "t0": 0.5,
+               "epsilon_values": [0.2, 0.1, 0.05], "target_h": 0.1}
+NONEXISTENCE_CFG = {"command": "nonexistence", "domain": DIAG_CFG["domain"],
+                    "fitted_C2": 4.0, "fitted_C3": 2.0, "target_h": 0.1}
+# well-typed values out of range: each once built meshes, ran to exit 0 or
+# failed with a message that named no config field
+OUT_OF_RANGE = {
+    "inclusion_radii-zero": (dict(INCLUSION_CFG, inclusion_radii=[0.3, 0.2, 0.0]),
+                             "inclusion_radii"),
+    "inclusion_radii-negative": (dict(INCLUSION_CFG, inclusion_radii=[0.3, 0.2, -0.1]),
+                                 "inclusion_radii"),
+    "sweep-inclusion-sigma_c-zero": (dict(INCLUSION_CFG, sigma_c=0.0), "sigma_c"),
+    "sweep-inclusion-sigma_c-negative": (dict(INCLUSION_CFG, sigma_c=-1.0), "sigma_c"),
+    "diagnose-sigma_c-negative": (dict(DIAG_CFG, sigma_c=-1.0), "sigma_c"),
+    "t_values-at-minus-1": (dict(SIGMA_CFG, t_values=[0.2, 0.1, -1.0]), "t_values"),
+    "t0-below-minus-1": (dict(FRECHET_CFG, t0=-1.5), "t0"),
+    "epsilon_values-past-minus-1": (dict(FRECHET_CFG, t0=-0.5,
+                                         epsilon_values=[-0.6, -0.3, -0.1]),
+                                    "epsilon_values"),
+    "fitted_C2-zero": (dict(NONEXISTENCE_CFG, fitted_C2=0.0), "fitted_C2"),
+    "fitted_C3-negative": (dict(NONEXISTENCE_CFG, fitted_C3=-2.0), "fitted_C3"),
+}
+
+
+def _spy_generate(monkeypatch):
+    """The list of calls to meshgen.generate, through every serrinlab module
+    that imported it."""
+    calls, real = [], meshgen.generate
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("serrinlab") and vars(module).get("generate") is real:
+            monkeypatch.setattr(module, "generate", spy)
+    return calls
+
+
+class TestCommandContract:
+    @pytest.mark.parametrize("value", ["absent", None])
+    @pytest.mark.parametrize("command,name", REQUIRED, ids=[f"{c}-{n}" for c, n in REQUIRED])
+    def test_missing_required_field_exit_2(self, command, name, value, tmp_path, capsys,
+                                           monkeypatch):
+        monkeypatch.setenv("SERRIN_LAB_OUT", str(tmp_path))
+        cfg = dict(FULL_CFG, command=command, name="req")
+        if value == "absent":
+            del cfg[name]
+        else:
+            cfg[name] = value
+        assert main(["--config", str(_write(tmp_path, "c.json", cfg))]) == 2
+        assert f"error: {name}: required for {command}" in capsys.readouterr().err
+        manifest = json.loads((tmp_path / "req" / "manifest.json").read_text())
+        assert manifest["error"] == f"{name}: required for {command}"
+
+    @pytest.mark.parametrize("cfg,path", list(OUT_OF_RANGE.values()), ids=list(OUT_OF_RANGE))
+    def test_out_of_range_exit_2_names_field_before_any_mesh(self, cfg, path, tmp_path,
+                                                             capsys, monkeypatch):
+        monkeypatch.setenv("SERRIN_LAB_OUT", str(tmp_path))
+        calls = _spy_generate(monkeypatch)
+        p = _write(tmp_path, "c.json", dict(cfg, name="oor"))
+        assert main(["--config", str(p), "--jobs", "1"]) == 2
+        assert f"error: {path}: " in capsys.readouterr().err
+        manifest = json.loads((tmp_path / "oor" / "manifest.json").read_text())
+        assert manifest["status"] == "validation-error"
+        assert manifest["error"].startswith(f"{path}: ")
+        assert calls == []
+
+    def test_unhashable_command_exit_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("SERRIN_LAB_OUT", str(tmp_path))
+        p = _write(tmp_path, "c.json", dict(DIAG_CFG, command=["diagnose"]))
+        assert main(["--config", str(p)]) == 2
+        assert "error: command: expected a string" in capsys.readouterr().err
+        assert (tmp_path / "invalid-config" / "manifest.json").exists()
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+class TestProcess:
+    """The program started as README tells users to start it."""
+
+    def _run(self, config, tmp_path):
+        env = dict(os.environ, SERRIN_LAB_OUT=str(tmp_path / "out"),
+                   PYTHONPATH=os.pathsep.join(filter(None, [
+                       str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+        return subprocess.run([sys.executable, "-m", "serrinlab.cli_io", "--config",
+                               str(config), "--jobs", "1"], env=env, cwd=ROOT,
+                              capture_output=True, text=True, timeout=300)
+
+    def test_example_config_exit_0(self, tmp_path):
+        proc = self._run(ROOT / "configs" / "diagnose_ellipse.json", tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        manifest = json.loads(
+            (tmp_path / "out" / "diagnose-ellipse" / "manifest.json").read_text())
+        assert manifest["status"] == "ok"
+
+    def test_string_radius_exit_2(self, tmp_path):
+        cfg = dict(DIAG_CFG, domain=dict(DISK, radius="1.0"))
+        proc = self._run(_write(tmp_path, "c.json", cfg), tmp_path)
+        assert proc.returncode == 2
+        assert "error: domain.radius: " in proc.stderr
+
+    def test_readme_lists_every_command(self):
+        text = (ROOT / "README.md").read_text()
+        listed = re.search(r"^Commands: (.*?)\.$", text, re.M | re.S).group(1)
+        assert re.findall(r"`([a-z-]+)`", listed) == list(cli_io.COMMANDS)
 
 
 def _synthetic_sweep(ys=None):

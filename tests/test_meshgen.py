@@ -294,6 +294,16 @@ class TestRefine:
         ratio = concentric_mesh.h_max / fine.h_max
         assert abs(ratio - 2.0) <= 0.2
 
+    @pytest.mark.parametrize("name", ["disk_mesh", "concentric_mesh", "ellipse_mesh"])
+    def test_h_max_is_longest_side(self, name, request):
+        # the longest edge of the edge table is the longest side of any
+        # triangle, bit for bit, on a generated and on a refined mesh
+        mesh = request.getfixturevalue(name)
+        for m in (mesh, refine(mesh)):
+            x, y = m.vertices[m.triangles].transpose(2, 1, 0)
+            sides = np.hypot(np.roll(x, -1, axis=0) - x, np.roll(y, -1, axis=0) - y)
+            assert m.h_max == float(sides.max())
+
     def test_tags_inherited(self, concentric_mesh):
         fine = refine(concentric_mesh)
         np.testing.assert_array_equal(fine.region,
