@@ -331,7 +331,7 @@ def inclusion_sweep(domain, sigma_c, radii, target_h, window=4, jobs=1) -> Sweep
     rows = [row for row, _, _ in results]
     m0 = rows[0]
     if any(r["margin"] < m0["margin"] - 1e-12 for r in rows):
-        raise ValidationError("inclusion sweep: margin shrank below the fixed 1/M")
+        raise ValidationError("inclusion_radii: margin shrank below the fixed 1/M")
 
     # floor: concentric disks where the boundary flux is radius-independent
     floor_row, _, _ = _inclusion_member((DomainSpec("disk", radius=1.0), sigma_c,
@@ -373,6 +373,5 @@ def nonexistence_threshold(domain, fitted_C2, fitted_C3, target_h) -> ThresholdR
             raise ValidationError(f"{name}: must be positive")
     gap = _stability_member((domain, target_h))[0]["gap"]
     if gap <= FLOOR_FACTOR * target_h ** 2:
-        raise ValidationError(
-            "nonexistence: domain indistinguishable from a ball at this resolution")
+        raise ValidationError("domain: indistinguishable from a ball at this resolution")
     return ThresholdReport(gap, gap / fitted_C2, (gap / fitted_C3) ** 2)

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.spatial import cKDTree
 
 from .errors import ValidationError
@@ -27,6 +26,13 @@ _FOOT_MAX_ITER = 60
 # curve samples that seed the foot-point searches; the star diameter takes more
 _BOUNDARY_SAMPLES = 256
 _DIAMETER_SAMPLES = 512
+# ellipse perimeter: the AGM iterates stop once their gap is below this share
+_AGM_GAP = 1e-15
+# star perimeter: trapezoid nodes per period, first and cap, and the relative
+# agreement of two successive sums at which the finer one is taken
+_STAR_NODES_MIN = 16
+_STAR_NODES_MAX = 1 << 16
+_STAR_AGREEMENT = 1e-14
 
 
 def _newton_root(fn, x, half_width):
@@ -219,16 +225,50 @@ def exact_area(spec: DomainSpec) -> float:
 
 
 def exact_perimeter(spec: DomainSpec) -> float:
-    """Arc length of the analytic curve by adaptive quadrature (tol 1e-10)."""
+    """Arc length of the analytic curve: closed form for a disk, the
+    arithmetic-geometric mean for an ellipse, the periodic trapezoid rule for
+    a star."""
     if spec.kind == "disk":
         return TWO_PI * spec.radius
+    if spec.kind == "ellipse":
+        return _ellipse_perimeter(spec.a, spec.b)
+    return _star_perimeter(spec)
 
-    def speed(t):
-        v = spec.velocity(t)
-        return math.hypot(v[0], v[1])
 
-    val, _ = quad(speed, 0.0, TWO_PI, epsabs=1e-10, epsrel=1e-10, limit=400)
-    return val
+def _ellipse_perimeter(a, b):
+    """Gauss's AGM form, quadratically convergent: P = 2 pi S / M(a, b) with
+    S = (a^2 + b^2)/2 - sum_{n>=1} 2^(n-1) c_n^2, c_{n+1} = (a_n - b_n)/2 over
+    the AGM iterates a_n, b_n (Borwein & Borwein, Pi and the AGM, 1987).
+    Within about 1e-15 relative of the exact value; a circle gives 2 pi a to
+    1 ulp."""
+    x, y = a, b
+    total, weight = 0.5 * (a * a + b * b), 1.0
+    while x - y > _AGM_GAP * x:
+        x, y, c = 0.5 * (x + y), math.sqrt(x * y), 0.5 * (x - y)
+        total -= weight * c * c
+        weight *= 2.0
+    return TWO_PI * (total / (0.5 * (x + y)))
+
+
+def _star_perimeter(spec):
+    """k times the arc length of one period 2 pi/k of |p'(t)|, by the
+    trapezoid rule, which converges exponentially on a smooth periodic
+    integrand (Trefethen & Weideman, SIAM Review 56, 2014).  The node count
+    doubles from _STAR_NODES_MIN until two sums agree to _STAR_AGREEMENT;
+    a star that needs more than _STAR_NODES_MAX nodes (eps near 1 with large
+    k) is rejected."""
+    def trapezoid(m):
+        v = spec.velocity((TWO_PI / spec.k) * np.arange(m) / m)
+        return TWO_PI * (math.fsum(np.hypot(v[:, 0], v[:, 1])) / m)
+
+    m, total = _STAR_NODES_MIN, trapezoid(_STAR_NODES_MIN)
+    while m < _STAR_NODES_MAX:
+        m *= 2
+        coarse, total = total, trapezoid(m)
+        if abs(total - coarse) <= _STAR_AGREEMENT * total:
+            return total
+    raise ValidationError(f"domain.eps: star perimeter not resolved by {m} "
+                          f"trapezoid nodes per period")
 
 
 def diameter(spec: DomainSpec) -> float:

@@ -534,6 +534,16 @@ class TestCommandContract:
         assert manifest["error"].startswith(f"{path}: ")
         assert calls == []
 
+    def test_ball_nonexistence_exit_2_names_domain(self, tmp_path, capsys, monkeypatch):
+        # judged only after its mesh and solve, through the measured gap
+        monkeypatch.setenv("SERRIN_LAB_OUT", str(tmp_path))
+        cfg = dict(NONEXISTENCE_CFG, domain=DISK, name="ball")
+        assert main(["--config", str(_write(tmp_path, "c.json", cfg)), "--jobs", "1"]) == 2
+        assert "error: domain: " in capsys.readouterr().err
+        manifest = json.loads((tmp_path / "ball" / "manifest.json").read_text())
+        assert manifest["status"] == "validation-error"
+        assert manifest["error"].startswith("domain: ")
+
     def test_unhashable_command_exit_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("SERRIN_LAB_OUT", str(tmp_path))
         p = _write(tmp_path, "c.json", dict(DIAG_CFG, command=["diagnose"]))
@@ -548,12 +558,15 @@ ROOT = Path(__file__).resolve().parents[1]
 class TestProcess:
     """The program started as README tells users to start it."""
 
+    @staticmethod
+    def _env(**extra):
+        return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(filter(None, [
+            str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+
     def _run(self, config, tmp_path):
-        env = dict(os.environ, SERRIN_LAB_OUT=str(tmp_path / "out"),
-                   PYTHONPATH=os.pathsep.join(filter(None, [
-                       str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
         return subprocess.run([sys.executable, "-m", "serrinlab.cli_io", "--config",
-                               str(config), "--jobs", "1"], env=env, cwd=ROOT,
+                               str(config), "--jobs", "1"],
+                              env=self._env(SERRIN_LAB_OUT=str(tmp_path / "out")), cwd=ROOT,
                               capture_output=True, text=True, timeout=300)
 
     def test_example_config_exit_0(self, tmp_path):
@@ -568,6 +581,18 @@ class TestProcess:
         proc = self._run(_write(tmp_path, "c.json", cfg), tmp_path)
         assert proc.returncode == 2
         assert "error: domain.radius: " in proc.stderr
+
+    def test_import_leaves_heavy_scipy_submodules_unloaded(self):
+        """Every process pays for what importing the CLI loads.  A heavy scipy
+        submodule that a single command needs (such as scipy.optimize.linprog
+        for a linear program) is imported inside that command."""
+        probe = ("import sys, serrinlab.cli_io; "
+                 "print(' '.join(m for m in ('scipy.integrate', 'scipy.optimize') "
+                 "if m in sys.modules))")
+        proc = subprocess.run([sys.executable, "-c", probe], env=self._env(), cwd=ROOT,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == []
 
     def test_readme_lists_every_command(self):
         text = (ROOT / "README.md").read_text()

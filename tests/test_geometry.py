@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -64,6 +65,36 @@ class TestAreaPerimeter:
             a_2n, p_2n = _inscribed(spec, 512)
             assert 3.5 <= (area_exact - a_n) / (area_exact - a_2n) <= 4.5
             assert 3.5 <= (perim_exact - p_n) / (perim_exact - p_2n) <= 4.5
+
+    @pytest.mark.parametrize("a,b", [(1.2, 1.0), (1.5, 1.0), (4.0, 1.0), (1.0, 1.0),
+                                     (0.4, 0.3)])
+    def test_ellipse_against_elliptic_integral(self, a, b):
+        # oracle: 4 a E(m), m = 1 - b^2/a^2, at 30 digits
+        with mp.workdps(30):
+            oracle = 4 * mp.mpf(a) * mp.ellipe(1 - mp.mpf(b) ** 2 / mp.mpf(a) ** 2)
+            perim = exact_perimeter(DomainSpec("ellipse", a=a, b=b))
+            assert abs(perim - oracle) <= 1e-15 * oracle
+
+    @pytest.mark.parametrize("a", [0.3, 1.0, 1.7, 2.5, 1e-3, 123.456])
+    def test_circular_ellipse_is_disk(self, a):
+        disk = exact_perimeter(DomainSpec("disk", radius=a))
+        assert abs(exact_perimeter(DomainSpec("ellipse", a=a, b=a)) - disk) <= math.ulp(disk)
+
+    @pytest.mark.parametrize("eps,k", [(0.1, 3), (0.2, 5), (0.3, 6), (0.9, 6), (0.0, 4)])
+    def test_star_against_periodic_quadrature(self, eps, k):
+        # oracle: arc length at 30 digits, 8 subintervals per period 2 pi/k
+        with mp.workdps(30):
+            def speed(t):
+                r, dr = 1 + eps * mp.cos(k * t), -eps * k * mp.sin(k * t)
+                return mp.sqrt(r * r + dr * dr)
+
+            oracle = k * mp.quad(speed, mp.linspace(0, 2 * mp.pi / k, 9))
+            perim = exact_perimeter(DomainSpec("star", r0=1.0, eps=eps, k=k))
+            assert abs(perim - oracle) <= 1e-15 * oracle
+
+    def test_unresolved_star_rejected(self):
+        with pytest.raises(ValidationError, match="domain.eps: star perimeter"):
+            exact_perimeter(DomainSpec("star", r0=1.0, eps=0.999, k=50))
 
 
 class TestSerrinConstant:
