@@ -20,7 +20,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from serrinlab.errors import MeshQualityError  # noqa: E402
-from serrinlab.geometry import DomainSpec, InclusionSpec  # noqa: E402
+from serrinlab.geometry import DomainSpec  # noqa: E402
 from serrinlab.meshgen import generate, refine, validate_mesh  # noqa: E402
 
 DOMAINS = [
@@ -31,9 +31,9 @@ DOMAINS = [
 ]
 INCLUSIONS = [
     ("none", None),
-    ("disk-0.3", InclusionSpec("disk", radius=0.3)),
-    ("ellipse-0.4x0.3", InclusionSpec("ellipse", a=0.4, b=0.3)),
-    ("disk-0.25@(0.3,0.2)", InclusionSpec("disk", center=(0.3, 0.2), radius=0.25)),
+    ("disk-0.3", DomainSpec("disk", radius=0.3)),
+    ("ellipse-0.4x0.3", DomainSpec("ellipse", a=0.4, b=0.3)),
+    ("disk-0.25@(0.3,0.2)", DomainSpec("disk", center=(0.3, 0.2), radius=0.25)),
 ]
 TARGET_H = (0.05, 0.04, 0.03, 0.025, 0.02)
 CASES = [(f"{dname} {iname} h={h}", domain, inclusion, h)

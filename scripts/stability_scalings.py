@@ -18,10 +18,10 @@ from serrinlab.experiments import (  # noqa: E402
     one_phase_stability_sweep,
     sigma_sweep,
 )
-from serrinlab.geometry import DomainSpec, InclusionSpec  # noqa: E402
+from serrinlab.geometry import DomainSpec  # noqa: E402
 
 ELLIPSE = DomainSpec("ellipse", a=1.2, b=1.0)
-INCLUSION = InclusionSpec("disk", radius=0.3)
+INCLUSION = DomainSpec("disk", radius=0.3)
 
 
 def show(name, sweep, target):

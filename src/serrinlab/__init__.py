@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from .errors import DiagnosticError, MeshQualityError, SolverError, ValidationError
 from .geometry import (
     DomainSpec,
-    InclusionSpec,
     diameter,
     exact_area,
     exact_perimeter,
@@ -16,7 +15,6 @@ from .geometry import (
 
 __all__ = [
     "DomainSpec",
-    "InclusionSpec",
     "DiagnosticError",
     "MeshQualityError",
     "SolverError",

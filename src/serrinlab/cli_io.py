@@ -22,7 +22,7 @@ import os
 import sys
 import time
 import traceback
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from functools import partial
 from pathlib import Path
 from typing import Optional, Union, get_args, get_origin, get_type_hints
@@ -40,7 +40,7 @@ from .experiments import (
     sigma_sweep,
 )
 from .fem_core import dump_field, evaluate, normal_derivative, solve_two_phase
-from .geometry import DomainSpec, InclusionSpec
+from .geometry import DomainSpec
 from .meshgen import generate, refine
 from .serrin_diagnostics import EtaSpec, full_report
 
@@ -61,7 +61,11 @@ def _ill_typed(path, expected, value):
 def _decode(tp, value, path):
     """One JSON value checked against annotation tp (see spec_from_dict)."""
     args = get_args(tp)
-    if get_origin(tp) is Union:  # Optional[X]
+    if get_origin(tp) is Union:  # Optional[X]; a spec also reads {"kind": "none"} as null
+        if is_dataclass(args[0]) and type(value) is dict and value.get("kind") == "none":
+            if len(value) > 1:
+                raise ValidationError(f"{path}.kind: 'none' takes no other field")
+            return None
         return None if value is None else _decode(args[0], value, path)
     if is_dataclass(tp):
         return spec_from_dict(tp, value, path)
@@ -88,8 +92,10 @@ def spec_from_dict(cls, d, path=""):
     Each value is checked against its annotation: float takes a finite number
     (an int is converted), int rejects floats and bools, bool and str are
     strict, tuple is a point [x, y], list[X] and nested dataclasses decode
-    recursively, Optional allows null.  Unknown, missing and ill-typed fields
-    raise ValidationError naming their JSON path (domain.radius, family[1].a).
+    recursively, Optional allows null and, for a spec, {"kind": "none"}.
+    Unknown, missing, ill-typed and invalid fields raise ValidationError naming
+    their JSON path (domain.radius, family[1].a/b): cls raises relative to
+    itself, and the path is prefixed here.
     """
     if type(d) is not dict:
         raise _ill_typed(path or "config", "an object", d)
@@ -103,7 +109,10 @@ def spec_from_dict(cls, d, path=""):
             kwargs[f.name] = _decode(hints[f.name], d[f.name], _join(path, f.name))
         elif f.default is MISSING and f.default_factory is MISSING:
             raise ValidationError(f"{_join(path, f.name)}: required")
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except ValidationError as exc:
+        raise ValidationError(_join(path, str(exc))) from None
 
 
 def spec_to_dict(spec) -> dict:
@@ -125,7 +134,7 @@ def _is_component(name) -> bool:
 class RunConfig:
     command: str
     domain: Optional[DomainSpec] = None
-    inclusion: InclusionSpec = field(default_factory=lambda: InclusionSpec("none"))
+    inclusion: Optional[DomainSpec] = None
     sigma_c: float = 1.0
     target_h: float = 0.05
     refine_levels: int = 0
@@ -162,7 +171,7 @@ class RunConfig:
 
 config_from_dict = partial(spec_from_dict, RunConfig)
 domain_from_dict = partial(spec_from_dict, DomainSpec, path="domain")
-inclusion_from_dict = partial(spec_from_dict, InclusionSpec, path="inclusion")
+inclusion_from_dict = partial(spec_from_dict, DomainSpec, path="inclusion")
 config_to_dict = domain_to_dict = spec_to_dict
 
 
@@ -271,8 +280,8 @@ def emit_plot(sweep: SweepResult, path) -> bool:
 # -- command execution ---------------------------------------------------------
 
 
-def _solve(cfg, inclusion, outdir, jobs):
-    mesh = generate(cfg.domain, inclusion, cfg.target_h)
+def _solve(cfg, outdir, jobs):
+    mesh = generate(cfg.domain, cfg.inclusion, cfg.target_h)
     for _ in range(cfg.refine_levels):
         mesh = refine(mesh)
     u = solve_two_phase(mesh, cfg.sigma_c)
@@ -287,16 +296,16 @@ def _solve(cfg, inclusion, outdir, jobs):
     return {"center_value": center_val}
 
 
-def _diagnose(cfg, inclusion, outdir, jobs):
-    rep = full_report(cfg.domain, inclusion, cfg.sigma_c, cfg.target_h,
+def _diagnose(cfg, outdir, jobs):
+    rep = full_report(cfg.domain, cfg.inclusion, cfg.sigma_c, cfg.target_h,
                       eta=cfg.eta, refine_levels=cfg.refine_levels)
     _write_csv(outdir / "report.csv", [asdict(rep)])
     return {"gap": rep.gap}
 
 
-def _verify_identity(cfg, inclusion, outdir, jobs):
-    rep0 = full_report(cfg.domain, inclusion, cfg.sigma_c, cfg.target_h)
-    rep1 = full_report(cfg.domain, inclusion, cfg.sigma_c, cfg.target_h, refine_levels=1)
+def _verify_identity(cfg, outdir, jobs):
+    rep0 = full_report(cfg.domain, cfg.inclusion, cfg.sigma_c, cfg.target_h)
+    rep1 = full_report(cfg.domain, cfg.inclusion, cfg.sigma_c, cfg.target_h, refine_levels=1)
     ratio = rep0.FI_gap / max(rep1.FI_gap, 1e-300)
     _write_csv(outdir / "report.csv", [
         {"level": level, "h_max": rep.h_max, "FI_lhs": rep.FI_lhs,
@@ -305,7 +314,7 @@ def _verify_identity(cfg, inclusion, outdir, jobs):
     return {"FI_gap": rep1.FI_gap}
 
 
-def _nonexistence(cfg, inclusion, outdir, jobs):
+def _nonexistence(cfg, outdir, jobs):
     th = nonexistence_threshold(cfg.domain, cfg.fitted_C2, cfg.fitted_C3, cfg.target_h)
     _write_csv(outdir / "report.csv", [asdict(th)])
     return {"sigma_threshold": th.sigma_threshold}
@@ -325,24 +334,24 @@ def _write_sweep(cfg, outdir, sweep: SweepResult) -> dict:
     return summary
 
 
-def _sweep_sigma(cfg, inclusion, outdir, jobs):
+def _sweep_sigma(cfg, outdir, jobs):
     return _write_sweep(cfg, outdir, sigma_sweep(
-        cfg.domain, inclusion, cfg.t_values, cfg.target_h, window=cfg.window, jobs=jobs))
+        cfg.domain, cfg.inclusion, cfg.t_values, cfg.target_h, window=cfg.window, jobs=jobs))
 
 
-def _sweep_inclusion(cfg, inclusion, outdir, jobs):
+def _sweep_inclusion(cfg, outdir, jobs):
     return _write_sweep(cfg, outdir, inclusion_sweep(
         cfg.domain, cfg.sigma_c, cfg.inclusion_radii, cfg.target_h, window=cfg.window, jobs=jobs))
 
 
-def _sweep_stability(cfg, inclusion, outdir, jobs):
+def _sweep_stability(cfg, outdir, jobs):
     return _write_sweep(cfg, outdir, one_phase_stability_sweep(
         cfg.family, cfg.target_h, window=cfg.window, jobs=jobs))
 
 
-def _frechet_check(cfg, inclusion, outdir, jobs):
+def _frechet_check(cfg, outdir, jobs):
     return _write_sweep(cfg, outdir, frechet_check(
-        cfg.domain, inclusion, cfg.t0, cfg.epsilon_values, cfg.target_h, window=cfg.window))
+        cfg.domain, cfg.inclusion, cfg.t0, cfg.epsilon_values, cfg.target_h, window=cfg.window))
 
 
 COMMANDS = {
@@ -393,8 +402,7 @@ def run(cfg: RunConfig, jobs: int = 1) -> int:
     manifest = {"config": config_to_dict(cfg), "version": __version__}
     t0 = time.perf_counter()
     try:
-        inclusion = None if cfg.inclusion.is_none else cfg.inclusion
-        summary = COMMANDS[cfg.command][0](cfg, inclusion, outdir, jobs)
+        summary = COMMANDS[cfg.command][0](cfg, outdir, jobs)
     except ValidationError as exc:
         manifest.update(status="validation-error", error=str(exc))
         code = 2

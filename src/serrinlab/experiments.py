@@ -29,7 +29,6 @@ from .fem_core import (
 )
 from .geometry import (
     DomainSpec,
-    InclusionSpec,
     exact_area,
     exact_perimeter,
     rho_bounds,
@@ -238,7 +237,7 @@ def sigma_sweep(domain, inclusion, t_values, target_h, window=4, jobs=1) -> Swee
     # floor: concentric disks (an exact solution family: the flux is t-independent)
     r_f = inclusion.radius if inclusion is not None and inclusion.kind == "disk" else 0.5
     floor_base = _sigma_base(DomainSpec("disk", radius=1.0),
-                             InclusionSpec("disk", radius=min(0.5, r_f)), target_h)
+                             DomainSpec("disk", radius=min(0.5, r_f)), target_h)
     t_big = max(abs(t) for t in t_values)
     floor = _sigma_member((floor_base, t_big))["delta_trace_Linf"]
     floors = {"delta_trace_Linf": floor}
@@ -306,11 +305,11 @@ def _grad_w_boundary(mesh, u, v):
 def _inclusion_member(args):
     """(row, M, h_max) of one inclusion radius."""
     domain, sigma_c, r, target_h = args
-    inclusion = InclusionSpec("disk", center=domain.center, radius=r)
+    inclusion = DomainSpec("disk", center=domain.center, radius=r)
     mesh = generate(domain, inclusion, target_h)
     u = solve_two_phase(mesh, sigma_c)
     v = solve_one_phase(mesh)
-    return ({"radius": r, "area_D": exact_area(inclusion.to_domain()),
+    return ({"radius": r, "area_D": exact_area(inclusion),
              "grad_w_boundary_Linf": _grad_w_boundary(mesh, u, v),
              "margin": mesh.margin.margin}, mesh.margin.M, mesh.h_max)
 

@@ -32,8 +32,8 @@ import scipy.sparse as sp
 from scipy.spatial import Delaunay, cKDTree
 
 from .errors import MeshQualityError, ValidationError
-from .geometry import (TWO_PI, DomainSpec, InclusionSpec, Margin, curvature_max,
-                       exact_perimeter, inclusion_margin)
+from .geometry import (TWO_PI, DomainSpec, Margin, curvature_max, exact_perimeter,
+                       inclusion_margin)
 
 # lattice pitch and ring spacing relative to target_h; clearance band half-width
 # relative to local ring spacing (tuned so the worst band triangle keeps its
@@ -79,7 +79,7 @@ class Mesh:
     interface_loop: Optional[np.ndarray]
     interface_params: Optional[np.ndarray]
     domain: Optional[DomainSpec]
-    inclusion: Optional[InclusionSpec]
+    inclusion: Optional[DomainSpec]
     target_h: float
     margin: Optional[Margin] = None
     parent: Optional["Mesh"] = field(default=None, repr=False, compare=False)
@@ -189,7 +189,7 @@ def _hex_lattice(center, extent, pitch, offset):
     return np.stack([x, np.broadcast_to(y[:, None], x.shape)], axis=-1).reshape(-1, 2)
 
 
-def generate(domain: DomainSpec, inclusion: Optional[InclusionSpec],
+def generate(domain: DomainSpec, inclusion: Optional[DomainSpec],
              target_h: float) -> Mesh:
     """Build a conforming mesh with h_max <= 1.5 * target_h and min angle >= 20 deg.
 
@@ -207,7 +207,7 @@ def generate(domain: DomainSpec, inclusion: Optional[InclusionSpec],
     # gets one outside and one inside where that clears its medial axis
     rings = [_sample_curve(domain, target_h, 32, (-1.0,))]
     if inclusion is not None:
-        rings.append(_sample_curve(inclusion.to_domain(), target_h, 12, (+1.0, -1.0)))
+        rings.append(_sample_curve(inclusion, target_h, 12, (+1.0, -1.0)))
     # the offset layers of one curve must stay out of the other curve's band
     layers = [layer[_clear_of(rings, layer, skip=k)]
               for k, ring in enumerate(rings) for layer in ring.layers]
@@ -481,7 +481,7 @@ def refine(mesh: Mesh) -> Mesh:
     iloop, iparams = None, None
     if mesh.interface_loop is not None:
         iloop, iparams = _split_loop(mesh.interface_loop, mesh.interface_params,
-                                     mesh.edge_table, vertices, mesh.inclusion.to_domain())
+                                     mesh.edge_table, vertices, mesh.inclusion)
     a, b, c = mesh.triangles.T
     mab, mbc, mca = (V + tri_edges).T
     triangles = np.stack([a, mab, mca, b, mbc, mab, c, mca, mbc, mab, mbc, mca],
@@ -532,7 +532,7 @@ def validate_mesh(mesh: Mesh):
         # and of the centroid of each inside-tagged triangle: an inside-tagged
         # triangle fails on any of these outside D, an outside-tagged one only
         # on a corner inside D
-        curve = mesh.inclusion.to_domain()
+        curve = mesh.inclusion
         corner = curve.signed_radial_margin(mesh.vertices)[mesh.triangles]
         inside = mesh.region == 1
         centroid = curve.signed_radial_margin(mesh.vertices[mesh.triangles[inside]].mean(axis=1))

@@ -24,7 +24,6 @@ from .fem_core import (
 )
 from .geometry import (
     DomainSpec,
-    InclusionSpec,
     diameter,
     distance_to_boundary,
     exact_area,
@@ -208,7 +207,7 @@ def growth_check(mesh: Mesh, v: Field) -> float:
     return float(np.min(vals[cand] / delta))
 
 
-def full_report(domain: DomainSpec, inclusion: Optional[InclusionSpec],
+def full_report(domain: DomainSpec, inclusion: Optional[DomainSpec],
                 sigma_c: float, target_h: float,
                 eta: Union[EtaSpec, Callable, None] = None,
                 refine_levels: int = 0) -> SerrinReport:

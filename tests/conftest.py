@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from serrinlab.geometry import DomainSpec, InclusionSpec
+from serrinlab.geometry import DomainSpec
 from serrinlab.meshgen import Mesh, generate
 
 
@@ -22,12 +22,17 @@ def disk_mesh(disk_spec):
 
 @pytest.fixture(scope="session")
 def concentric_mesh(disk_spec):
-    return generate(disk_spec, InclusionSpec("disk", radius=0.5), 0.1)
+    return generate(disk_spec, DomainSpec("disk", radius=0.5), 0.1)
 
 
 @pytest.fixture(scope="session")
 def ellipse_mesh(ellipse_spec):
     return generate(ellipse_spec, None, 0.05)
+
+
+@pytest.fixture(scope="session")
+def star_inclusion_mesh(disk_spec):
+    return generate(disk_spec, DomainSpec("star", r0=0.3, eps=0.1, k=3), 0.05)
 
 
 def make_square_mesh(n=16, side=2.0):

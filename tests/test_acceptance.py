@@ -29,7 +29,7 @@ from serrinlab.fem_core import (
     solve_linearized,
     solve_two_phase,
 )
-from serrinlab.geometry import DomainSpec, InclusionSpec
+from serrinlab.geometry import DomainSpec
 from serrinlab.meshgen import generate, refine
 from serrinlab.serrin_diagnostics import full_report
 
@@ -51,7 +51,7 @@ def concentric_chain():
     t0 = time.perf_counter()
     sol = RadialTwoPhaseSolution(1.0, 0.5, 2.0)
     mesh = generate(DomainSpec("disk", radius=1.0),
-                    InclusionSpec("disk", radius=0.5), 0.1)
+                    DomainSpec("disk", radius=0.5), 0.1)
     levels = []
     for h in (0.1, 0.05, 0.025):
         u = solve_two_phase(mesh, 2.0)
@@ -114,7 +114,7 @@ def test_criterion_4_one_phase_stability():
 
 
 def test_criterion_5_sigma_chain():
-    sweep = sigma_sweep(ELLIPSE, InclusionSpec("disk", radius=0.3),
+    sweep = sigma_sweep(ELLIPSE, DomainSpec("disk", radius=0.3),
                         [0.4, 0.2, 0.1, 0.05, 0.025], 0.05)
     slope = sweep.fit.slope if sweep.fit else float("nan")
     ok = sweep.fit is not None and 0.9 <= slope <= 1.1
@@ -123,12 +123,12 @@ def test_criterion_5_sigma_chain():
 
 
 def test_criterion_6_frechet_derivative():
-    sweep = frechet_check(ELLIPSE, InclusionSpec("disk", radius=0.3), 0.5,
+    sweep = frechet_check(ELLIPSE, DomainSpec("disk", radius=0.3), 0.5,
                           [0.2, 0.1, 0.05, 0.025], 0.05)
     slope = sweep.fit.slope if sweep.fit else float("nan")
 
     mesh = generate(DomainSpec("disk", radius=1.0),
-                    InclusionSpec("disk", radius=0.5), 0.05)
+                    DomainSpec("disk", radius=0.5), 0.05)
     u0 = solve_two_phase(mesh, 1.0)
     up = solve_linearized(mesh, 1.0, u0)
     center = evaluate(mesh, up, (0.0, 0.0))
@@ -210,7 +210,7 @@ def test_criterion_9_bridge_inequality():
 
     # reports accumulated above, plus two-phase / perturbed-boundary rows
     _reports.append((full_report(DomainSpec("disk", radius=1.0),
-                                 InclusionSpec("disk", radius=0.5), 2.0, 0.05),
+                                 DomainSpec("disk", radius=0.5), 2.0, 0.05),
                      DomainSpec("disk", radius=1.0)))
     _reports.append((full_report(DomainSpec("star", r0=1.0, eps=0.05, k=3),
                                  None, 1.0, 0.06),

@@ -1,6 +1,8 @@
 """The traced benchmark (perfbench/bench_trace.py) wraps program functions by
-module and name from outside the program; each hook it names must still exist."""
+module and name from outside the program, and its worker (perfbench/worker.py)
+calls others directly; each name either one uses must still exist."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -11,7 +13,8 @@ import scipy.sparse as sp
 
 from serrinlab import fem_core
 
-BENCH_TRACE = Path(__file__).resolve().parents[1] / "perfbench" / "bench_trace.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+BENCH_TRACE = PERFBENCH / "bench_trace.py"
 
 
 def _spans():
@@ -24,6 +27,24 @@ def _spans():
 @pytest.mark.parametrize("mod_name,attr", [(m, a) for m, a, _ in _spans()]
                          + [("meshgen", "_generate_once")])
 def test_traced_hook_resolves(mod_name, attr):
+    assert callable(getattr(importlib.import_module(f"serrinlab.{mod_name}"), attr, None))
+
+
+def _worker_names():
+    """(module, name) of every module.name in worker.py whose module it
+    imports from serrinlab."""
+    tree = ast.parse((PERFBENCH / "worker.py").read_text())
+    modules = {a.asname or a.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "serrinlab"
+               for a in node.names}
+    return sorted({(node.value.id, node.attr) for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                   and node.value.id in modules})
+
+
+@pytest.mark.parametrize("mod_name,attr", _worker_names(),
+                         ids=[f"{m}.{a}" for m, a in _worker_names()])
+def test_worker_name_resolves(mod_name, attr):
     assert callable(getattr(importlib.import_module(f"serrinlab.{mod_name}"), attr, None))
 
 

@@ -27,7 +27,7 @@ from serrinlab.cli_io import (
 from serrinlab import cli_io, experiments, meshgen, serrin_diagnostics
 from serrinlab.errors import ValidationError
 from serrinlab.experiments import FitResult, SweepResult
-from serrinlab.geometry import DomainSpec, InclusionSpec
+from serrinlab.geometry import DomainSpec
 from serrinlab.serrin_diagnostics import EtaSpec, OscCheck, SerrinReport
 
 
@@ -50,7 +50,7 @@ class TestConfigRoundTrip:
         cfgs = [
             RunConfig("diagnose", domain=DomainSpec("ellipse", a=1.2, b=1.0)),
             RunConfig("solve", domain=DomainSpec("disk", radius=1.0),
-                      inclusion=InclusionSpec("disk", radius=0.5), sigma_c=2.0,
+                      inclusion=DomainSpec("disk", radius=0.5), sigma_c=2.0,
                       target_h=0.05, name="conc"),
             RunConfig("sweep-sigma", domain=DomainSpec("star", r0=1.0, eps=0.05, k=3),
                       t_values=[0.4, 0.2, 0.1], plot=True),
@@ -69,7 +69,7 @@ class TestConfigRoundTrip:
 
     def test_json_round_trip_through_text(self):
         cfg = RunConfig("diagnose", domain=DomainSpec("ellipse", a=1.2, b=1.0),
-                        inclusion=InclusionSpec("disk", center=(0.1, 0.0), radius=0.2),
+                        inclusion=DomainSpec("disk", center=(0.1, 0.0), radius=0.2),
                         sigma_c=3.0)
         text = json.dumps(config_to_dict(cfg), sort_keys=True)
         assert config_from_dict(json.loads(text)) == cfg
@@ -156,9 +156,11 @@ ILL_TYPED = [
     ({"command": "sweep-sigma", "domain": DISK, "t_values": "abc"}, "t_values"),
     ({"command": "solve", "domain": dict(DISK, center=[0])}, "domain.center"),
 ]
-# well-typed configs that once ran: a negative level count ran level 0, a
-# name that is not one path component wrote outside the output root, and
-# domain.boundary_samples, a field no reader honoured below 256 samples
+# well-typed configs that once ran or named the wrong field: a negative level
+# count ran level 0, a name that is not one path component wrote outside the
+# output root, domain.boundary_samples was a field no reader honoured below 256
+# samples, a family member's axes were reported as domain.a/b, and an
+# inclusion of kind "none" dropped its other fields
 BAD_VALUES = {
     "refine_levels-negative": (dict(DIAG_CFG, refine_levels=-2), "refine_levels"),
     "name-parent": (dict(DIAG_CFG, name="../escaped"), "name"),
@@ -169,6 +171,13 @@ BAD_VALUES = {
     "boundary_samples-unknown": (
         dict(DIAG_CFG, domain=dict(DIAG_CFG["domain"], boundary_samples=256)),
         "domain.boundary_samples"),
+    "family-a-below-b": ({"command": "sweep-stability",
+                          "family": [DISK, {"kind": "ellipse", "a": 1.0, "b": 1.2}]},
+                         "family[1].a/b"),
+    "inclusion-radius-negative": (dict(DIAG_CFG, inclusion={"kind": "disk", "radius": -0.3}),
+                                  "inclusion.radius"),
+    "inclusion-none-with-radius": (dict(DIAG_CFG, inclusion={"kind": "none", "radius": 0.3}),
+                                   "inclusion.kind"),
 }
 
 
@@ -283,7 +292,7 @@ class TestRun:
 
     def test_validation_failure_still_writes_manifest(self, tmp_path):
         cfg = RunConfig("diagnose", domain=DomainSpec("disk", radius=1.0),
-                        inclusion=InclusionSpec("disk", center=(0.5, 0.0), radius=0.6),
+                        inclusion=DomainSpec("disk", center=(0.5, 0.0), radius=0.6),
                         sigma_c=2.0, name="bad", output_dir=str(tmp_path))
         code = run(cfg)
         assert code == 2

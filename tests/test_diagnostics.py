@@ -10,7 +10,7 @@ from serrinlab import fem_core
 from serrinlab.cli_io import _write_csv
 from serrinlab.errors import ValidationError
 from serrinlab.fem_core import normal_derivative, solve_one_phase, stiffness
-from serrinlab.geometry import DomainSpec, InclusionSpec, distance_to_boundary
+from serrinlab.geometry import DomainSpec, distance_to_boundary
 from serrinlab.meshgen import generate, refine
 from serrinlab.serrin_diagnostics import (
     EtaSpec,
@@ -209,7 +209,7 @@ class TestGrowthCheck:
             "star": lambda: generate(DomainSpec("star", r0=1.0, eps=0.1, k=3), None, 0.08),
             "off_centre_inclusion": lambda: generate(
                 DomainSpec("ellipse", a=1.2, b=1.0),
-                InclusionSpec("disk", center=(0.3, 0.2), radius=0.25), 0.06),
+                DomainSpec("disk", center=(0.3, 0.2), radius=0.25), 0.06),
         }[case]()
         v = solve_one_phase(mesh)
         interior = mesh.interior
@@ -257,7 +257,7 @@ class TestGrowthCheck:
 class TestFullReport:
     def test_concentric_exact_pair(self):
         rep = full_report(DomainSpec("disk", radius=1.0),
-                          InclusionSpec("disk", radius=0.5), 2.0, 0.05)
+                          DomainSpec("disk", radius=0.5), 2.0, 0.05)
         assert rep.gap == pytest.approx(0.0, abs=1e-10)
         assert rep.dev_Linf <= 10 * 0.05 ** 2
         assert rep.c == pytest.approx(-0.5, abs=1e-12)
@@ -265,7 +265,7 @@ class TestFullReport:
     @pytest.mark.parametrize("sigma_c", [0.5, 2.0, 5.0])
     def test_concentric_exactness_across_sigma(self, sigma_c):
         rep = full_report(DomainSpec("disk", radius=1.0),
-                          InclusionSpec("disk", radius=0.5), sigma_c, 0.05)
+                          DomainSpec("disk", radius=0.5), sigma_c, 0.05)
         assert rep.dev_Linf <= 10 * 0.05 ** 2
 
     def test_ellipse_reference(self):
@@ -284,12 +284,12 @@ class TestFullReport:
         for rep, perim in ((full_report(DomainSpec("ellipse", a=1.2, b=1.0),
                                         None, 1.0, 0.08), 6.92579),
                            (full_report(DomainSpec("disk", radius=1.0),
-                                        InclusionSpec("disk", radius=0.5),
+                                        DomainSpec("disk", radius=0.5),
                                         2.0, 0.08), 2 * math.pi)):
             assert rep.dev_L2 <= math.sqrt(perim) * rep.dev_Linf + 1e-12
 
     @pytest.mark.parametrize("inclusion,assemblies", [
-        (None, 1), (InclusionSpec("disk", radius=0.5), 2)])
+        (None, 1), (DomainSpec("disk", radius=0.5), 2)])
     def test_one_assembly_per_solve(self, inclusion, assemblies, monkeypatch):
         calls = []
         monkeypatch.setattr(fem_core, "stiffness",

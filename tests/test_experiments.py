@@ -23,7 +23,7 @@ from serrinlab.experiments import (
     sigma_sweep,
     slope_fit,
 )
-from serrinlab.geometry import DomainSpec, InclusionSpec
+from serrinlab.geometry import DomainSpec
 from serrinlab.meshgen import Mesh
 
 ELLIPSE = DomainSpec("ellipse", a=1.2, b=1.0)
@@ -120,14 +120,14 @@ class TestStabilitySweep:
 
 class TestSigmaSweep:
     def test_ellipse_with_inclusion_slope(self):
-        sweep = sigma_sweep(ELLIPSE, InclusionSpec("disk", radius=0.3),
+        sweep = sigma_sweep(ELLIPSE, DomainSpec("disk", radius=0.3),
                             [0.4, 0.2, 0.1, 0.05, 0.025], 0.06)
         assert sweep.status == "ok"
         assert 0.9 <= sweep.fit.slope <= 1.1
         assert sweep.constants["C7_empirical"] > 0
 
     def test_concentric_degenerate(self):
-        sweep = sigma_sweep(DISK, InclusionSpec("disk", radius=0.5),
+        sweep = sigma_sweep(DISK, DomainSpec("disk", radius=0.5),
                             [0.4, 0.2, 0.1], 0.08)
         assert sweep.status == "degenerate: exact solution family"
         assert sweep.fit is None
@@ -141,7 +141,7 @@ class TestSigmaSweep:
             sigma_sweep(DISK, None, [0.5, -1.5], 0.1)
 
     def test_triangle_inequality_rows(self):
-        sweep = sigma_sweep(ELLIPSE, InclusionSpec("disk", radius=0.3),
+        sweep = sigma_sweep(ELLIPSE, DomainSpec("disk", radius=0.3),
                             [0.4, 0.2, 0.1], 0.08)
         dev0 = sweep.constants["dev0_Linf"]
         for row in sweep.rows:
@@ -173,7 +173,7 @@ def test_non_monotone_values_rejected_before_meshing(command, field, values, tmp
 
 class TestFrechetCheck:
     def test_slope_near_one(self):
-        sweep = frechet_check(ELLIPSE, InclusionSpec("disk", radius=0.3), 0.5,
+        sweep = frechet_check(ELLIPSE, DomainSpec("disk", radius=0.3), 0.5,
                               [0.2, 0.1, 0.05, 0.025], 0.08)
         assert 0.85 <= sweep.fit.slope <= 1.15
 
@@ -183,7 +183,7 @@ class TestFrechetCheck:
         assert all(r["fd_error_L2"] == 0.0 for r in sweep.rows)
 
     def test_tiny_epsilon_flagged(self):
-        sweep = frechet_check(ELLIPSE, InclusionSpec("disk", radius=0.3), 0.0,
+        sweep = frechet_check(ELLIPSE, DomainSpec("disk", radius=0.3), 0.0,
                               [0.1, 0.05, 0.025, 1e-9], 0.1)
         assert sweep.excluded[-1]
 
@@ -228,9 +228,9 @@ FIT_PAIRS = {
 @pytest.mark.parametrize("make", [
     lambda: one_phase_stability_sweep([DomainSpec("star", r0=1.0, eps=e, k=3)
                                        for e in (0.08, 0.04, 0.02)], 0.05, window=3),
-    lambda: sigma_sweep(ELLIPSE, InclusionSpec("disk", radius=0.3),
+    lambda: sigma_sweep(ELLIPSE, DomainSpec("disk", radius=0.3),
                         [-0.4, -0.2, -0.1], 0.08),
-    lambda: frechet_check(ELLIPSE, InclusionSpec("disk", radius=0.3), 0.5,
+    lambda: frechet_check(ELLIPSE, DomainSpec("disk", radius=0.3), 0.5,
                           [-0.2, -0.1, -0.05], 0.1),
     lambda: inclusion_sweep(ELLIPSE, 2.0, [0.4, 0.3, 0.2], 0.08, window=3),
 ], ids=["stability", "sigma", "frechet", "inclusion"])
@@ -312,7 +312,7 @@ class TestBlasThreads:
             return parallel_map(fn, items, jobs)
 
         monkeypatch.setattr(experiments, "_parallel_map", spy)
-        sigma_sweep(DISK, InclusionSpec("disk", radius=0.5), [0.4, 0.2, 0.1], 0.2)
+        sigma_sweep(DISK, DomainSpec("disk", radius=0.5), [0.4, 0.2, 0.1], 0.2)
         assert seen == [{1}]
         assert set(_blas_threads()[1]) == {1}
 
@@ -343,7 +343,7 @@ class TestBlasPin:
         monkeypatch.setattr(fem_core, "_OPENBLAS",
                             [(get, counted(set_)) for get, set_ in fem_core._OPENBLAS])
         monkeypatch.setattr(experiments, "_sigma_member", _reporting_sigma_member)
-        result = sigma_sweep(DISK, InclusionSpec("disk", radius=0.5),
+        result = sigma_sweep(DISK, DomainSpec("disk", radius=0.5),
                              [0.4, 0.2, 0.1], 0.2, jobs=2)
         assert _SET_CALLS == []
         assert all(row["pid"] != os.getpid() for row in result.rows)
@@ -375,6 +375,6 @@ class TestParallelMap:
             return getstate(mesh)
 
         monkeypatch.setattr(Mesh, "__getstate__", counted)
-        sigma_sweep(DISK, InclusionSpec("disk", radius=0.5),
+        sigma_sweep(DISK, DomainSpec("disk", radius=0.5),
                     [0.4, 0.3, 0.2, 0.15, 0.1], 0.2, jobs=2)
         assert 1 <= len(pickled) <= 2

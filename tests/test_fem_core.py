@@ -31,7 +31,7 @@ from serrinlab.fem_core import (
     solve_two_phase,
     stiffness,
 )
-from serrinlab.geometry import InclusionSpec
+from serrinlab.geometry import DomainSpec
 from serrinlab.meshgen import generate, refine
 
 from conftest import make_square_mesh
@@ -335,7 +335,7 @@ class TestMultigrid:
         return u
 
     def test_refined_inclusion_mesh(self, ellipse_spec):
-        coarse = generate(ellipse_spec, InclusionSpec("disk", radius=0.3), 0.05)
+        coarse = generate(ellipse_spec, DomainSpec("disk", radius=0.3), 0.05)
         u = self.assert_matches_direct(refine(coarse), 2.0)
         assert 1 <= u.iterations <= 20
         assert u.residual <= 1e-10

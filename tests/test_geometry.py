@@ -13,7 +13,6 @@ from serrinlab.errors import ValidationError
 from serrinlab.geometry import (
     TWO_PI,
     DomainSpec,
-    InclusionSpec,
     curvature_max,
     diameter,
     distance_to_boundary,
@@ -367,13 +366,13 @@ class TestDistanceToBoundary:
 class TestInclusionMargin:
     def test_concentric(self):
         m = inclusion_margin(DomainSpec("disk", radius=1.0),
-                             InclusionSpec("disk", radius=0.5))
+                             DomainSpec("disk", radius=0.5))
         assert m.margin == pytest.approx(0.5, abs=1e-8)
         assert m.M == pytest.approx(2.0, abs=1e-7)
 
     def test_offset(self):
         m = inclusion_margin(DomainSpec("disk", radius=1.0),
-                             InclusionSpec("disk", center=(0.5, 0.0), radius=0.3))
+                             DomainSpec("disk", center=(0.5, 0.0), radius=0.3))
         assert m.margin == pytest.approx(0.2, abs=1e-8)
         assert m.M == pytest.approx(5.0, abs=1e-6)
 
@@ -382,20 +381,23 @@ class TestInclusionMargin:
                                             (2.0, (0.9, 0.9), 0.5)])
     def test_offcentre_disk_in_disk(self, R, center, r):
         m = inclusion_margin(DomainSpec("disk", radius=R),
-                             InclusionSpec("disk", center=center, radius=r))
+                             DomainSpec("disk", center=center, radius=r))
         assert m.margin == pytest.approx(R - math.hypot(*center) - r, abs=1e-12)
 
     @pytest.mark.parametrize("domain,inclusion", [
         (DomainSpec("ellipse", a=1.5, b=1.0),
-         InclusionSpec("ellipse", center=(0.3, 0.2), a=0.5, b=0.3)),
+         DomainSpec("ellipse", center=(0.3, 0.2), a=0.5, b=0.3)),
         (DomainSpec("ellipse", a=1.2, b=1.0),
-         InclusionSpec("ellipse", center=(-0.1, 0.0), a=0.4, b=0.35)),
+         DomainSpec("ellipse", center=(-0.1, 0.0), a=0.4, b=0.35)),
         (DomainSpec("star", r0=1.0, eps=0.1, k=3),
-         InclusionSpec("disk", center=(0.3, 0.2), radius=0.25)),
-    ], ids=["ellipse-in-ellipse", "centred-ellipse-in-ellipse", "disk-in-star"])
+         DomainSpec("disk", center=(0.3, 0.2), radius=0.25)),
+        (DomainSpec("ellipse", a=1.2, b=1.0),
+         DomainSpec("star", center=(0.3, 0.1), r0=0.3, eps=0.1, k=3)),
+    ], ids=["ellipse-in-ellipse", "centred-ellipse-in-ellipse", "disk-in-star",
+            "star-in-ellipse"])
     def test_against_brute_force(self, domain, inclusion):
         m = inclusion_margin(domain, inclusion)
-        brute = brute_force_curve_distance(domain, inclusion.to_domain())
+        brute = brute_force_curve_distance(domain, inclusion)
         assert m.margin == pytest.approx(brute, abs=1e-10)
         assert m.M == max(1.0, 1.0 / m.margin)
 
@@ -409,7 +411,7 @@ class TestInclusionMargin:
 
         monkeypatch.setattr(geometry, "distance_to_boundary", counted)
         m = inclusion_margin(DomainSpec("star", r0=1.0, eps=0.1, k=3),
-                             InclusionSpec("disk", center=(0.3, 0.2), radius=0.25))
+                             DomainSpec("disk", center=(0.3, 0.2), radius=0.25))
         assert calls == [1]
         assert m.margin == pytest.approx(
             real(DomainSpec("star", r0=1.0, eps=0.1, k=3), (0.3, 0.2))[0] - 0.25, abs=1e-15)
@@ -417,7 +419,7 @@ class TestInclusionMargin:
     def test_exits_domain(self):
         with pytest.raises(ValidationError):
             inclusion_margin(DomainSpec("disk", radius=1.0),
-                             InclusionSpec("disk", center=(0.5, 0.0), radius=0.6))
+                             DomainSpec("disk", center=(0.5, 0.0), radius=0.6))
 
 
 class TestMisc:

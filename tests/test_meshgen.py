@@ -12,7 +12,7 @@ from scipy.spatial import Delaunay
 
 from serrinlab import meshgen
 from serrinlab.errors import MeshQualityError, ValidationError
-from serrinlab.geometry import TWO_PI, DomainSpec, InclusionSpec
+from serrinlab.geometry import TWO_PI, DomainSpec
 from serrinlab.meshgen import (
     _OFFSETS,
     Mesh,
@@ -71,7 +71,7 @@ def reference_refine(mesh):
 
     bnd_edges = loop_edges(mesh.boundary_loop)
     ifc_edges = loop_edges(mesh.interface_loop) if mesh.interface_loop is not None else set()
-    curve_d = mesh.inclusion.to_domain() if mesh.interface_loop is not None else None
+    curve_d = mesh.inclusion
     midpoint_of = {}
     new_param = {}
 
@@ -135,10 +135,10 @@ class TestGenerate:
             generate(disk_spec, None, 0.0)
 
     def test_none_spec_is_not_an_inclusion(self, disk_spec):
-        # no inclusion is None; the config's {"kind": "none"} is turned into
-        # it before the library sees it
-        with pytest.raises(ValidationError, match="no boundary curve"):
-            generate(disk_spec, InclusionSpec("none"), 0.1)
+        # no inclusion is None; the config decoder reads {"kind": "none"} as
+        # None, and a curve of kind "none" does not exist
+        with pytest.raises(ValidationError, match="^kind: unknown kind 'none'"):
+            generate(disk_spec, DomainSpec("none"), 0.1)
 
     def test_euler_relation(self, concentric_mesh):
         edges = set()
@@ -157,7 +157,7 @@ class TestGenerate:
         assert np.all((normals * mids).sum(axis=1) > 0)
 
     def test_deterministic(self, disk_spec):
-        inc = InclusionSpec("disk", radius=0.5)
+        inc = DomainSpec("disk", radius=0.5)
         m1 = generate(disk_spec, inc, 0.1)
         m2 = generate(disk_spec, inc, 0.1)
         assert np.array_equal(m1.vertices, m2.vertices)
@@ -184,7 +184,7 @@ class TestGenerate:
         m = generate(star, None, 0.05)
         validate_mesh(m)
         m2 = generate(DomainSpec("ellipse", a=1.2, b=1.0),
-                      InclusionSpec("disk", center=(0.3, 0.1), radius=0.2), 0.06)
+                      DomainSpec("disk", center=(0.3, 0.1), radius=0.2), 0.06)
         validate_mesh(m2)
 
 
@@ -195,11 +195,11 @@ ELLIPSE_13 = DomainSpec("ellipse", a=1.3, b=1.0)
 # floor (whose circumcircles hold other points), the next two need a second
 # offset, the last three fail on every offset
 EARLY_CASES = [
-    (ELLIPSE_12, InclusionSpec("disk", radius=0.3), 0.1),
+    (ELLIPSE_12, DomainSpec("disk", radius=0.3), 0.1),
     (ELLIPSE_12, None, 0.025),
-    (ELLIPSE_12, InclusionSpec("disk", radius=0.3), 0.025),
+    (ELLIPSE_12, DomainSpec("disk", radius=0.3), 0.025),
     (ELLIPSE_13, None, 0.03),
-    (DomainSpec("disk", radius=1.0), InclusionSpec("ellipse", a=0.4, b=0.3), 0.03),
+    (DomainSpec("disk", radius=1.0), DomainSpec("ellipse", a=0.4, b=0.3), 0.03),
     (DomainSpec("star", r0=1.0, eps=0.2, k=5), None, 0.05),
 ]
 
@@ -258,7 +258,7 @@ class TestEarlyRejection:
 
 
 @pytest.mark.parametrize("inclusion,perimeters", [(None, 1),
-                                                  (InclusionSpec("disk", radius=0.3), 2)])
+                                                  (DomainSpec("disk", radius=0.3), 2)])
 def test_each_curve_sampled_once_per_generate(monkeypatch, inclusion, perimeters):
     """Both cases take two attempts; the retry re-lays only the lattice."""
     attempts, calls = [], []
@@ -310,10 +310,11 @@ class TestRefine:
                                       np.repeat(concentric_mesh.region, 4))
 
     @pytest.mark.parametrize("name", ["disk_mesh", "concentric_mesh", "ellipse_mesh",
-                                      "square"])
+                                      "star_inclusion_mesh", "square"])
     def test_matches_reference_refine(self, name, request):
         mesh = make_square_mesh() if name == "square" else request.getfixturevalue(name)
         fine = refine(mesh)
+        validate_mesh(fine)
         got = (fine.vertices, fine.triangles, fine.region, fine.boundary_loop,
                fine.boundary_params, fine.interface_loop, fine.interface_params)
         for a, b in zip(got, reference_refine(mesh)):
@@ -371,7 +372,7 @@ def reference_tag_check(mesh):
     and the centroid of every triangle; the failing check's message or None."""
     p = mesh.vertices[mesh.triangles]
     p = np.concatenate([p, p.mean(axis=1, keepdims=True)], axis=1)
-    m = mesh.inclusion.to_domain().signed_radial_margin(p.reshape(-1, 2)).reshape(-1, 4)
+    m = mesh.inclusion.signed_radial_margin(p.reshape(-1, 2)).reshape(-1, 4)
     if np.any((mesh.region == 1) & np.any(m < -1e-9, axis=1)):
         return "inside-tagged triangle leaks outside D"
     if np.any((mesh.region == 0) & np.any(m > 1e-9, axis=1)
@@ -420,7 +421,7 @@ class TestConnectivity:
                             lambda *a: attempts.append(a) or generate_once(*a))
         monkeypatch.setattr(meshgen, "edge_table",
                             lambda tris: tables.append(len(tris)) or table(tris))
-        full_report(DomainSpec("ellipse", a=1.2, b=1.0), InclusionSpec("disk", radius=0.3),
+        full_report(DomainSpec("ellipse", a=1.2, b=1.0), DomainSpec("disk", radius=0.3),
                     2.0, 0.1, refine_levels=1)
         # one table per triangulated attempt, one for the refined mesh
         assert len(attempts) >= 1 and len(tables) == len(attempts) + 1
