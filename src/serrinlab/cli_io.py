@@ -1,17 +1,19 @@
 """Batch entry point: `serrin-lab --config <path> [--jobs N]`, a JSON config in,
 CSV/JSON/SVG artifacts plus a manifest out.  The config's command picks its row
 of COMMANDS: the runner that writes the command's artifacts and returns its
-summary, and the fields it requires.  Runners call the library through this
-module's names at call time, so a tracer that re-points them sees each call.
+summary, the fields it requires and the optional fields it reads; a config
+that sets any other field to a value besides its default is rejected, naming
+every such field.  Runners call the library through this module's names at
+call time, so a tracer that re-points them sees each call.
 Exit codes: 0 success, 2 validation error, 3 solver/mesh failure or failed
 numerical self-check, 4 internal error (any other exception, with its
 traceback in the manifest).  Artifact files (report.csv, fit.json, plot.svg,
 field.txt) are byte-deterministic for a fixed config; manifest.json carries the
-wall time and is not.  Every report.csv is written from result records whose
-keys are its header: a SerrinReport's fields, a sweep row's keys plus status,
-so a column and the field it holds share one name.
+wall time and is not.  This module writes every artifact, field.txt (a
+solve's mesh and values) included.  Every report.csv is written from result
+records whose keys are its header: a SerrinReport's fields, a sweep row's keys
+plus status, so a column and the field it holds share one name.
 """
-
 from __future__ import annotations
 
 import argparse
@@ -39,7 +41,7 @@ from .experiments import (
     one_phase_stability_sweep,
     sigma_sweep,
 )
-from .fem_core import dump_field, evaluate, normal_derivative, solve_two_phase
+from .fem_core import evaluate, normal_derivative, solve_two_phase
 from .geometry import DomainSpec
 from .meshgen import generate, refine
 from .serrin_diagnostics import EtaSpec, full_report
@@ -164,9 +166,15 @@ class RunConfig:
             raise ValidationError("name: must be a single path component")
         if self.sigma_c <= 0:
             raise ValidationError("sigma_c: must be positive")
-        for name in COMMANDS[self.command][1]:
+        _, required, optional = COMMANDS[self.command]
+        for name in required:
             if getattr(self, name) in (None, []):
                 raise ValidationError(f"{name}: required for {self.command}")
+        read = {"command", "name", "output_dir", "target_h", *required, *optional}
+        unread = [f.name for f in fields(self)
+                  if f.name not in read and getattr(self, f.name) != f.default]
+        if unread:
+            raise ValidationError(f"{'/'.join(unread)}: not read by {self.command}")
 
 
 config_from_dict = partial(spec_from_dict, RunConfig)
@@ -208,7 +216,7 @@ def _write_csv(path, rows):
 def _fit_json(sweep: SweepResult) -> dict:
     """fit.json: every field of the sweep but its per-row data."""
     d = asdict(sweep)
-    for key in ("parameters", "rows", "points"):
+    for key in ("rows", "points"):
         del d[key]
     return d
 
@@ -277,6 +285,25 @@ def emit_plot(sweep: SweepResult, path) -> bool:
     return True
 
 
+def _write_field(path, f):
+    """field.txt of the Field f: its mesh's VERTICES, TRIANGLES tagged
+    inside_D/outside_D and BOUNDARY_EDGES with outward normals, then VALUES;
+    one record per line, floats at 17 significant digits."""
+    mesh = f.mesh
+    loop = mesh.boundary_loop
+    with open(path, "w", newline="\n") as fh:
+        fh.write("VERTICES\n")
+        fh.writelines(f"{x:.17g} {y:.17g}\n" for x, y in mesh.vertices)
+        fh.write("TRIANGLES\n")
+        fh.writelines(f"{a} {b} {c} {'inside_D' if r else 'outside_D'}\n"
+                      for (a, b, c), r in zip(mesh.triangles, mesh.region))
+        fh.write("BOUNDARY_EDGES\n")
+        fh.writelines(f"{a} {b} {nx:.17g} {ny:.17g}\n"
+                      for a, b, (nx, ny) in zip(loop, np.roll(loop, -1), mesh.boundary_normals))
+        fh.write("VALUES\n")
+        fh.writelines(f"{v:.17g}\n" for v in f.values)
+
+
 # -- command execution ---------------------------------------------------------
 
 
@@ -291,8 +318,7 @@ def _solve(cfg, outdir, jobs):
         "center_value": center_val, "min_value": float(u.values.min()),
         "max_value": float(u.values.max()), "boundary_flux_total": tr.values @ tr.weights,
         "h_max": mesh.h_max}])
-    with open(outdir / "field.txt", "w", newline="\n") as fh:
-        dump_field(mesh, u, fh)
+    _write_field(outdir / "field.txt", u)
     return {"center_value": center_val}
 
 
@@ -354,15 +380,19 @@ def _frechet_check(cfg, outdir, jobs):
         cfg.domain, cfg.inclusion, cfg.t0, cfg.epsilon_values, cfg.target_h, window=cfg.window))
 
 
+# command -> (runner, required fields, optional fields it reads); every command
+# also reads command, name, output_dir and target_h
+_SWEEP = ("window", "plot")
 COMMANDS = {
-    "solve": (_solve, ("domain",)),
-    "diagnose": (_diagnose, ("domain",)),
-    "sweep-sigma": (_sweep_sigma, ("domain", "t_values")),
-    "sweep-inclusion": (_sweep_inclusion, ("domain", "inclusion_radii")),
-    "sweep-stability": (_sweep_stability, ("family",)),
-    "frechet-check": (_frechet_check, ("domain", "t0", "epsilon_values")),
-    "verify-identity": (_verify_identity, ("domain",)),
-    "nonexistence": (_nonexistence, ("domain", "fitted_C2", "fitted_C3")),
+    "solve": (_solve, ("domain",), ("inclusion", "sigma_c", "refine_levels")),
+    "diagnose": (_diagnose, ("domain",), ("inclusion", "sigma_c", "refine_levels", "eta")),
+    "sweep-sigma": (_sweep_sigma, ("domain", "t_values"), ("inclusion", *_SWEEP)),
+    "sweep-inclusion": (_sweep_inclusion, ("domain", "inclusion_radii"), ("sigma_c", *_SWEEP)),
+    "sweep-stability": (_sweep_stability, ("family",), _SWEEP),
+    "frechet-check": (_frechet_check, ("domain", "t0", "epsilon_values"),
+                      ("inclusion", *_SWEEP)),
+    "verify-identity": (_verify_identity, ("domain",), ("inclusion", "sigma_c")),
+    "nonexistence": (_nonexistence, ("domain", "fitted_C2", "fitted_C3"), ()),
 }
 
 

@@ -31,6 +31,7 @@ from .geometry import (
     DomainSpec,
     exact_area,
     exact_perimeter,
+    inclusion_margin,
     rho_bounds,
     serrin_constant,
 )
@@ -59,7 +60,6 @@ class SweepResult:
     """
 
     kind: str
-    parameters: list
     rows: list                      # per parameter, same order: its report.csv columns
     fit: Optional[FitResult]
     window: int
@@ -71,8 +71,6 @@ class SweepResult:
     points: list = dc_field(default_factory=list)
 
     def __post_init__(self):
-        if not _monotone(np.asarray(self.parameters, dtype=float)):
-            raise ValidationError("sweep: parameters must be strictly monotone")
         if self.fit is not None and not (0.0 <= self.fit.r_squared <= 1.0 + 1e-12):
             raise ValidationError("sweep: R^2 out of [0, 1]")
 
@@ -191,8 +189,8 @@ def one_phase_stability_sweep(family, target_h, window=4, jobs=1) -> SweepResult
         status = "ok"
     else:
         status = "degenerate: exact case" if all(excluded) else "degenerate: too few points"
-    return SweepResult("stability", [r["gap"] for r in rows], rows, fit, window, floors,
-                       excluded, constants, status, max(h for _, h in results), points)
+    return SweepResult("stability", rows, fit, window, floors, excluded, constants, status,
+                       max(h for _, h in results), points)
 
 
 # -- sigma_c -> 1 ----------------------------------------------------------
@@ -251,8 +249,8 @@ def sigma_sweep(domain, inclusion, t_values, target_h, window=4, jobs=1) -> Swee
         status = "ok"
     else:
         status = "degenerate: exact solution family"
-    return SweepResult("sigma", [r["t"] for r in rows], rows, fit, window,
-                       floors, excluded, constants, status, mesh.h_max, points)
+    return SweepResult("sigma", rows, fit, window, floors, excluded, constants, status,
+                       mesh.h_max, points)
 
 
 # -- Frechet derivative -----------------------------------------------------
@@ -283,8 +281,7 @@ def frechet_check(domain, inclusion, t0, eps_values, target_h, window=4) -> Swee
     points = [(abs(r["epsilon"]), r["fd_error_L2"]) for r in rows]
     fit, _ = _fit_kept(points, excluded, window)
     status = "ok" if fit is not None else "degenerate: derivative vanishes"
-    return SweepResult("frechet", [r["epsilon"] for r in rows], rows, fit,
-                       window, floors, excluded,
+    return SweepResult("frechet", rows, fit, window, floors, excluded,
                        {"floor_L2": min((r["fd_error_L2"] for r in rows), default=0.0)},
                        status, mesh.h_max, points)
 
@@ -303,51 +300,56 @@ def _grad_w_boundary(mesh, u, v):
 
 
 def _inclusion_member(args):
-    """(row, M, h_max) of one inclusion radius."""
-    domain, sigma_c, r, target_h = args
-    inclusion = DomainSpec("disk", center=domain.center, radius=r)
+    """(row, h_max) of one centred disk inclusion."""
+    domain, sigma_c, inclusion, target_h = args
     mesh = generate(domain, inclusion, target_h)
     u = solve_two_phase(mesh, sigma_c)
     v = solve_one_phase(mesh)
-    return ({"radius": r, "area_D": exact_area(inclusion),
-             "grad_w_boundary_Linf": _grad_w_boundary(mesh, u, v),
-             "margin": mesh.margin.margin}, mesh.margin.M, mesh.h_max)
+    return ({"radius": inclusion.radius, "area_D": exact_area(inclusion),
+             "grad_w_boundary_Linf": _grad_w_boundary(mesh, u, v)}, mesh.h_max)
 
 
 def inclusion_sweep(domain, sigma_c, radii, target_h, window=4, jobs=1) -> SweepResult:
     """sup_boundary |grad w| against |D| for a shrinking centered disk inclusion.
 
     The coarse bound guarantees slope >= 1/2; the gradient-bounded refinement
-    predicts slope ~ 1, and both comparisons are reported.
+    predicts slope ~ 1, and both comparisons are reported.  Each disk's
+    margin inside the domain is measured once, before any mesh is built.
     """
     radii = list(radii)
     if any(r <= 0 for r in radii):
         raise ValidationError("inclusion_radii: entries must be positive")
     if any(radii[i] <= radii[i + 1] for i in range(len(radii) - 1)):
         raise ValidationError("inclusion_radii: must decrease toward 0")
+    disks = [DomainSpec("disk", center=domain.center, radius=r) for r in radii]
+    margins = []
+    for i, disk in enumerate(disks):
+        try:
+            margins.append(inclusion_margin(domain, disk))
+        except ValidationError:
+            raise ValidationError(f"inclusion_radii[{i}]: D touches or exits the "
+                                  "domain") from None
     results = _parallel_map(_inclusion_member,
-                            [(domain, sigma_c, r, target_h) for r in radii], jobs)
-    rows = [row for row, _, _ in results]
-    m0 = rows[0]
-    if any(r["margin"] < m0["margin"] - 1e-12 for r in rows):
-        raise ValidationError("inclusion_radii: margin shrank below the fixed 1/M")
+                            [(domain, sigma_c, d, target_h) for d in disks], jobs)
+    rows = [dict(row, margin=m) for (row, _), m in zip(results, margins)]
 
     # floor: concentric disks where the boundary flux is radius-independent
-    floor_row, _, _ = _inclusion_member((DomainSpec("disk", radius=1.0), sigma_c,
-                                         radii[-1], target_h))
+    floor_row, _ = _inclusion_member((DomainSpec("disk", radius=1.0), sigma_c,
+                                      DomainSpec("disk", radius=radii[-1]), target_h))
     floor = floor_row["grad_w_boundary_Linf"]
     floors = {"grad_w_boundary_Linf": floor}
     excluded = [r["grad_w_boundary_Linf"] <= FLOOR_FACTOR * floor for r in rows]
     points = [(r["area_D"], r["grad_w_boundary_Linf"]) for r in rows]
     fit, kept = _fit_kept(points, excluded, window)
-    constants = {"M": results[0][1], "slope_floor_coarse": 0.5, "slope_improved": 1.0}
+    constants = {"M": max(1.0, 1.0 / margins[0]), "slope_floor_coarse": 0.5,
+                 "slope_improved": 1.0}
     if fit is not None:
         constants["C3_like_max_ratio"] = max(y / math.sqrt(x) for x, y in kept)
         status = "ok"
     else:
         status = "degenerate: exact solution family"
-    return SweepResult("inclusion", radii, rows, fit, window, floors, excluded,
-                       constants, status, max(h for *_, h in results), points)
+    return SweepResult("inclusion", rows, fit, window, floors, excluded, constants, status,
+                       max(h for _, h in results), points)
 
 
 # -- non-existence thresholds -------------------------------------------------

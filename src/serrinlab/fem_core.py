@@ -14,7 +14,8 @@ Importing this module pins every OpenBLAS bundled with numpy and scipy to one
 thread, and each solve pins it again (a no-op in a pinned process), so CG's
 dot products sum in one order whatever the core count, the number of sweep
 workers or a host program's later thread setting; forked workers inherit the
-pin.
+pin.  Nothing here writes a file: cli_io writes a Field and its mesh to
+field.txt.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .errors import SolverError, ValidationError
-from .meshgen import Mesh, dump_mesh
+from .meshgen import Mesh
 
 
 # CG stops at this relative residual, or fails after 20 sqrt(n) + 1000
@@ -413,11 +414,3 @@ def evaluate(mesh: Mesh, f: Field, point) -> float:
 def l2_norm(mesh: Mesh, values: np.ndarray) -> float:
     M = mass_matrix(mesh)
     return math.sqrt(max(0.0, float(values @ (M @ values))))
-
-
-def dump_field(mesh: Mesh, f: Field, fh):
-    """Mesh dump plus a VALUES section (17 significant digits)."""
-    dump_mesh(mesh, fh)
-    fh.write("VALUES\n")
-    for v in f.values:
-        fh.write(f"{v:.17g}\n")

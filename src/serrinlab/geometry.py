@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -80,7 +80,8 @@ class DomainSpec:
     kind "disk": radius R about center.
     kind "ellipse": semi-axes (a, b), a >= b.
     kind "star": polar graph r(t) = r0*(1 + eps*cos(k t)).
-    Invalid parameters raise ValidationError naming the field (radius, a/b, ...).
+    Invalid parameters raise ValidationError naming the field (radius, a/b, ...),
+    as does a star whose perimeter the trapezoid rule cannot resolve (eps).
     """
 
     kind: str
@@ -106,6 +107,7 @@ class DomainSpec:
                 raise ValidationError("eps: require 0 <= eps < 1")
             if self.k is None or int(self.k) < 1:
                 raise ValidationError("k: require integer k >= 1")
+            _star_perimeter(self)  # raises when the trapezoid rule cannot resolve it
         else:
             raise ValidationError(f"kind: unknown kind {self.kind!r}")
 
@@ -239,7 +241,7 @@ def _star_perimeter(spec):
         coarse, total = total, trapezoid(m)
         if abs(total - coarse) <= _STAR_AGREEMENT * total:
             return total
-    raise ValidationError(f"domain.eps: star perimeter not resolved by {m} "
+    raise ValidationError(f"eps: star perimeter not resolved by {m} "
                           f"trapezoid nodes per period")
 
 
@@ -328,13 +330,8 @@ def rho_bounds(spec: DomainSpec, z) -> tuple:
     return float(distance_to_boundary(spec, z)[0]), rho_e
 
 
-class Margin(NamedTuple):
-    margin: float
-    M: float
-
-
-def inclusion_margin(domain: DomainSpec, inclusion: DomainSpec) -> Margin:
-    """dist(D, boundary of Omega) and M = max(1, 1/margin).
+def inclusion_margin(domain: DomainSpec, inclusion: DomainSpec) -> float:
+    """dist(D, boundary of Omega), the margin of D inside Omega.
 
     A disk's margin is distance_to_boundary(Omega, center) - radius.  Any
     other curve q(s) runs Newton from the nearest of 256 samples (+- one spacing)
@@ -366,4 +363,4 @@ def inclusion_margin(domain: DomainSpec, inclusion: DomainSpec) -> Margin:
         margin = float(distance_to_boundary(domain, inclusion.point(sbest))[0])
     if margin <= 0:
         raise ValidationError("inclusion: D touches or exits the domain")
-    return Margin(margin, max(1.0, 1.0 / margin))
+    return margin

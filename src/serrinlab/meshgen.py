@@ -16,7 +16,8 @@ adjacency once, on first use; a refined mesh also builds its prolongation
 from the parent, whose vertex numbering refine() defines.  The edge table
 costs one sort per mesh: edges are numbered by first appearance in O(n) from
 that sort's groups, and the table keeps the order of its edges by key, so
-every boundary or interface loop lookup is a searchsorted on it.
+every boundary or interface loop lookup is a searchsorted on it.  The module
+does no I/O: cli_io writes a mesh, with the field on it, to field.txt.
 """
 
 from __future__ import annotations
@@ -32,8 +33,7 @@ import scipy.sparse as sp
 from scipy.spatial import Delaunay, cKDTree
 
 from .errors import MeshQualityError, ValidationError
-from .geometry import (TWO_PI, DomainSpec, Margin, curvature_max, exact_perimeter,
-                       inclusion_margin)
+from .geometry import TWO_PI, DomainSpec, curvature_max, exact_perimeter, inclusion_margin
 
 # lattice pitch and ring spacing relative to target_h; clearance band half-width
 # relative to local ring spacing (tuned so the worst band triangle keeps its
@@ -81,7 +81,6 @@ class Mesh:
     domain: Optional[DomainSpec]
     inclusion: Optional[DomainSpec]
     target_h: float
-    margin: Optional[Margin] = None
     parent: Optional["Mesh"] = field(default=None, repr=False, compare=False)
 
     def boundary_edge_lengths(self):
@@ -199,8 +198,8 @@ def generate(domain: DomainSpec, inclusion: Optional[DomainSpec],
     """
     if target_h is None or target_h <= 0:
         raise ValidationError("target_h: must be positive")
-    # raises if D touches/exits Omega
-    margin = inclusion_margin(domain, inclusion) if inclusion is not None else None
+    if inclusion is not None:
+        inclusion_margin(domain, inclusion)  # raises if D touches/exits Omega
 
     # one staggered layer inside the boundary keeps the boundary-adjacent strip
     # structurally regular (flux recovery quality depends on it); the inclusion
@@ -215,7 +214,7 @@ def generate(domain: DomainSpec, inclusion: Optional[DomainSpec],
     reports = []
     for offset in _OFFSETS:
         try:
-            return _generate_once(domain, inclusion, target_h, margin, rings, layers, offset)
+            return _generate_once(domain, inclusion, target_h, rings, layers, offset)
         except MeshQualityError as exc:
             reports.append(f"offset {offset}: {exc}")
     raise MeshQualityError(
@@ -272,7 +271,7 @@ def _offset_ring(curve, t, depth_factor, sign):
     return curve.point(tm) + sign * depth_factor * ell[:, None] * normal, ell
 
 
-def _generate_once(domain, inclusion, target_h, margin, rings, layers, offset):
+def _generate_once(domain, inclusion, target_h, rings, layers, offset):
     """One attempt: the lattice at offset around the sampled rings and their
     filtered layers, triangulated and checked; raises MeshQualityError."""
     pitch = _PITCH * target_h
@@ -326,7 +325,7 @@ def _generate_once(domain, inclusion, target_h, margin, rings, layers, offset):
     mesh = Mesh(vertices=points, triangles=triangles, region=region,
                 boundary_loop=loop, boundary_params=t_omega,
                 interface_loop=iface_loop, interface_params=t_d,
-                domain=domain, inclusion=inclusion, target_h=target_h, margin=margin)
+                domain=domain, inclusion=inclusion, target_h=target_h)
     _check_loops(mesh)
 
     min_angle = mesh.min_angle_deg()
@@ -491,7 +490,7 @@ def refine(mesh: Mesh) -> Mesh:
                 boundary_loop=loop, boundary_params=loop_params,
                 interface_loop=iloop, interface_params=iparams,
                 domain=mesh.domain, inclusion=mesh.inclusion,
-                target_h=mesh.target_h / 2.0, margin=mesh.margin, parent=mesh)
+                target_h=mesh.target_h / 2.0, parent=mesh)
 
 
 def _split_loop(loop, params, table, vertices, curve):
@@ -549,20 +548,3 @@ def validate_mesh(mesh: Mesh):
         mid = 0.5 * (p + np.roll(p, -1, axis=0))
         if np.any(np.sum(mesh.boundary_normals * (mid - center), axis=1) <= 0):
             raise MeshQualityError("boundary normal points inward")
-
-
-def dump_mesh(mesh: Mesh, fh):
-    """Plain-text dump: VERTICES / TRIANGLES / BOUNDARY_EDGES, one record per line."""
-    fh.write("VERTICES\n")
-    for x, y in mesh.vertices:
-        fh.write(f"{x:.17g} {y:.17g}\n")
-    fh.write("TRIANGLES\n")
-    for (a, b, c), r in zip(mesh.triangles, mesh.region):
-        fh.write(f"{a} {b} {c} {'inside_D' if r else 'outside_D'}\n")
-    fh.write("BOUNDARY_EDGES\n")
-    loop = mesh.boundary_loop
-    normals = mesh.boundary_normals
-    for i in range(len(loop)):
-        a, b = int(loop[i]), int(loop[(i + 1) % len(loop)])
-        nx, ny = normals[i]
-        fh.write(f"{a} {b} {nx:.17g} {ny:.17g}\n")

@@ -8,7 +8,7 @@ one-phase diagnostics built from the torsion function.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -131,12 +131,13 @@ def h_field(mesh: Mesh, v: Field, z) -> Field:
     return Field(mesh, v.values + q, "h")
 
 
-def fundamental_identity(mesh: Mesh, v: Field, z):
+def fundamental_identity(mesh: Mesh, v: Field, tr: BoundaryTrace, z, c: float):
     """Both sides of  int v |D2h|^2 = 1/2 int_b (c^2 - (dn v)^2) dn h.
 
     lhs: vertex Hessians of v (recovered) shifted by I/2, lumped per element
-    against vertex values of v.  rhs: boundary quadrature with dn h = dn v -
-    dn q and dn q = -(x-z).n/2 exact from geometry.
+    against vertex values of v.  rhs: boundary quadrature of the trace tr of
+    dn v, with the Serrin constant c of the domain, dn h = dn v - dn q and
+    dn q = -(x-z).n/2 exact from geometry.
     """
     z = np.asarray(z, dtype=float)
     H = hessian_recovery(mesh, v)
@@ -144,16 +145,9 @@ def fundamental_identity(mesh: Mesh, v: Field, z):
     H2[:, 0, 0] += 0.5
     H2[:, 1, 1] += 0.5
     frob2 = np.einsum("vij,vij->v", H2, H2)
-    areas = mesh.triangle_areas()
     per_vertex = v.values * frob2
-    lhs = float((areas * per_vertex[mesh.triangles].mean(axis=1)).sum())
+    lhs = float((mesh.triangle_areas() * per_vertex[mesh.triangles].mean(axis=1)).sum())
 
-    area = exact_area(mesh.domain) if mesh.domain is not None else float(areas.sum())
-    perim = (exact_perimeter(mesh.domain) if mesh.domain is not None
-             else float(mesh.boundary_edge_lengths().sum()))
-    c = serrin_constant(area, perim)
-
-    tr = normal_derivative(mesh, v)
     pts = tr.points
     dnq_at = lambda p, n: -((p - z) * n).sum(axis=1) / 2.0
     loop_next = np.roll(np.arange(len(pts)), -1)
@@ -217,13 +211,11 @@ def full_report(domain: DomainSpec, inclusion: Optional[DomainSpec],
         mesh = refine(mesh)
 
     v = solve_one_phase(mesh)
-    if inclusion is None or sigma_c == 1.0:
-        u = replace(v, label="u")
-    else:
-        u = solve_two_phase(mesh, sigma_c)
+    tr_v = normal_derivative(mesh, v)
+    tr_u = (tr_v if inclusion is None or sigma_c == 1.0  # then u is v
+            else normal_derivative(mesh, solve_two_phase(mesh, sigma_c)))
 
     c = serrin_constant(exact_area(domain), exact_perimeter(domain))
-    tr_u = normal_derivative(mesh, u)
 
     eta_vals = None
     if eta is not None:
@@ -236,7 +228,7 @@ def full_report(domain: DomainSpec, inclusion: Optional[DomainSpec],
     z = max_point(mesh, v)
     rho_i, rho_e = rho_bounds(domain, z)
     h = h_field(mesh, v, z)
-    lhs, rhs, fi_gap = fundamental_identity(mesh, v, z)
+    lhs, rhs, fi_gap = fundamental_identity(mesh, v, tr_v, z, c)
     d_omega = diameter(domain)
     osc = osc_check(h.values[mesh.boundary_loop], rho_i, rho_e, d_omega,
                     slack=10.0 * mesh.h_max ** 2)

@@ -1,6 +1,7 @@
 """The traced benchmark (perfbench/bench_trace.py) wraps program functions by
 module and name from outside the program, and its worker (perfbench/worker.py)
-calls others directly; each name either one uses must still exist."""
+calls others directly; each name either one uses must still exist, and every
+config its command workloads (perfbench/bench_cases.py) run must decode."""
 
 import ast
 import importlib
@@ -11,17 +12,20 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from serrinlab import fem_core
+from serrinlab import cli_io, fem_core
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-BENCH_TRACE = PERFBENCH / "bench_trace.py"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _spans():
-    spec = importlib.util.spec_from_file_location("bench_trace", BENCH_TRACE)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.SPANS
+    return _load("bench_trace").SPANS
 
 
 @pytest.mark.parametrize("mod_name,attr", [(m, a) for m, a, _ in _spans()]
@@ -58,3 +62,10 @@ def test_pcg_returns_solution_iterations_residual():
     np.testing.assert_allclose(A @ x, b, rtol=1e-10)
     assert isinstance(iterations, int) and 1 <= iterations <= 3
     assert 0.0 <= residual <= 1e-12
+
+
+@pytest.mark.parametrize("workload", ["diagnose-fine", "example-configs"])
+@pytest.mark.parametrize("seed", range(4))
+def test_bench_case_configs_decode(workload, seed):
+    for case in _load("bench_cases").cases(workload, seed, PERFBENCH.parent):
+        cli_io.config_from_dict(case)

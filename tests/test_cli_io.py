@@ -27,6 +27,7 @@ from serrinlab.cli_io import (
 from serrinlab import cli_io, experiments, meshgen, serrin_diagnostics
 from serrinlab.errors import ValidationError
 from serrinlab.experiments import FitResult, SweepResult
+from serrinlab.fem_core import solve_two_phase
 from serrinlab.geometry import DomainSpec
 from serrinlab.serrin_diagnostics import EtaSpec, OscCheck, SerrinReport
 
@@ -156,11 +157,15 @@ ILL_TYPED = [
     ({"command": "sweep-sigma", "domain": DISK, "t_values": "abc"}, "t_values"),
     ({"command": "solve", "domain": dict(DISK, center=[0])}, "domain.center"),
 ]
+# a star whose perimeter the periodic trapezoid rule cannot resolve
+UNRESOLVED_STAR = {"kind": "star", "r0": 0.3, "eps": 0.999, "k": 60}
 # well-typed configs that once ran or named the wrong field: a negative level
 # count ran level 0, a name that is not one path component wrote outside the
 # output root, domain.boundary_samples was a field no reader honoured below 256
-# samples, a family member's axes were reported as domain.a/b, and an
-# inclusion of kind "none" dropped its other fields
+# samples, a family member's axes were reported as domain.a/b, an
+# inclusion of kind "none" dropped its other fields, and a star inclusion or
+# family member that the perimeter rule could not resolve was reported as
+# domain.eps
 BAD_VALUES = {
     "refine_levels-negative": (dict(DIAG_CFG, refine_levels=-2), "refine_levels"),
     "name-parent": (dict(DIAG_CFG, name="../escaped"), "name"),
@@ -178,15 +183,26 @@ BAD_VALUES = {
                                   "inclusion.radius"),
     "inclusion-none-with-radius": (dict(DIAG_CFG, inclusion={"kind": "none", "radius": 0.3}),
                                    "inclusion.kind"),
+    "inclusion-star-unresolved": (dict(DIAG_CFG, domain=DISK, inclusion=UNRESOLVED_STAR),
+                                  "inclusion.eps"),
+    "family-star-unresolved": ({"command": "sweep-stability",
+                                "family": [DISK, dict(UNRESOLVED_STAR, r0=1.0)]},
+                               "family[1].eps"),
 }
 
 
 class TestTypedConfig:
     def test_full_config_decodes(self):
-        cfg = config_from_dict(FULL_CFG)
-        assert cfg.domain.center == (0.0, 0.0) and cfg.family[1].a == 1.2
-        assert cfg.eta == EtaSpec(0.01, 2, 0.0)
-        assert config_to_dict(cfg) == FULL_CFG
+        # per command, FULL_CFG restricted to the fields the command reads
+        for command, (_, required, optional) in cli_io.COMMANDS.items():
+            read = {"name", "output_dir", "target_h", *required, *optional}
+            d = dict({k: v for k, v in FULL_CFG.items() if k in read}, command=command)
+            cfg = config_from_dict(d)
+            assert cfg.domain is None or cfg.domain.center == (0.0, 0.0)
+            assert cfg.family is None or cfg.family[1].a == 1.2
+            assert cfg.eta is None or cfg.eta == EtaSpec(0.01, 2, 0.0)
+            encoded = config_to_dict(cfg)
+            assert {k: encoded[k] for k in d} == d
 
     def test_int_accepted_for_float(self):
         cfg = config_from_dict({"command": "solve", "sigma_c": 2,
@@ -392,7 +408,7 @@ class TestRun:
         def broken(*args):
             raise RuntimeError("wires crossed")
 
-        monkeypatch.setitem(cli_io.COMMANDS, "diagnose", (broken, ("domain",)))
+        monkeypatch.setitem(cli_io.COMMANDS, "diagnose", (broken, ("domain",), ()))
         cfg = config_from_dict(dict(DIAG_CFG, name="oops", output_dir=str(tmp_path)))
         assert run(cfg) == 4
         manifest = json.loads((tmp_path / "oops" / "manifest.json").read_text())
@@ -470,7 +486,7 @@ class TestMain:
         assert main(["--config", str(p), "--jobs", "1"]) == 0
 
 
-REQUIRED = [(command, name) for command, (_, required) in cli_io.COMMANDS.items()
+REQUIRED = [(command, name) for command, (_, required, _) in cli_io.COMMANDS.items()
             for name in required]
 
 INCLUSION_CFG = {"command": "sweep-inclusion", "domain": DIAG_CFG["domain"],
@@ -497,6 +513,9 @@ OUT_OF_RANGE = {
                                     "epsilon_values"),
     "fitted_C2-zero": (dict(NONEXISTENCE_CFG, fitted_C2=0.0), "fitted_C2"),
     "fitted_C3-negative": (dict(NONEXISTENCE_CFG, fitted_C3=-2.0), "fitted_C3"),
+    "inclusion_radii-exits-domain": (dict(INCLUSION_CFG, domain=DISK,
+                                          inclusion_radii=[1.2, 0.5, 0.3]),
+                                     "inclusion_radii[0]"),
 }
 
 
@@ -561,6 +580,45 @@ class TestCommandContract:
         assert (tmp_path / "invalid-config" / "manifest.json").exists()
 
 
+# RunConfig fields set to a valid value besides their default
+NON_DEFAULT = dict(FULL_CFG, sigma_c=2.0, refine_levels=1, window=3, plot=True)
+# (command, field) of every field a command does not read
+UNREAD = [(command, f.name) for command, (_, required, optional) in cli_io.COMMANDS.items()
+          for f in fields(RunConfig)
+          if f.name not in {"command", "name", "output_dir", "target_h", *required, *optional}]
+
+
+class TestUnreadFields:
+    @pytest.mark.parametrize("command,name", UNREAD, ids=[f"{c}-{n}" for c, n in UNREAD])
+    def test_unread_field_named(self, command, name):
+        _, required, _ = cli_io.COMMANDS[command]
+        cfg = dict({k: FULL_CFG[k] for k in required}, command=command)
+        config_from_dict(cfg)
+        with pytest.raises(ValidationError, match=f"^{name}: not read by {command}$"):
+            config_from_dict(dict(cfg, **{name: NON_DEFAULT[name]}))
+
+    def test_default_value_accepted(self):
+        assert config_from_dict(dict(SIGMA_CFG, sigma_c=1.0, refine_levels=0)).sigma_c == 1.0
+
+    @pytest.mark.parametrize("cfg,names", [
+        ({"command": "sweep-stability", "family": FULL_CFG["family"], "refine_levels": 2,
+          "eta": {"amplitude": 0.01}, "inclusion": {"kind": "disk", "radius": 0.3},
+          "sigma_c": 3.0}, "inclusion/sigma_c/refine_levels/eta"),
+        (dict(SIGMA_CFG, sigma_c=3.0), "sigma_c"),
+    ], ids=["sweep-stability", "sweep-sigma"])
+    def test_unread_fields_exit_2(self, cfg, names, tmp_path, capsys, monkeypatch):
+        # each once ran to exit 0 and ignored its unread fields
+        monkeypatch.setenv("SERRIN_LAB_OUT", str(tmp_path))
+        calls = _spy_generate(monkeypatch)
+        p = _write(tmp_path, "c.json", dict(cfg, name="unread"))
+        assert main(["--config", str(p), "--jobs", "1"]) == 2
+        error = f"{names}: not read by {cfg['command']}"
+        assert f"error: {error}" in capsys.readouterr().err
+        manifest = json.loads((tmp_path / "unread" / "manifest.json").read_text())
+        assert manifest["status"] == "validation-error" and manifest["error"] == error
+        assert calls == []
+
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -609,12 +667,36 @@ class TestProcess:
         assert re.findall(r"`([a-z-]+)`", listed) == list(cli_io.COMMANDS)
 
 
+class TestFieldDump:
+    def test_sections_in_order_and_exact(self, concentric_mesh, tmp_path):
+        u = solve_two_phase(concentric_mesh, 2.0)
+        path = tmp_path / "field.txt"
+        cli_io._write_field(path, u)
+        text = path.read_text()
+        assert (text.index("VERTICES") < text.index("TRIANGLES")
+                < text.index("BOUNDARY_EDGES") < text.index("VALUES"))
+        first, *sections = re.split(r"^(?:VERTICES|TRIANGLES|BOUNDARY_EDGES|VALUES)\n", text,
+                                    flags=re.M)
+        assert first == ""
+        vertices, triangles, edges, values = (part.splitlines() for part in sections)
+        # 17-significant-digit floats reparse exactly
+        assert [[float(t) for t in line.split()] for line in vertices] == \
+            concentric_mesh.vertices.tolist()
+        assert [line.split()[3] == "inside_D" for line in triangles] == \
+            (concentric_mesh.region == 1).tolist()
+        loop = concentric_mesh.boundary_loop
+        assert [int(line.split()[0]) for line in edges] == loop.tolist()
+        assert [[float(t) for t in line.split()[2:]] for line in edges] == \
+            concentric_mesh.boundary_normals.tolist()
+        assert [float(line) for line in values] == u.values.tolist()
+
+
 def _synthetic_sweep(ys=None):
     xs = [1.0, 2.0, 4.0, 8.0]
     ys = ys or [2.0, 4.0, 8.0, 16.0]
     rows = [{"epsilon": x, "fd_error_L2": y} for x, y in zip(xs, ys)]
     fit = FitResult(1.0, math.log(2.0), 1.0, 4, [0, 1, 2, 3])
-    return SweepResult("frechet", xs, rows, fit, 4, {}, [False] * 4, {}, "ok", 0.1,
+    return SweepResult("frechet", rows, fit, 4, {}, [False] * 4, {}, "ok", 0.1,
                        list(zip(xs, ys)))
 
 
@@ -628,8 +710,9 @@ class TestEmitPlot:
 
     def test_empty_sweep_no_file(self, tmp_path):
         sweep = _synthetic_sweep()
-        sweep.rows = [{"epsilon": x, "fd_error_L2": 0.0} for x in sweep.parameters]
-        sweep.points = [(x, 0.0) for x in sweep.parameters]
+        xs = [row["epsilon"] for row in sweep.rows]
+        sweep.rows = [{"epsilon": x, "fd_error_L2": 0.0} for x in xs]
+        sweep.points = [(x, 0.0) for x in xs]
         path = tmp_path / "p.svg"
         assert not emit_plot(sweep, path)
         assert not path.exists()

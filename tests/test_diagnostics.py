@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from serrinlab import fem_core
+from serrinlab import fem_core, serrin_diagnostics
 from serrinlab.cli_io import _write_csv
 from serrinlab.errors import ValidationError
 from serrinlab.fem_core import normal_derivative, solve_one_phase, stiffness
-from serrinlab.geometry import DomainSpec, distance_to_boundary
+from serrinlab.geometry import (DomainSpec, distance_to_boundary, exact_area, exact_perimeter,
+                                serrin_constant)
 from serrinlab.meshgen import generate, refine
 from serrinlab.serrin_diagnostics import (
     EtaSpec,
@@ -122,18 +123,25 @@ class TestHField:
         assert resids[1] < resids[0]
 
 
+def _identity(mesh, v, z):
+    """fundamental_identity with v's boundary trace and the domain's Serrin
+    constant, as full_report passes them."""
+    c = serrin_constant(exact_area(mesh.domain), exact_perimeter(mesh.domain))
+    return fundamental_identity(mesh, v, normal_derivative(mesh, v), z, c)
+
+
 class TestFundamentalIdentity:
     def test_disk_both_sides_vanish(self, disk_mesh):
         v = solve_one_phase(disk_mesh)
         z = max_point(disk_mesh, v)
-        lhs, rhs, _ = fundamental_identity(disk_mesh, v, z)
+        lhs, rhs, _ = _identity(disk_mesh, v, z)
         assert abs(lhs) < 0.1 * disk_mesh.h_max
         assert abs(rhs) < 0.1 * disk_mesh.h_max
 
     def test_ellipse_reference_value(self, ellipse_mesh):
         v = solve_one_phase(ellipse_mesh)
         z = max_point(ellipse_mesh, v)
-        lhs, rhs, gap = fundamental_identity(ellipse_mesh, v, z)
+        lhs, rhs, gap = _identity(ellipse_mesh, v, z)
         assert lhs == pytest.approx(ELLIPSE_FI_EXACT, rel=0.05)
         assert rhs == pytest.approx(ELLIPSE_FI_EXACT, rel=0.05)
         assert gap <= 0.05
@@ -143,7 +151,7 @@ class TestFundamentalIdentity:
         mesh = generate(spec, None, 0.08)
         v = solve_one_phase(mesh)
         z = max_point(mesh, v)
-        lhs, rhs, _ = fundamental_identity(mesh, v, z)
+        lhs, rhs, _ = _identity(mesh, v, z)
         assert abs(lhs) < 0.1 * mesh.h_max and abs(rhs) < 0.1 * mesh.h_max
 
     def test_gap_decreases_under_refinement(self, ellipse_spec):
@@ -152,7 +160,7 @@ class TestFundamentalIdentity:
         for _ in range(3):
             v = solve_one_phase(mesh)
             z = max_point(mesh, v)
-            gaps.append(fundamental_identity(mesh, v, z)[2])
+            gaps.append(_identity(mesh, v, z)[2])
             mesh = refine(mesh)
         assert gaps[0] / gaps[1] >= 1.3
         assert gaps[1] / gaps[2] >= 1.3
@@ -296,6 +304,17 @@ class TestFullReport:
                             lambda *a: calls.append(a) or stiffness(*a))
         full_report(DomainSpec("disk", radius=1.0), inclusion, 2.0, 0.1)
         assert len(calls) == assemblies
+
+    @pytest.mark.parametrize("inclusion,traces", [
+        (None, 1), (DomainSpec("disk", radius=0.5), 2)])
+    def test_one_trace_per_solve(self, inclusion, traces, monkeypatch):
+        # the deviation and the identity read one trace of v; u adds one
+        # only when it differs from v
+        calls = []
+        monkeypatch.setattr(serrin_diagnostics, "normal_derivative",
+                            lambda *a: calls.append(a) or normal_derivative(*a))
+        full_report(DomainSpec("disk", radius=1.0), inclusion, 2.0, 0.1)
+        assert len(calls) == traces
 
     def test_csv_row_shape(self, tmp_path):
         rep = full_report(DomainSpec("disk", radius=1.0), None, 1.0, 0.1)

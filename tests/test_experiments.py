@@ -23,7 +23,7 @@ from serrinlab.experiments import (
     sigma_sweep,
     slope_fit,
 )
-from serrinlab.geometry import DomainSpec
+from serrinlab.geometry import DomainSpec, inclusion_margin
 from serrinlab.meshgen import Mesh
 
 ELLIPSE = DomainSpec("ellipse", a=1.2, b=1.0)
@@ -163,8 +163,8 @@ def test_non_monotone_values_rejected_before_meshing(command, field, values, tmp
     cfg = config_from_dict({
         "command": command, "name": "bad", "output_dir": str(tmp_path),
         "domain": {"kind": "ellipse", "a": 1.2, "b": 1.0},
-        "inclusion": {"kind": "disk", "radius": 0.3}, "t0": 0.5,
-        field: values, "target_h": 0.08})
+        "inclusion": {"kind": "disk", "radius": 0.3}, field: values, "target_h": 0.08,
+        **({"t0": 0.5} if command == "frechet-check" else {})})
     assert run(cfg) == 2
     manifest = json.loads((tmp_path / "bad" / "manifest.json").read_text())
     assert manifest["error"].startswith(f"{field}:")
@@ -214,6 +214,16 @@ class TestInclusionSweep:
     def test_radii_must_decrease(self):
         with pytest.raises(ValidationError):
             inclusion_sweep(ELLIPSE, 2.0, [0.1, 0.2], 0.1)
+
+    def test_margins_measured_at_entry(self):
+        # a centred disk's margin is dist(center, boundary) - r, so M is fixed
+        # by the first, largest radius
+        sweep = inclusion_sweep(ELLIPSE, 1.0, [0.3, 0.2, 0.1], 0.08, window=3)
+        for row in sweep.rows:
+            assert row["margin"] == inclusion_margin(
+                ELLIPSE, DomainSpec("disk", radius=row["radius"]))
+            assert row["margin"] == pytest.approx(1.0 - row["radius"], abs=1e-12)
+        assert sweep.constants["M"] == max(1.0, 1.0 / sweep.rows[0]["margin"])
 
 
 # the fitted (x, y) pair of a row, per sweep kind

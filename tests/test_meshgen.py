@@ -18,7 +18,6 @@ from serrinlab.meshgen import (
     Mesh,
     _hex_lattice,
     _orient_ccw,
-    dump_mesh,
     edge_table,
     generate,
     refine,
@@ -339,10 +338,6 @@ class TestRefine:
             if isinstance(v, np.ndarray):
                 assert getattr(orphan, k) is v
 
-    def test_margin_carried_over(self, concentric_mesh):
-        assert concentric_mesh.margin.margin == pytest.approx(0.5, abs=1e-8)
-        assert refine(concentric_mesh).margin == concentric_mesh.margin
-
 
 def _undirected_edges(triangles):
     return {tuple(e) for e in np.sort(edge_table(triangles)[0], axis=1).tolist()}
@@ -543,18 +538,3 @@ class TestConnectivity:
                     inclusion=None, target_h=1.0)
         with pytest.raises(MeshQualityError, match="more than two"):
             validate_mesh(mesh)
-
-
-class TestDump:
-    def test_sections_present(self, disk_mesh, tmp_path):
-        path = tmp_path / "mesh.txt"
-        with open(path, "w") as fh:
-            dump_mesh(disk_mesh, fh)
-        text = path.read_text()
-        assert text.index("VERTICES") < text.index("TRIANGLES") < text.index(
-            "BOUNDARY_EDGES")
-        nv = text.split("TRIANGLES")[0].strip().splitlines()[1:]
-        assert len(nv) == len(disk_mesh.vertices)
-        # 17-significant-digit floats reparse exactly
-        x0, y0 = map(float, nv[0].split())
-        assert x0 == disk_mesh.vertices[0, 0] and y0 == disk_mesh.vertices[0, 1]
