@@ -324,14 +324,15 @@ def _solve(cfg, outdir, jobs):
 
 def _diagnose(cfg, outdir, jobs):
     rep = full_report(cfg.domain, cfg.inclusion, cfg.sigma_c, cfg.target_h,
-                      eta=cfg.eta, refine_levels=cfg.refine_levels)
+                      eta=cfg.eta, refine_levels=cfg.refine_levels, jobs=jobs)
     _write_csv(outdir / "report.csv", [asdict(rep)])
     return {"gap": rep.gap}
 
 
 def _verify_identity(cfg, outdir, jobs):
-    rep0 = full_report(cfg.domain, cfg.inclusion, cfg.sigma_c, cfg.target_h)
-    rep1 = full_report(cfg.domain, cfg.inclusion, cfg.sigma_c, cfg.target_h, refine_levels=1)
+    rep0 = full_report(cfg.domain, cfg.inclusion, cfg.sigma_c, cfg.target_h, jobs=jobs)
+    rep1 = full_report(cfg.domain, cfg.inclusion, cfg.sigma_c, cfg.target_h, refine_levels=1,
+                       jobs=jobs)
     ratio = rep0.FI_gap / max(rep1.FI_gap, 1e-300)
     _write_csv(outdir / "report.csv", [
         {"level": level, "h_max": rep.h_max, "FI_lhs": rep.FI_lhs,

@@ -8,8 +8,17 @@ interpolating by each level's Mesh.prolongation; on a generated mesh it is
 Jacobi.  Either way CG stops on the same unpreconditioned residual, at the
 fixed relative tolerance CG_REL_TOLERANCE within the fixed cap of
 20 sqrt(unknowns) + 1000 iterations.  Each solve
-assembles its stiffness matrix once and keeps the residual K u - b on the
-boundary rows, which is all that variational flux recovery needs.
+assembles its stiffness matrix once, from the element gradients its Mesh
+keeps, and keeps the residual K u - b on the boundary rows, which is all that
+variational flux recovery needs.
+A solve has two stages: assembly (stiffness, Dirichlet elimination) and solve
+(V-cycle set-up, CG, the Field).  solve_pair gives the one-phase v and the
+two-phase u of one mesh; with jobs > 1 it assembles u on the calling thread,
+then runs u's solve stage on one worker thread while the caller solves v.
+Each thread runs the serial code on its own arrays, and the only state they
+share, the mesh's cached topology, is filled before the worker starts, so
+both fields are the serial ones bit for bit.  The two overlap because the
+sparse LU, the sparse kernels and numpy release the GIL.
 Importing this module pins every OpenBLAS bundled with numpy and scipy to one
 thread, and each solve pins it again (a no-op in a pinned process), so CG's
 dot products sum in one order whatever the core count, the number of sweep
@@ -23,7 +32,8 @@ from __future__ import annotations
 import ctypes
 import importlib.util
 import math
-from dataclasses import dataclass, replace
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 from typing import Callable, Optional, Union
@@ -100,29 +110,27 @@ class BoundaryTrace:
     weights: np.ndarray
 
 
-def _element_geometry(mesh):
-    p = mesh.vertices[mesh.triangles]
-    x, y = p[..., 0], p[..., 1]
-    # gradients of barycentric coordinates: grad l_i = perp(opposite edge)/(2A)
-    bx = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
-    by = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
-    area2 = bx[:, 0] * (x[:, 0] - x[:, 2]) + by[:, 0] * (y[:, 0] - y[:, 2])
-    area = 0.5 * area2
-    grads = np.stack([bx, by], axis=-1) / area2[:, None, None]
-    return area, grads
-
-
 def element_sigma(mesh, sigma_c):
     return np.where(mesh.region == 1, float(sigma_c), 1.0)
 
 
 def stiffness(mesh: Mesh, sigma=1.0) -> sp.csr_matrix:
-    """Assemble the P1 stiffness matrix; sigma is a scalar or per-element array."""
-    area, grads = _element_geometry(mesh)
-    sig = np.broadcast_to(np.asarray(sigma, dtype=float), area.shape)
-    local = np.einsum("tie,tje->tij", grads, grads) * (sig * area)[:, None, None]
-    rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
-    cols = np.tile(mesh.triangles, (1, 3)).ravel()
+    """Assemble the P1 stiffness matrix; sigma is a scalar or per-element array.
+
+    Entry (i, j) of element t is (gx_i gx_j + gy_i gy_j) sigma area, from the
+    mesh's element_geometry; the entries run element by element, row-major in
+    (i, j), so tocsr sums each vertex pair's duplicates in one fixed order.
+    """
+    area, gx, gy = mesh.element_geometry
+    weight = np.asarray(sigma, dtype=float) * area
+    local = np.empty((len(area), 9))
+    for i in range(3):
+        for j in range(i, 3):
+            # (j, i) is the same product, bit for bit
+            local[:, 3 * i + j] = local[:, 3 * j + i] = (gx[i] * gx[j] + gy[i] * gy[j]) * weight
+    tri = mesh.triangles.astype(np.int32)
+    rows = np.repeat(tri, 3, axis=1).ravel()
+    cols = np.tile(tri, (1, 3)).ravel()
     n = len(mesh.vertices)
     return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
 
@@ -192,16 +200,16 @@ def _vcycle(mesh, A):
     """Symmetric V-cycle for the interior system A of a refined mesh.
 
     One level per refine() step: damped-Jacobi smoothing around the Galerkin
-    coarse operator P^T A P, with P the mesh's prolongation restricted to the
-    interior rows and columns, factored by sparse LU on the generated mesh at
-    the bottom of the chain.  refine() moves interface midpoints onto the
-    curve, where P still interpolates linearly; that weakens the cycle a
-    little, never the solution.  Returns the preconditioner r -> B r.
+    coarse operator P^T A P, with P the mesh's interior_prolongation (its
+    prolongation restricted to the interior rows and columns), factored by
+    sparse LU on the generated mesh at the bottom of the chain.  refine()
+    moves interface midpoints onto the curve, where P still interpolates
+    linearly; that weakens the cycle a little, never the solution.  Returns
+    the preconditioner r -> B r.
     """
     levels = []
     while mesh.parent is not None:
-        P = mesh.prolongation[mesh.interior][:, mesh.parent.interior].tocsr()
-        R = P.T.tocsr()
+        P, R = mesh.interior_prolongation
         levels.append((A, _OMEGA / A.diagonal(), P, R))
         A = (R @ A @ P).tocsr()
         mesh = mesh.parent
@@ -224,39 +232,73 @@ def _cycle(levels, bottom, r, k=0):
     return x
 
 
-def _solve_dirichlet(mesh, sigma, load, boundary_values, label, sigma_c=1.0):
-    """Assemble the stiffness of conductivity sigma, eliminate the Dirichlet rows
-    and solve the reduced SPD system by CG, V-cycle-preconditioned on a refined
-    mesh, on one OpenBLAS thread; the Field keeps its boundary residual and its
-    CG record."""
-    pin_one_blas_thread()
+def _assemble_dirichlet(mesh, sigma, load, boundary_values):
+    """Assembly stage of a Dirichlet solve: the stiffness K of conductivity
+    sigma, with the Dirichlet rows eliminated into the reduced SPD system
+    Kii xi = rhs on the interior vertices.  Returns (K, Kii, rhs, x, load), x
+    holding boundary_values on the boundary loop, for _solve_assembled."""
     K = stiffness(mesh, sigma)
-    n = len(mesh.vertices)
     bnd = mesh.boundary_loop
     interior = mesh.interior
-    x = np.zeros(n)
+    x = np.zeros(len(mesh.vertices))
     x[bnd] = boundary_values
     Ki = K[interior]
     rhs = load[interior] - Ki[:, bnd] @ x[bnd]
-    Kii = Ki[:, interior].tocsr()
+    return K, Ki[:, interior].tocsr(), rhs, x, load
+
+
+def _solve_assembled(mesh, system, label, sigma_c=1.0):
+    """Solve stage: CG on the reduced system of _assemble_dirichlet,
+    V-cycle-preconditioned on a refined mesh, on one OpenBLAS thread; the Field
+    keeps its boundary residual and its CG record."""
+    pin_one_blas_thread()
+    K, Kii, rhs, x, load = system
     precond = _vcycle(mesh, Kii) if mesh.parent is not None else None
-    max_iter = int(20 * math.sqrt(len(interior))) + 1000
+    max_iter = int(20 * math.sqrt(len(rhs))) + 1000
     xi, its, res = _pcg(Kii, rhs, CG_REL_TOLERANCE, max_iter, precond)
-    x[interior] = xi
-    return Field(mesh, x, label, sigma_c, (K @ x - load)[bnd], its, res)
+    x[mesh.interior] = xi
+    return Field(mesh, x, label, sigma_c, (K @ x - load)[mesh.boundary_loop], its, res)
+
+
+def _torsion_system(mesh, sigma_c):
+    """Assembled system of -div(sigma grad u) = 1, u = 0 on the outer boundary."""
+    if sigma_c <= 0:
+        raise ValidationError("sigma_c: must be positive")
+    return _assemble_dirichlet(mesh, element_sigma(mesh, sigma_c), load_constant(mesh), 0.0)
 
 
 def solve_two_phase(mesh: Mesh, sigma_c: float) -> Field:
     """Galerkin solution of -div(sigma grad u) = 1, u = 0 on the outer boundary."""
-    if sigma_c <= 0:
-        raise ValidationError("sigma_c: must be positive")
-    return _solve_dirichlet(mesh, element_sigma(mesh, sigma_c), load_constant(mesh), 0.0,
-                            "u", sigma_c)
+    return _solve_assembled(mesh, _torsion_system(mesh, sigma_c), "u", sigma_c)
 
 
 def solve_one_phase(mesh: Mesh) -> Field:
     """Torsion function: -Laplace(v) = 1 with zero Dirichlet data."""
-    return replace(solve_two_phase(mesh, 1.0), label="v")
+    return _solve_assembled(mesh, _torsion_system(mesh, 1.0), "v")
+
+
+def solve_pair(mesh: Mesh, sigma_c: float, jobs: int = 1):
+    """(v, u): solve_one_phase(mesh) and solve_two_phase(mesh, sigma_c), bit for bit.
+
+    With jobs <= 1 the two run one after the other.  With jobs > 1 u is
+    assembled here, then its solve stage runs on one worker thread while this
+    thread solves v; if both fail, v's error is raised, as in that order.
+    Assembling on the worker would be no faster, and its malloc arena would
+    keep a second copy of the assembly transients.
+    """
+    if jobs <= 1:
+        return solve_one_phase(mesh), solve_two_phase(mesh, sigma_c)
+    system = _torsion_system(mesh, sigma_c)
+    # fill every cache the two threads read, and pin BLAS before either runs
+    level = mesh
+    while level.parent is not None:
+        level.interior_prolongation
+        level = level.parent
+    pin_one_blas_thread()
+    with ThreadPoolExecutor(1) as pool:
+        u = pool.submit(_solve_assembled, mesh, system, "u", sigma_c)
+        v = solve_one_phase(mesh)
+        return v, u.result()
 
 
 def solve_harmonic_dirichlet(mesh: Mesh, g: Union[Callable, np.ndarray]) -> Field:
@@ -265,7 +307,8 @@ def solve_harmonic_dirichlet(mesh: Mesh, g: Union[Callable, np.ndarray]) -> Fiel
     gb = np.asarray(g(pts) if callable(g) else g, dtype=float)
     if gb.shape != (len(mesh.boundary_loop),) or not np.all(np.isfinite(gb)):
         raise ValidationError("harmonic data: need finite values at all boundary vertices")
-    return _solve_dirichlet(mesh, 1.0, np.zeros(len(mesh.vertices)), gb, "h")
+    system = _assemble_dirichlet(mesh, 1.0, np.zeros(len(mesh.vertices)), gb)
+    return _solve_assembled(mesh, system, "h")
 
 
 def solve_linearized(mesh: Mesh, sigma_c: float, u_base: Field) -> Field:
@@ -280,8 +323,8 @@ def solve_linearized(mesh: Mesh, sigma_c: float, u_base: Field) -> Field:
     if u_base.sigma_c != sigma_c:
         raise ValidationError("solve_linearized: u_base was solved with another sigma_c")
     K_d = stiffness(mesh, np.where(mesh.region == 1, 1.0, 0.0))
-    return _solve_dirichlet(mesh, element_sigma(mesh, sigma_c), -(K_d @ u_base.values),
-                            0.0, "u_prime", sigma_c)
+    system = _assemble_dirichlet(mesh, element_sigma(mesh, sigma_c), -(K_d @ u_base.values), 0.0)
+    return _solve_assembled(mesh, system, "u_prime", sigma_c)
 
 
 def normal_derivative(mesh: Mesh, f: Field) -> BoundaryTrace:
@@ -358,8 +401,10 @@ def recovered_gradient(mesh: Mesh, values: np.ndarray) -> np.ndarray:
     cancel.
     """
     n = len(mesh.vertices)
-    _, grads = _element_geometry(mesh)
-    ge = np.einsum("tie,ti->te", grads, values[mesh.triangles])
+    _, gx, gy = mesh.element_geometry
+    u = np.take(values, mesh.triangles.T)
+    ge = np.stack([gx[0] * u[0] + gx[1] * u[1] + gx[2] * u[2],
+                   gy[0] * u[0] + gy[1] * u[1] + gy[2] * u[2]], axis=1)
     x, y = mesh.vertices.T
 
     corners = mesh.triangles.ravel()

@@ -11,11 +11,12 @@ An offset is rejected before the full triangulation when the Delaunay
 triangulation of the near-curve points alone holds a defect whose
 circumcircle is empty of all points, since the full one then holds it too;
 every mesh kept still comes from the full triangulation, so this cannot change
-a mesh.  Each Mesh builds its edge table, interior vertex index and vertex
-adjacency once, on first use; a refined mesh also builds its prolongation
-from the parent, whose vertex numbering refine() defines.  The edge table
-costs one sort per mesh: edges are numbered by first appearance in O(n) from
-that sort's groups, and the table keeps the order of its edges by key, so
+a mesh.  Each Mesh builds its edge table, interior vertex index, vertex
+adjacency and P1 element geometry once, on first use; a refined mesh also
+builds its prolongation from the parent, whose vertex numbering refine()
+defines, and that prolongation's restriction to interior vertices.  The edge
+table costs one sort per mesh: edges are numbered by first appearance in O(n)
+from that sort's groups, and the table keeps the order of its edges by key, so
 every boundary or interface loop lookup is a searchsorted on it.  The module
 does no I/O: cli_io writes a mesh, with the field on it, to field.txt.
 """
@@ -65,9 +66,10 @@ class Mesh:
     vertices are kept so refinement can project midpoints back onto the curves.
     parent is the mesh that refine() split into this one (None for a generated
     mesh); the solver builds its multigrid hierarchy from that chain.  The
-    topology (edge_table, interior, adjacency, and prolongation on a refined
-    mesh) and h_max, the longest edge of the edge table, are computed once, on
-    first use, and left out of pickles.  A mesh is identified by the object
+    topology (edge_table, interior, adjacency, and on a refined mesh the
+    prolongation and its interior restriction), the P1 element_geometry and
+    h_max, the longest edge of the edge table, are computed once, on first
+    use, and left out of pickles.  A mesh is identified by the object
     itself: fields hold the mesh they live on.
     """
 
@@ -145,6 +147,25 @@ class Mesh:
         cols = np.concatenate([np.arange(V), edges.ravel()])
         vals = np.concatenate([np.ones(V), np.full(2 * len(edges), 0.5)])
         return sp.csr_matrix((vals, (rows, cols)), shape=(len(self.vertices), V))
+
+    @cached_property
+    def interior_prolongation(self):
+        """(P, R) of a refined mesh: the prolongation restricted to this mesh's
+        interior rows and its parent's interior columns, and its transpose,
+        both CSR; every solve's V-cycle on this mesh shares them."""
+        P = self.prolongation[self.interior][:, self.parent.interior].tocsr()
+        return P, P.T.tocsr()
+
+    @cached_property
+    def element_geometry(self):
+        """(area, gx, gy) of the P1 elements: each triangle's area and the x and
+        y gradients of its three barycentric coordinates, each (3, T)."""
+        x, y = _corners(self.vertices, self.triangles)
+        # grad l_i = perp(opposite edge) / (2 area)
+        bx = np.stack([y[1] - y[2], y[2] - y[0], y[0] - y[1]])
+        by = np.stack([x[2] - x[1], x[0] - x[2], x[1] - x[0]])
+        area2 = bx[0] * (x[0] - x[2]) + by[0] * (y[0] - y[2])
+        return 0.5 * area2, bx / area2, by / area2
 
     def __getstate__(self):
         """Pickle without any cached_property: a pool worker rebuilds what it reads."""

@@ -20,7 +20,7 @@ from .fem_core import (
     hessian_recovery,
     normal_derivative,
     solve_one_phase,
-    solve_two_phase,
+    solve_pair,
 )
 from .geometry import (
     DomainSpec,
@@ -204,16 +204,23 @@ def growth_check(mesh: Mesh, v: Field) -> float:
 def full_report(domain: DomainSpec, inclusion: Optional[DomainSpec],
                 sigma_c: float, target_h: float,
                 eta: Union[EtaSpec, Callable, None] = None,
-                refine_levels: int = 0) -> SerrinReport:
-    """Solve the full pipeline and populate every report field deterministically."""
+                refine_levels: int = 0, jobs: int = 1) -> SerrinReport:
+    """Solve the full pipeline and populate every report field deterministically.
+
+    With an inclusion and sigma_c != 1, v and u are solve_pair's, so with
+    jobs > 1 u's solve runs on a second thread; the report does not depend on
+    jobs.
+    """
     mesh = generate(domain, inclusion, target_h)
     for _ in range(refine_levels):
         mesh = refine(mesh)
 
-    v = solve_one_phase(mesh)
-    tr_v = normal_derivative(mesh, v)
-    tr_u = (tr_v if inclusion is None or sigma_c == 1.0  # then u is v
-            else normal_derivative(mesh, solve_two_phase(mesh, sigma_c)))
+    if inclusion is None or sigma_c == 1.0:  # then u is v
+        v = solve_one_phase(mesh)
+        tr_v = tr_u = normal_derivative(mesh, v)
+    else:
+        v, u = solve_pair(mesh, sigma_c, jobs)
+        tr_v, tr_u = normal_derivative(mesh, v), normal_derivative(mesh, u)
 
     c = serrin_constant(exact_area(domain), exact_perimeter(domain))
 

@@ -13,6 +13,8 @@ import pytest
 import scipy.sparse as sp
 
 from serrinlab import cli_io, fem_core
+from serrinlab.geometry import DomainSpec
+from serrinlab.serrin_diagnostics import full_report
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -69,3 +71,16 @@ def test_pcg_returns_solution_iterations_residual():
 def test_bench_case_configs_decode(workload, seed):
     for case in _load("bench_cases").cases(workload, seed, PERFBENCH.parent):
         cli_io.config_from_dict(case)
+
+
+def test_serial_report_solves_through_traced_names(monkeypatch):
+    # at jobs 1 the tracer's fem_core.solve spans and CG counters come from
+    # one call each to the module attributes solve_one_phase and solve_two_phase
+    calls = {"solve_one_phase": 0, "solve_two_phase": 0}
+    for name in calls:
+        fn = getattr(fem_core, name)
+        monkeypatch.setattr(fem_core, name, lambda *a, _fn=fn, _name=name:
+                            calls.__setitem__(_name, calls[_name] + 1) or _fn(*a))
+    full_report(DomainSpec("ellipse", a=1.2, b=1.0), DomainSpec("disk", radius=0.3), 2.0,
+                0.1, jobs=1)
+    assert calls == {"solve_one_phase": 1, "solve_two_phase": 1}

@@ -294,6 +294,16 @@ class TestRun:
         assert report[0].split(",") == list(sweeps[0].rows[0]) + ["status"]
         assert len(report) == len(sweeps[0].rows) + 1
 
+    def test_diagnose_with_inclusion_does_not_depend_on_jobs(self, tmp_path):
+        # at jobs > 1 u's solve runs on a second thread
+        cfg = dict(DIAG_CFG, inclusion={"kind": "disk", "radius": 0.3}, sigma_c=2.0,
+                   refine_levels=1, output_dir=str(tmp_path))
+        reports = []
+        for jobs in (1, 2):
+            assert run(config_from_dict(dict(cfg, name=f"jobs{jobs}")), jobs=jobs) == 0
+            reports.append((tmp_path / f"jobs{jobs}" / "report.csv").read_bytes())
+        assert reports[0] == reports[1]
+
     def test_solve_concentric_center_value(self, tmp_path):
         cfg = config_from_dict({
             "command": "solve", "domain": {"kind": "disk", "radius": 1.0},

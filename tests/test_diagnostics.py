@@ -1,4 +1,5 @@
 import math
+import threading
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -295,6 +296,24 @@ class TestFullReport:
                                         DomainSpec("disk", radius=0.5),
                                         2.0, 0.08), 2 * math.pi)):
             assert rep.dev_L2 <= math.sqrt(perim) * rep.dev_Linf + 1e-12
+
+    @pytest.mark.parametrize("refine_levels", [0, 1])
+    def test_report_does_not_depend_on_jobs(self, refine_levels, monkeypatch):
+        # level 0 runs Jacobi CG on the worker thread, level 1 the V-cycle
+        worker_cg = []
+        pcg = fem_core._pcg
+        monkeypatch.setattr(fem_core, "_pcg", lambda *a: worker_cg.append(
+            threading.current_thread() is not threading.main_thread()) or pcg(*a))
+        reports = []
+        for jobs in (1, 2):
+            worker_cg.clear()
+            reports.append(full_report(DomainSpec("ellipse", a=1.2, b=1.0),
+                                       DomainSpec("disk", radius=0.3), 2.0, 0.08,
+                                       eta=EtaSpec(0.01, 2), refine_levels=refine_levels,
+                                       jobs=jobs))
+            assert sorted(worker_cg) == [False, jobs > 1]
+        assert [float(x).hex() for x in asdict(reports[0]).values()] == \
+            [float(x).hex() for x in asdict(reports[1]).values()]
 
     @pytest.mark.parametrize("inclusion,assemblies", [
         (None, 1), (DomainSpec("disk", radius=0.5), 2)])

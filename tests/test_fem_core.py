@@ -1,6 +1,7 @@
 import gc
 import math
 import pickle
+import threading
 from dataclasses import replace
 from functools import cached_property
 
@@ -16,7 +17,7 @@ from serrinlab.analytic_oracle import (
     ellipse_torsion_gradient,
 )
 from serrinlab import fem_core, meshgen
-from serrinlab.errors import ValidationError
+from serrinlab.errors import SolverError, ValidationError
 from serrinlab.fem_core import (
     element_sigma,
     evaluate,
@@ -28,6 +29,7 @@ from serrinlab.fem_core import (
     solve_harmonic_dirichlet,
     solve_linearized,
     solve_one_phase,
+    solve_pair,
     solve_two_phase,
     stiffness,
 )
@@ -54,6 +56,45 @@ def reference_gradient(mesh, values):
         A = np.column_stack([np.ones(len(tris)), centroids[tris] - mesh.vertices[v]])
         out[v] = np.linalg.lstsq(A, ge[tris], rcond=None)[0][0]
     return out
+
+
+def einsum_geometry(mesh):
+    """(area, grads): the element gradients stacked (T, 3, 2), as stiffness and
+    recovered_gradient computed them before Mesh.element_geometry."""
+    p = mesh.vertices[mesh.triangles]
+    x, y = p[..., 0], p[..., 1]
+    bx = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
+    by = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
+    area2 = bx[:, 0] * (x[:, 0] - x[:, 2]) + by[:, 0] * (y[:, 0] - y[:, 2])
+    return 0.5 * area2, np.stack([bx, by], axis=-1) / area2[:, None, None]
+
+
+def einsum_stiffness(mesh, sigma):
+    """The stiffness by per-element einsum and int64 COO indices, for comparison."""
+    area, grads = einsum_geometry(mesh)
+    sig = np.broadcast_to(np.asarray(sigma, dtype=float), area.shape)
+    local = np.einsum("tie,tje->tij", grads, grads) * (sig * area)[:, None, None]
+    rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
+    cols = np.tile(mesh.triangles, (1, 3)).ravel()
+    n = len(mesh.vertices)
+    return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+
+
+def einsum_recovered_gradient(mesh, values):
+    """recovered_gradient with the element gradients by einsum, for comparison."""
+    n = len(mesh.vertices)
+    _, grads = einsum_geometry(mesh)
+    ge = np.einsum("tie,ti->te", grads, values[mesh.triangles])
+    x, y = mesh.vertices.T
+    corners = mesh.triangles.ravel()
+    patches = sp.csr_matrix((np.ones(len(corners)),
+                             (corners, np.repeat(np.arange(len(ge)), 3))), shape=(n, len(ge)))
+    starved = np.diff(patches.indptr) < 3
+    if np.any(starved):
+        patches = patches + sp.diags(starved * 1.0) @ mesh.adjacency @ patches
+    return fem_core._linear_fits(patches, np.take(x, mesh.triangles).mean(axis=1),
+                                 np.take(y, mesh.triangles).mean(axis=1), x, y, ge,
+                                 "recovered_gradient")[0]
 
 
 def reference_hessian(mesh, f):
@@ -87,6 +128,100 @@ def square_torsion_center(side=2.0, terms=25):
         total -= (16.0 * a * a / math.pi ** 3) * sign / (
             n ** 3 * math.cosh(n * math.pi / 2.0))
     return total
+
+
+@pytest.fixture(scope="module")
+def refined_concentric(concentric_mesh):
+    return refine(concentric_mesh)
+
+
+class TestElementGeometry:
+    """Assembly and gradient recovery read Mesh.element_geometry and keep the
+    floating-point operations, in order, of the per-element einsum."""
+
+    MESHES = ["disk_mesh", "concentric_mesh", "ellipse_mesh", "refined_concentric"]
+
+    @pytest.mark.parametrize("name", MESHES)
+    @pytest.mark.parametrize("sigma_c", [None, 2.0])
+    def test_stiffness_matches_einsum(self, name, sigma_c, request):
+        mesh = request.getfixturevalue(name)
+        sigma = 1.0 if sigma_c is None else element_sigma(mesh, sigma_c)
+        K, ref = stiffness(mesh, sigma), einsum_stiffness(mesh, sigma)
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(K, part), getattr(ref, part))
+
+    @pytest.mark.parametrize("name", MESHES)
+    def test_recovered_gradient_matches_einsum(self, name, request):
+        mesh = request.getfixturevalue(name)
+        x, y = mesh.vertices.T
+        values = np.sin(2.0 * x) * np.cos(y) + x * y ** 2
+        assert np.array_equal(recovered_gradient(mesh, values),
+                              einsum_recovered_gradient(mesh, values))
+
+    def test_geometry_is_built_once(self, ellipse_mesh):
+        area, gx, gy = ellipse_mesh.element_geometry
+        assert ellipse_mesh.element_geometry[0] is area
+        assert gx.shape == gy.shape == (3, len(ellipse_mesh.triangles))
+        # the gradients of the three barycentric coordinates sum to zero
+        assert np.abs(gx.sum(axis=0)).max() < 1e-9 and np.abs(gy.sum(axis=0)).max() < 1e-9
+        np.testing.assert_allclose(area, ellipse_mesh.triangle_areas(), rtol=1e-12)
+
+
+class TestSolvePair:
+    """solve_pair returns the serial (v, u) bit for bit at any jobs."""
+
+    @pytest.mark.parametrize("name", ["concentric_mesh", "refined_concentric"])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_matches_serial_solves(self, name, jobs, request, monkeypatch):
+        mesh = request.getfixturevalue(name)
+        v_ref, u_ref = solve_one_phase(mesh), solve_two_phase(mesh, 2.0)
+        on_main = []
+        pcg = fem_core._pcg
+        monkeypatch.setattr(fem_core, "_pcg", lambda *a: on_main.append(
+            threading.current_thread() is threading.main_thread()) or pcg(*a))
+        v, u = solve_pair(mesh, 2.0, jobs)
+        # with jobs > 1 one of the two CG runs on the worker thread
+        assert sorted(on_main) == ([True, True] if jobs == 1 else [False, True])
+        for got, ref in ((v, v_ref), (u, u_ref)):
+            assert (got.label, got.sigma_c, got.iterations, got.residual) == \
+                (ref.label, ref.sigma_c, ref.iterations, ref.residual)
+            assert np.array_equal(got.values, ref.values)
+            assert np.array_equal(got.boundary_residual, ref.boundary_residual)
+
+    @staticmethod
+    def failing_pcg(monkeypatch, errors):
+        """Make CG raise errors[on the main thread] where that entry is set."""
+        pcg = fem_core._pcg
+
+        def fake(*args):
+            err = errors[threading.current_thread() is threading.main_thread()]
+            if err is not None:
+                raise err
+            return pcg(*args)
+        monkeypatch.setattr(fem_core, "_pcg", fake)
+
+    def test_worker_error_reaches_caller(self, refined_concentric, monkeypatch):
+        err = SolverError("u's CG failed")
+        self.failing_pcg(monkeypatch, {False: err, True: None})
+        threads = threading.active_count()
+        with pytest.raises(SolverError) as info:
+            solve_pair(refined_concentric, 2.0, 2)
+        assert info.value is err
+        assert threading.active_count() == threads
+
+    def test_both_failing_raise_v_error(self, refined_concentric, monkeypatch):
+        v_err, u_err = SolverError("v's CG failed"), SolverError("u's CG failed")
+        self.failing_pcg(monkeypatch, {False: u_err, True: v_err})
+        threads = threading.active_count()
+        with pytest.raises(SolverError) as info:
+            solve_pair(refined_concentric, 2.0, 2)
+        assert info.value is v_err
+        assert threading.active_count() == threads
+
+    def test_sigma_nonpositive_rejected(self, concentric_mesh):
+        for jobs in (1, 2):
+            with pytest.raises(ValidationError, match="sigma_c"):
+                solve_pair(concentric_mesh, 0.0, jobs)
 
 
 class TestTwoPhase:
@@ -380,6 +515,24 @@ class TestMultigrid:
         assert calls == [fine] and vars(fine)["prolongation"] is P
         assert P.shape == (len(fine.vertices), len(concentric_mesh.vertices))
         assert "prolongation" not in vars(pickle.loads(pickle.dumps(fine)))
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_interior_prolongation_built_once_per_mesh(self, disk_mesh, jobs, monkeypatch):
+        # v's and u's V-cycles on one mesh share each level's restricted P and R
+        built = meshgen.Mesh.__dict__["interior_prolongation"].func
+        calls = []
+        counted = cached_property(lambda mesh: calls.append(mesh) or built(mesh))
+        counted.__set_name__(meshgen.Mesh, "interior_prolongation")
+        monkeypatch.setattr(meshgen.Mesh, "interior_prolongation", counted)
+        fine = refine(refine(disk_mesh))
+        solve_pair(fine, 2.0, jobs)
+        P, R = vars(fine)["interior_prolongation"]
+        solve_two_phase(fine, 3.0)
+        assert calls == [fine, fine.parent]
+        assert vars(fine)["interior_prolongation"][0] is P
+        assert P.shape == (len(fine.interior), len(fine.parent.interior))
+        assert np.array_equal(R.toarray(), P.T.toarray())
+        assert "interior_prolongation" not in vars(pickle.loads(pickle.dumps(fine)))
 
     def test_vcycle_is_symmetric_positive_definite(self, disk_mesh):
         fine = refine(refine(disk_mesh))

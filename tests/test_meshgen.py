@@ -517,11 +517,13 @@ class TestConnectivity:
         extra.__set_name__(Mesh, "extra_cache")
         monkeypatch.setattr(Mesh, "extra_cache", extra, raising=False)
         cached = [k for k, v in vars(Mesh).items() if isinstance(v, cached_property)]
-        assert {"edge_table", "interior", "adjacency", "prolongation"} < set(cached)
+        refined_only = {"prolongation", "interior_prolongation"}
+        assert {"edge_table", "interior", "adjacency", "element_geometry"} | refined_only \
+            < set(cached)
         fine = refine(concentric_mesh)
         for mesh in (fine, concentric_mesh):
             for name in cached:
-                if mesh.parent is not None or name != "prolongation":
+                if mesh.parent is not None or name not in refined_only:
                     getattr(mesh, name)
         copy = pickle.loads(pickle.dumps(fine))
         names = {f.name for f in fields(Mesh)}
