@@ -35,6 +35,7 @@ from . import __version__
 from .errors import MeshQualityError, SolverError, ValidationError
 from .experiments import (
     SweepResult,
+    _parallel_map,
     frechet_check,
     inclusion_sweep,
     nonexistence_threshold,
@@ -329,10 +330,18 @@ def _diagnose(cfg, outdir, jobs):
     return {"gap": rep.gap}
 
 
+def _identity_report(cfg, jobs, level):
+    return full_report(cfg.domain, cfg.inclusion, cfg.sigma_c, cfg.target_h,
+                       refine_levels=level, jobs=jobs)
+
+
 def _verify_identity(cfg, outdir, jobs):
-    rep0 = full_report(cfg.domain, cfg.inclusion, cfg.sigma_c, cfg.target_h, jobs=jobs)
-    rep1 = full_report(cfg.domain, cfg.inclusion, cfg.sigma_c, cfg.target_h, refine_levels=1,
-                       jobs=jobs)
+    """Level 0's report, then level 1's; with jobs > 1 level 0 runs in one pool
+    worker while this process runs level 1, and level 0's error wins."""
+    level1 = partial(_identity_report, cfg, jobs, 1)
+    (rep0,), outcome = _parallel_map(partial(_identity_report, cfg, jobs), [0], jobs,
+                                     local=level1)
+    rep1 = outcome.result() if outcome else level1()
     ratio = rep0.FI_gap / max(rep1.FI_gap, 1e-300)
     _write_csv(outdir / "report.csv", [
         {"level": level, "h_max": rep.h_max, "FI_lhs": rep.FI_lhs,
@@ -452,14 +461,25 @@ def run(cfg: RunConfig, jobs: int = 1) -> int:
     return code
 
 
+def _usable_cores() -> int:
+    """The cores this process may run on: its affinity mask where the platform
+    has one, which a cpuset or taskset narrows, else every core."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="serrin-lab",
         description="two-phase Serrin laboratory: JSON config in, CSV/JSON/SVG out")
     parser.add_argument("--config", required=True,
                         help="path to a JSON run config, which names its command")
-    parser.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                        help="parallel sweep workers (default: all cores)")
+    parser.add_argument("--jobs", type=int, default=_usable_cores(),
+                        help="parallel workers: sweep members and verify-identity's "
+                             "level 0 in processes, the two-phase solve of diagnose and "
+                             "verify-identity on a thread (default: the cores this "
+                             "process may run on)")
     args = parser.parse_args(argv)
     raw = None
     try:

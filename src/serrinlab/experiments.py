@@ -3,16 +3,23 @@ into desk-scale empirical checks.
 
 Each sweep measures its own numerical floor on an exact-case fixture at the
 same mesh size and excludes points whose metrics sit below 10x that floor, so
-fitted slopes are never contaminated by discretization noise.  Every solve
-pins one OpenBLAS thread, so a sweep's own solves sum their dot products as
-its pool workers do, and its artifacts do not depend on `jobs`.
+fitted slopes are never contaminated by discretization noise.  With jobs > 1
+the sigma, inclusion and stability sweeps solve their members in up to jobs
+worker processes while the calling process solves the floor fixture, and
+errors still come in the serial order: a member's, the sweep's own checks,
+then the floor's.  frechet_check stays serial.  Every solve pins one OpenBLAS
+thread, so a sweep's own solves sum their dot products as its pool workers
+do, and its artifacts do not depend on `jobs`.  cli_io's verify-identity
+uses the same pool to run its level-0 report in one worker while the caller
+runs level 1.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -133,15 +140,31 @@ def _check_monotone(name, values):
                               "strictly monotone")
 
 
-def _parallel_map(fn, items, jobs):
-    """[fn(it) for it in items] on min(jobs, len(items)) processes, each given
-    one contiguous chunk, so a mesh the items share is pickled once per chunk."""
-    if jobs is None or jobs <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
+def _parallel_map(fn, items, jobs, local=None):
+    """([fn(it) for it in items], outcome of local()).
+
+    Without a pool (jobs <= 1, no items, or one item and no local) the items
+    run here in order, local is not called and its outcome is None, so the
+    caller runs that work where its serial order puts it.  With a pool the
+    items run on min(jobs, len(items)) processes, each given one contiguous
+    chunk, so a mesh the items share is pickled once per chunk, and local()
+    runs here meanwhile.  Its outcome is then a finished Future: a member's
+    error is raised first, and local's only when the caller reads it.
+    """
+    if jobs is None or jobs <= 1 or not items or (len(items) == 1 and local is None):
+        return [fn(it) for it in items], None
     workers = min(jobs, len(items))
     pin_one_blas_thread()  # forked workers inherit the count
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items, chunksize=math.ceil(len(items) / workers)))
+        results = pool.map(fn, items, chunksize=math.ceil(len(items) / workers))
+        outcome = None
+        if local is not None:
+            outcome = Future()
+            try:
+                outcome.set_result(local())
+            except Exception as exc:
+                outcome.set_exception(exc)
+        return list(results), outcome
 
 
 # -- one-phase stability --------------------------------------------------
@@ -168,12 +191,14 @@ def one_phase_stability_sweep(family, target_h, window=4, jobs=1) -> SweepResult
     """
     if len(family) < 1:
         raise ValidationError("family: must not be empty")
-    results = _parallel_map(_stability_member, [(d, target_h) for d in family], jobs)
+    floor_member = partial(_stability_member, (DomainSpec("disk", radius=1.0), target_h))
+    results, outcome = _parallel_map(_stability_member, [(d, target_h) for d in family],
+                                     jobs, local=floor_member)
     rows = [row for row, _ in results]
     # the gaps are the sweep's parameters: check them before the floor solve
     if not _monotone([r["gap"] for r in rows]):
         raise ValidationError("family: member gaps must be strictly monotone")
-    floor_row, _ = _stability_member((DomainSpec("disk", radius=1.0), target_h))
+    floor_row, _ = outcome.result() if outcome else floor_member()
     floors = {"gap": floor_row["gap"], "dev_Linf": floor_row["dev_Linf"],
               "dev_L2": floor_row["dev_L2"]}
     excluded = [r["gap"] <= FLOOR_FACTOR * floors["gap"]
@@ -218,6 +243,13 @@ def _sigma_member(args):
             "dev_Linf": dev_linf}
 
 
+def _sigma_floor(radius, t_big, target_h):
+    """The sigma member at t_big on the unit disk with a concentric disk D."""
+    base = _sigma_base(DomainSpec("disk", radius=1.0), DomainSpec("disk", radius=radius),
+                       target_h)
+    return _sigma_member((base, t_big))
+
+
 def sigma_sweep(domain, inclusion, t_values, target_h, window=4, jobs=1) -> SweepResult:
     """||dn u(t) - dn u(0)||_inf against |t| for sigma_c = 1 + t.
 
@@ -230,14 +262,13 @@ def sigma_sweep(domain, inclusion, t_values, target_h, window=4, jobs=1) -> Swee
     _check_monotone("t_values", t_values)
     base = _sigma_base(domain, inclusion, target_h)
     mesh, _, base_dev, _ = base
-    rows = _parallel_map(_sigma_member, [(base, t) for t in t_values], jobs)
-
     # floor: concentric disks (an exact solution family: the flux is t-independent)
     r_f = inclusion.radius if inclusion is not None and inclusion.kind == "disk" else 0.5
-    floor_base = _sigma_base(DomainSpec("disk", radius=1.0),
-                             DomainSpec("disk", radius=min(0.5, r_f)), target_h)
-    t_big = max(abs(t) for t in t_values)
-    floor = _sigma_member((floor_base, t_big))["delta_trace_Linf"]
+    floor_member = partial(_sigma_floor, min(0.5, r_f), max(abs(t) for t in t_values),
+                           target_h)
+    rows, outcome = _parallel_map(_sigma_member, [(base, t) for t in t_values], jobs,
+                                  local=floor_member)
+    floor = (outcome.result() if outcome else floor_member())["delta_trace_Linf"]
     floors = {"delta_trace_Linf": floor}
 
     excluded = [r["delta_trace_Linf"] <= FLOOR_FACTOR * floor for r in rows]
@@ -329,13 +360,14 @@ def inclusion_sweep(domain, sigma_c, radii, target_h, window=4, jobs=1) -> Sweep
         except ValidationError:
             raise ValidationError(f"inclusion_radii[{i}]: D touches or exits the "
                                   "domain") from None
-    results = _parallel_map(_inclusion_member,
-                            [(domain, sigma_c, d, target_h) for d in disks], jobs)
-    rows = [dict(row, margin=m) for (row, _), m in zip(results, margins)]
-
     # floor: concentric disks where the boundary flux is radius-independent
-    floor_row, _ = _inclusion_member((DomainSpec("disk", radius=1.0), sigma_c,
-                                      DomainSpec("disk", radius=radii[-1]), target_h))
+    floor_member = partial(_inclusion_member, (DomainSpec("disk", radius=1.0), sigma_c,
+                                               DomainSpec("disk", radius=radii[-1]), target_h))
+    results, outcome = _parallel_map(_inclusion_member,
+                                     [(domain, sigma_c, d, target_h) for d in disks], jobs,
+                                     local=floor_member)
+    rows = [dict(row, margin=m) for (row, _), m in zip(results, margins)]
+    floor_row, _ = outcome.result() if outcome else floor_member()
     floor = floor_row["grad_w_boundary_Linf"]
     floors = {"grad_w_boundary_Linf": floor}
     excluded = [r["grad_w_boundary_Linf"] <= FLOOR_FACTOR * floor for r in rows]

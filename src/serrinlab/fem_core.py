@@ -4,8 +4,8 @@ All solves share one assembly path (exact P1 stiffness, centroid rule for the
 constant load, elementwise-constant conductivity) and one deterministic
 preconditioned conjugate-gradient kernel.  On a mesh made by refine() the
 preconditioner is one symmetric multigrid V-cycle down the parent chain,
-interpolating by each level's Mesh.prolongation; on a generated mesh it is
-Jacobi.  Either way CG stops on the same unpreconditioned residual, at the
+interpolating by each level's Mesh.interior_prolongation; on a generated mesh
+it is Jacobi.  Either way CG stops on the same unpreconditioned residual, at the
 fixed relative tolerance CG_REL_TOLERANCE within the fixed cap of
 20 sqrt(unknowns) + 1000 iterations.  Each solve
 assembles its stiffness matrix once, from the element gradients its Mesh

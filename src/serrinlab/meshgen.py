@@ -13,8 +13,8 @@ circumcircle is empty of all points, since the full one then holds it too;
 every mesh kept still comes from the full triangulation, so this cannot change
 a mesh.  Each Mesh builds its edge table, interior vertex index, vertex
 adjacency and P1 element geometry once, on first use; a refined mesh also
-builds its prolongation from the parent, whose vertex numbering refine()
-defines, and that prolongation's restriction to interior vertices.  The edge
+keeps the restriction to interior vertices of its prolongation from the
+parent, built from the vertex numbering refine() defines.  The edge
 table costs one sort per mesh: edges are numbered by first appearance in O(n)
 from that sort's groups, and the table keeps the order of its edges by key, so
 every boundary or interface loop lookup is a searchsorted on it.  The module
@@ -67,7 +67,7 @@ class Mesh:
     parent is the mesh that refine() split into this one (None for a generated
     mesh); the solver builds its multigrid hierarchy from that chain.  The
     topology (edge_table, interior, adjacency, and on a refined mesh the
-    prolongation and its interior restriction), the P1 element_geometry and
+    interior restriction of its prolongation), the P1 element_geometry and
     h_max, the longest edge of the edge table, are computed once, on first
     use, and left out of pickles.  A mesh is identified by the object
     itself: fields hold the mesh they live on.
@@ -133,13 +133,13 @@ class Mesh:
         adj.sort_indices()
         return adj
 
-    @cached_property
     def prolongation(self):
         """Sparse (V, V_parent) interpolation from the parent of a refined mesh.
 
         refine() keeps parent vertex i as vertex i and puts the midpoint of
         edge e of the parent's edge table at V_parent + e, so that row is half
-        of each end of e.
+        of each end of e.  Only interior_prolongation reads it, once, so it
+        is built on each call and not kept.
         """
         V = len(self.parent.vertices)
         edges = self.parent.edge_table[0]
@@ -153,7 +153,7 @@ class Mesh:
         """(P, R) of a refined mesh: the prolongation restricted to this mesh's
         interior rows and its parent's interior columns, and its transpose,
         both CSR; every solve's V-cycle on this mesh shares them."""
-        P = self.prolongation[self.interior][:, self.parent.interior].tocsr()
+        P = self.prolongation()[self.interior][:, self.parent.interior].tocsr()
         return P, P.T.tocsr()
 
     @cached_property

@@ -4,6 +4,7 @@ calls others directly; each name either one uses must still exist, and every
 config its command workloads (perfbench/bench_cases.py) run must decode."""
 
 import ast
+import os
 import importlib
 import importlib.util
 from pathlib import Path
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from serrinlab import cli_io, fem_core
+from serrinlab import cli_io, experiments, fem_core
 from serrinlab.geometry import DomainSpec
 from serrinlab.serrin_diagnostics import full_report
 
@@ -84,3 +85,27 @@ def test_serial_report_solves_through_traced_names(monkeypatch):
     full_report(DomainSpec("ellipse", a=1.2, b=1.0), DomainSpec("disk", radius=0.3), 2.0,
                 0.1, jobs=1)
     assert calls == {"solve_one_phase": 1, "solve_two_phase": 1}
+
+
+def test_serial_runners_call_traced_names_in_serial_order(tmp_path, monkeypatch):
+    # the traced run (jobs 1) wraps these names in this process, and its spans
+    # rely on the order: verify-identity's level 0 report, then level 1; a
+    # stability sweep's members, then its disk floor
+    levels = []
+    report = cli_io.full_report
+    monkeypatch.setattr(cli_io, "full_report", lambda *a, refine_levels, jobs:
+                        levels.append((os.getpid(), refine_levels))
+                        or report(*a, refine_levels=refine_levels, jobs=jobs))
+    cfg = cli_io.config_from_dict({"command": "verify-identity", "target_h": 0.1,
+                                   "domain": {"kind": "ellipse", "a": 1.2, "b": 1.0},
+                                   "output_dir": str(tmp_path)})
+    assert cli_io.run(cfg, jobs=1) == 0
+    assert levels == [(os.getpid(), 0), (os.getpid(), 1)]
+
+    meshed = []
+    generate = experiments.generate
+    monkeypatch.setattr(experiments, "generate",
+                        lambda domain, *a: meshed.append(domain.kind) or generate(domain, *a))
+    family = [DomainSpec("ellipse", a=a, b=1.0) for a in (1.2, 1.1)]
+    experiments.one_phase_stability_sweep(family, 0.1, jobs=1)
+    assert meshed == ["ellipse", "ellipse", "disk"]

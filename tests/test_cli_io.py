@@ -25,7 +25,7 @@ from serrinlab.cli_io import (
     run,
 )
 from serrinlab import cli_io, experiments, meshgen, serrin_diagnostics
-from serrinlab.errors import ValidationError
+from serrinlab.errors import SolverError, ValidationError
 from serrinlab.experiments import FitResult, SweepResult
 from serrinlab.fem_core import solve_two_phase
 from serrinlab.geometry import DomainSpec
@@ -304,6 +304,51 @@ class TestRun:
             reports.append((tmp_path / f"jobs{jobs}" / "report.csv").read_bytes())
         assert reports[0] == reports[1]
 
+    @pytest.mark.parametrize("cfg", [
+        {"command": "verify-identity", "domain": DIAG_CFG["domain"], "target_h": 0.1},
+        {"command": "verify-identity", "domain": DIAG_CFG["domain"], "target_h": 0.1,
+         "inclusion": {"kind": "disk", "radius": 0.3}, "sigma_c": 2.0},
+        {"command": "sweep-stability", "target_h": 0.1,
+         "family": [{"kind": "ellipse", "a": a, "b": 1.0} for a in (1.2, 1.1, 1.05)]},
+        {"command": "sweep-inclusion", "domain": DIAG_CFG["domain"], "sigma_c": 2.0,
+         "inclusion_radii": [0.4, 0.3, 0.2], "target_h": 0.1, "window": 3},
+        dict(SIGMA_CFG, target_h=0.1),
+    ], ids=["identity", "identity-inclusion", "stability", "inclusion", "sigma"])
+    def test_pooled_commands_do_not_depend_on_jobs(self, cfg, tmp_path):
+        # at jobs > 1 verify-identity's level 0 and each sweep's members run in
+        # worker processes while this process runs level 1 or the floor fixture
+        artifacts = []
+        for jobs in (1, 2):
+            assert run(config_from_dict(dict(cfg, name=f"jobs{jobs}",
+                                             output_dir=str(tmp_path))), jobs=jobs) == 0
+            out = tmp_path / f"jobs{jobs}"
+            artifacts.append({p.name: p.read_bytes() for p in out.iterdir()
+                              if p.name in ("report.csv", "fit.json")})
+        assert set(artifacts[0]) == ({"report.csv"} if cfg["command"] == "verify-identity"
+                                     else {"report.csv", "fit.json"})
+        assert artifacts[0] == artifacts[1]
+
+    @pytest.mark.parametrize("failing,want", [((0, 1), "level 0"), ((1,), "level 1")])
+    def test_verify_identity_raises_level_0_error_first(self, failing, want, tmp_path,
+                                                        monkeypatch):
+        def report(*args, refine_levels, jobs):
+            if refine_levels in failing:
+                raise SolverError(f"level {refine_levels} in {os.getpid()}")
+            return real(*args, refine_levels=refine_levels, jobs=jobs)
+
+        real = cli_io.full_report
+        monkeypatch.setattr(cli_io, "full_report", report)
+        cfg = {"command": "verify-identity", "domain": DIAG_CFG["domain"], "target_h": 0.1,
+               "output_dir": str(tmp_path)}
+        errors = []
+        for jobs in (1, 2):
+            assert run(config_from_dict(dict(cfg, name=f"jobs{jobs}")), jobs=jobs) == 3
+            manifest = json.loads((tmp_path / f"jobs{jobs}" / "manifest.json").read_text())
+            errors.append(manifest["error"].split(" in "))
+        assert [level for level, _ in errors] == [want, want]
+        # at jobs 2 level 0 ran in a worker process, level 1 in this one
+        assert (errors[1][1] == str(os.getpid())) == (want == "level 1")
+
     def test_solve_concentric_center_value(self, tmp_path):
         cfg = config_from_dict({
             "command": "solve", "domain": {"kind": "disk", "radius": 1.0},
@@ -494,6 +539,16 @@ class TestMain:
         p = _write(tmp_path, "c.json",
                    dict(DIAG_CFG, name="m", output_dir=str(tmp_path)))
         assert main(["--config", str(p), "--jobs", "1"]) == 0
+
+    def test_jobs_default_is_the_cores_this_process_may_use(self, tmp_path, monkeypatch):
+        # under an affinity mask of one core the host's core count would
+        # oversubscribe every pool
+        seen = []
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(cli_io, "run", lambda cfg, jobs: seen.append(jobs) or 0)
+        p = _write(tmp_path, "c.json", dict(DIAG_CFG, name="m", output_dir=str(tmp_path)))
+        assert main(["--config", str(p)]) == 0
+        assert seen == [1]
 
 
 REQUIRED = [(command, name) for command, (_, required, _) in cli_io.COMMANDS.items()

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from serrinlab import experiments, fem_core
 from serrinlab.cli_io import config_from_dict, run
-from serrinlab.errors import ValidationError
+from serrinlab.errors import MeshQualityError, SolverError, ValidationError
 from serrinlab.experiments import (
     frechet_check,
     inclusion_sweep,
@@ -306,7 +306,7 @@ class TestBlasThreads:
             set_threads(n)
 
     def test_pool_workers_use_one_blas_thread(self):
-        results = experiments._parallel_map(_blas_threads, range(4), jobs=2)
+        results, _ = experiments._parallel_map(_blas_threads, range(4), jobs=2)
         assert all(pid != os.getpid() for pid, _ in results)
         assert all(counts and set(counts) == {1} for _, counts in results)
 
@@ -317,9 +317,9 @@ class TestBlasThreads:
         seen = []
         parallel_map = experiments._parallel_map
 
-        def spy(fn, items, jobs):
+        def spy(fn, items, jobs, local=None):
             seen.append(set(_blas_threads()[1]))
-            return parallel_map(fn, items, jobs)
+            return parallel_map(fn, items, jobs, local)
 
         monkeypatch.setattr(experiments, "_parallel_map", spy)
         sigma_sweep(DISK, DomainSpec("disk", radius=0.5), [0.4, 0.2, 0.1], 0.2)
@@ -371,8 +371,44 @@ class TestParallelMap:
                 super().__init__(max_workers=max_workers, **kwargs)
 
         monkeypatch.setattr(experiments, "ProcessPoolExecutor", Spy)
-        assert experiments._parallel_map(abs, [-3, -2, -1], jobs=8) == [3, 2, 1]
+        assert experiments._parallel_map(abs, [-3, -2, -1], jobs=8) == ([3, 2, 1], None)
         assert started == [3]
+
+    def test_local_runs_here_while_the_items_run_in_workers(self, monkeypatch):
+        started = []
+
+        class Spy(ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                started.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", Spy)
+        results, outcome = experiments._parallel_map(_blas_threads, [0], jobs=2,
+                                                     local=os.getpid)
+        # one item with local work still goes to one worker
+        assert started == [1] and results[0][0] != os.getpid()
+        assert outcome.result() == os.getpid()
+
+    def test_local_not_called_without_a_pool(self):
+        called = []
+        for jobs in (None, 0, 1):
+            assert experiments._parallel_map(abs, [-2, -1], jobs=jobs,
+                                             local=lambda: called.append(jobs)) \
+                == ([2, 1], None)
+        assert experiments._parallel_map(abs, [], jobs=2, local=called.append) == ([], None)
+        assert called == []
+
+    def test_member_error_raised_before_local_error(self):
+        def local():
+            raise ValidationError("local failed")
+
+        with pytest.raises(ValueError, match="math domain error"):
+            experiments._parallel_map(math.sqrt, [1.0, -1.0], jobs=2, local=local)
+        results, outcome = experiments._parallel_map(math.sqrt, [4.0, 1.0], jobs=2,
+                                                     local=local)
+        assert results == [2.0, 1.0]
+        with pytest.raises(ValidationError, match="^local failed$"):
+            outcome.result()
 
     def test_sigma_sweep_ships_its_mesh_once_per_worker(self, monkeypatch):
         """Each worker gets one chunk of members, which share one pickled mesh
@@ -388,3 +424,57 @@ class TestParallelMap:
         sigma_sweep(DISK, DomainSpec("disk", radius=0.5),
                     [0.4, 0.3, 0.2, 0.15, 0.1], 0.2, jobs=2)
         assert 1 <= len(pickled) <= 2
+
+
+def _failing(real, kind, error):
+    """real(mesh or domain, ...), except that a domain of this kind raises error,
+    naming the kind; a forked pool worker inherits the patch."""
+    def call(first, *args):
+        domain = first if isinstance(first, DomainSpec) else first.domain
+        if domain.kind == kind:
+            raise error(f"{kind} failed")
+        return real(first, *args)
+    return call
+
+
+class TestPooledErrorOrder:
+    """At jobs > 1 each sweep's floor fixture (on the unit disk) runs in this
+    process while the pool solves the members, and its errors still come in
+    the serial order: a member's, then the family check, then the floor's."""
+
+    MONOTONE = [DomainSpec("ellipse", a=a, b=1.0) for a in (1.2, 1.1)]
+    NON_MONOTONE = [DomainSpec("ellipse", a=a, b=1.0) for a in (1.2, 1.05, 1.1)]
+
+    def test_non_monotone_family_same_error(self):
+        messages = []
+        for jobs in (1, 2):
+            with pytest.raises(ValidationError, match="^family:") as exc:
+                one_phase_stability_sweep(self.NON_MONOTONE, 0.1, jobs=jobs)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+
+    def test_family_check_before_floor_error(self, monkeypatch):
+        monkeypatch.setattr(experiments, "generate",
+                            _failing(experiments.generate, "disk", MeshQualityError))
+        with pytest.raises(ValidationError, match="^family:"):
+            one_phase_stability_sweep(self.NON_MONOTONE, 0.1, jobs=2)
+        with pytest.raises(MeshQualityError, match="^disk failed$"):
+            one_phase_stability_sweep(self.MONOTONE, 0.1, jobs=2)
+
+    @pytest.mark.parametrize("sweep,solve", [
+        (lambda jobs: one_phase_stability_sweep(TestPooledErrorOrder.MONOTONE, 0.1,
+                                                jobs=jobs), "solve_one_phase"),
+        (lambda jobs: inclusion_sweep(ELLIPSE, 2.0, [0.4, 0.3, 0.2], 0.1, jobs=jobs),
+         "solve_two_phase"),
+        # the base's one-phase solve runs here before the pool starts
+        (lambda jobs: sigma_sweep(ELLIPSE, DomainSpec("disk", radius=0.3), [0.4, 0.2, 0.1],
+                                  0.1, jobs=jobs), "solve_two_phase"),
+    ], ids=["stability", "inclusion", "sigma"])
+    def test_member_error_before_floor_error(self, sweep, solve, monkeypatch):
+        monkeypatch.setattr(experiments, "generate",
+                            _failing(experiments.generate, "disk", MeshQualityError))
+        monkeypatch.setattr(experiments, solve,
+                            _failing(getattr(experiments, solve), "ellipse", SolverError))
+        for jobs in (1, 2):
+            with pytest.raises(SolverError, match="^ellipse failed$"):
+                sweep(jobs)

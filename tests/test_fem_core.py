@@ -502,19 +502,19 @@ class TestMultigrid:
         assert np.array_equal(u.values[interior], x)
 
     def test_prolongation_built_once_per_mesh(self, concentric_mesh, monkeypatch):
-        # the one-phase and two-phase solves of one mesh share its prolongation
-        built = meshgen.Mesh.__dict__["prolongation"].func
+        # the one-phase and two-phase solves of one mesh share the interior
+        # restriction of its prolongation, and the full prolongation is not kept
+        built = meshgen.Mesh.prolongation
         calls = []
-        counted = cached_property(lambda mesh: calls.append(mesh) or built(mesh))
-        counted.__set_name__(meshgen.Mesh, "prolongation")
-        monkeypatch.setattr(meshgen.Mesh, "prolongation", counted)
+        monkeypatch.setattr(meshgen.Mesh, "prolongation",
+                            lambda mesh: calls.append(mesh) or built(mesh))
         fine = refine(concentric_mesh)
         solve_one_phase(fine)
-        P = vars(fine)["prolongation"]
         solve_two_phase(fine, 2.0)
-        assert calls == [fine] and vars(fine)["prolongation"] is P
-        assert P.shape == (len(fine.vertices), len(concentric_mesh.vertices))
-        assert "prolongation" not in vars(pickle.loads(pickle.dumps(fine)))
+        assert calls == [fine] and "interior_prolongation" in vars(fine)
+        full = (len(fine.vertices), len(concentric_mesh.vertices))
+        assert built(fine).shape == full
+        assert not any(sp.issparse(v) and v.shape == full for v in vars(fine).values())
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_interior_prolongation_built_once_per_mesh(self, disk_mesh, jobs, monkeypatch):

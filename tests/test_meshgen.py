@@ -517,7 +517,7 @@ class TestConnectivity:
         extra.__set_name__(Mesh, "extra_cache")
         monkeypatch.setattr(Mesh, "extra_cache", extra, raising=False)
         cached = [k for k, v in vars(Mesh).items() if isinstance(v, cached_property)]
-        refined_only = {"prolongation", "interior_prolongation"}
+        refined_only = {"interior_prolongation"}
         assert {"edge_table", "interior", "adjacency", "element_geometry"} | refined_only \
             < set(cached)
         fine = refine(concentric_mesh)
