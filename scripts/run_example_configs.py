@@ -5,19 +5,18 @@ Outputs land under outputs/<name>/ (override the root with SERRIN_LAB_OUT).
 """
 
 import json
-import os
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from serrinlab.cli_io import load_config, run, run_dir  # noqa: E402
+from serrinlab.cli_io import _usable_cores, load_config, run, run_dir  # noqa: E402
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 def main():
-    jobs = os.cpu_count() or 1
+    jobs = _usable_cores()  # the CLI's default: cores in the affinity mask
     failures = 0
     for path in sorted(CONFIG_DIR.glob("*.json")):
         cfg = load_config(path)

@@ -338,10 +338,8 @@ def _identity_report(cfg, jobs, level):
 def _verify_identity(cfg, outdir, jobs):
     """Level 0's report, then level 1's; with jobs > 1 level 0 runs in one pool
     worker while this process runs level 1, and level 0's error wins."""
-    level1 = partial(_identity_report, cfg, jobs, 1)
-    (rep0,), outcome = _parallel_map(partial(_identity_report, cfg, jobs), [0], jobs,
-                                     local=level1)
-    rep1 = outcome.result() if outcome else level1()
+    rep0, rep1 = _parallel_map([partial(_identity_report, cfg, jobs, level)
+                                for level in (0, 1)], jobs)
     ratio = rep0.FI_gap / max(rep1.FI_gap, 1e-300)
     _write_csv(outdir / "report.csv", [
         {"level": level, "h_max": rep.h_max, "FI_lhs": rep.FI_lhs,
@@ -478,9 +476,12 @@ def main(argv=None) -> int:
     parser.add_argument("--jobs", type=int, default=_usable_cores(),
                         help="parallel workers: sweep members and verify-identity's "
                              "level 0 in processes, the two-phase solve of diagnose and "
-                             "verify-identity on a thread (default: the cores this "
-                             "process may run on)")
+                             "verify-identity on a thread; at least 1 (default: the "
+                             "cores this process may run on)")
     args = parser.parse_args(argv)
+    if args.jobs < 1:
+        print("error: --jobs: must be at least 1", file=sys.stderr)
+        return 2
     raw = None
     try:
         raw = _read_config(args.config)

@@ -3,21 +3,21 @@ into desk-scale empirical checks.
 
 Each sweep measures its own numerical floor on an exact-case fixture at the
 same mesh size and excludes points whose metrics sit below 10x that floor, so
-fitted slopes are never contaminated by discretization noise.  With jobs > 1
-the sigma, inclusion and stability sweeps solve their members in up to jobs
-worker processes while the calling process solves the floor fixture, and
-errors still come in the serial order: a member's, the sweep's own checks,
-then the floor's.  frechet_check stays serial.  Every solve pins one OpenBLAS
-thread, so a sweep's own solves sum their dot products as its pool workers
-do, and its artifacts do not depend on `jobs`.  cli_io's verify-identity
-uses the same pool to run its level-0 report in one worker while the caller
-runs level 1.
+fitted slopes are never contaminated by discretization noise.  The sigma,
+inclusion and stability sweeps hand _parallel_map one call per member and
+their floor fixture as the last call: with jobs > 1 up to jobs worker
+processes solve the members while the calling process solves the floor.  At
+any jobs the first error in call order is raised (a member's, then the
+floor's), and only then the sweep's own checks.  frechet_check stays serial.
+Every solve pins one OpenBLAS thread, so a sweep's own solves sum their dot
+products as its pool workers do, and its artifacts do not depend on `jobs`.
+cli_io's verify-identity hands it level 0's report, then level 1's.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from functools import partial
 from typing import Optional
@@ -140,39 +140,40 @@ def _check_monotone(name, values):
                               "strictly monotone")
 
 
-def _parallel_map(fn, items, jobs, local=None):
-    """([fn(it) for it in items], outcome of local()).
+def _call(fn):
+    """fn(), in a pool worker: pool.map pickles its function by name."""
+    return fn()
 
-    Without a pool (jobs <= 1, no items, or one item and no local) the items
-    run here in order, local is not called and its outcome is None, so the
-    caller runs that work where its serial order puts it.  With a pool the
-    items run on min(jobs, len(items)) processes, each given one contiguous
-    chunk, so a mesh the items share is pickled once per chunk, and local()
-    runs here meanwhile.  Its outcome is then a finished Future: a member's
-    error is raised first, and local's only when the caller reads it.
+
+def _parallel_map(calls, jobs):
+    """[call() for call in calls] for picklable zero-argument calls.
+
+    At jobs <= 1, or with one call, they run here in order.  Otherwise all
+    calls but the last run on min(jobs, len(calls) - 1) processes, each given
+    one contiguous chunk, so a mesh the calls share is pickled once per chunk,
+    and the last runs here meanwhile.  Either way the first error in call
+    order is raised.
     """
-    if jobs is None or jobs <= 1 or not items or (len(items) == 1 and local is None):
-        return [fn(it) for it in items], None
-    workers = min(jobs, len(items))
+    if jobs <= 1 or len(calls) <= 1:
+        return [call() for call in calls]
+    *pooled, last = calls
+    workers = min(jobs, len(pooled))
     pin_one_blas_thread()  # forked workers inherit the count
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        results = pool.map(fn, items, chunksize=math.ceil(len(items) / workers))
-        outcome = None
-        if local is not None:
-            outcome = Future()
-            try:
-                outcome.set_result(local())
-            except Exception as exc:
-                outcome.set_exception(exc)
-        return list(results), outcome
+        results = pool.map(_call, pooled, chunksize=math.ceil(len(pooled) / workers))
+        try:
+            mine = last()
+        except Exception:
+            list(results)  # a pooled call's error comes first
+            raise
+        return [*results, mine]
 
 
 # -- one-phase stability --------------------------------------------------
 
 
-def _stability_member(args):
+def _stability_member(domain, target_h):
     """(row, h_max) of one family member."""
-    domain, target_h = args
     mesh = generate(domain, None, target_h)
     v = solve_one_phase(mesh)
     tr = normal_derivative(mesh, v)
@@ -191,14 +192,13 @@ def one_phase_stability_sweep(family, target_h, window=4, jobs=1) -> SweepResult
     """
     if len(family) < 1:
         raise ValidationError("family: must not be empty")
-    floor_member = partial(_stability_member, (DomainSpec("disk", radius=1.0), target_h))
-    results, outcome = _parallel_map(_stability_member, [(d, target_h) for d in family],
-                                     jobs, local=floor_member)
+    *results, (floor_row, _) = _parallel_map(
+        [partial(_stability_member, d, target_h) for d in family]
+        + [partial(_stability_member, DomainSpec("disk", radius=1.0), target_h)], jobs)
     rows = [row for row, _ in results]
-    # the gaps are the sweep's parameters: check them before the floor solve
+    # the gaps are the sweep's parameters, known only once the members are solved
     if not _monotone([r["gap"] for r in rows]):
         raise ValidationError("family: member gaps must be strictly monotone")
-    floor_row, _ = outcome.result() if outcome else floor_member()
     floors = {"gap": floor_row["gap"], "dev_Linf": floor_row["dev_Linf"],
               "dev_L2": floor_row["dev_L2"]}
     excluded = [r["gap"] <= FLOOR_FACTOR * floors["gap"]
@@ -230,8 +230,8 @@ def _sigma_base(domain, inclusion, target_h):
     return mesh, base.values, base_dev, c
 
 
-def _sigma_member(args):
-    (mesh, base_trace, base_dev, c), t = args
+def _sigma_member(base, t):
+    mesh, base_trace, base_dev, c = base
     u = solve_two_phase(mesh, 1.0 + t)
     tr = normal_derivative(mesh, u)
     diff = float(np.abs(tr.values - base_trace).max())
@@ -247,7 +247,7 @@ def _sigma_floor(radius, t_big, target_h):
     """The sigma member at t_big on the unit disk with a concentric disk D."""
     base = _sigma_base(DomainSpec("disk", radius=1.0), DomainSpec("disk", radius=radius),
                        target_h)
-    return _sigma_member((base, t_big))
+    return _sigma_member(base, t_big)
 
 
 def sigma_sweep(domain, inclusion, t_values, target_h, window=4, jobs=1) -> SweepResult:
@@ -264,11 +264,11 @@ def sigma_sweep(domain, inclusion, t_values, target_h, window=4, jobs=1) -> Swee
     mesh, _, base_dev, _ = base
     # floor: concentric disks (an exact solution family: the flux is t-independent)
     r_f = inclusion.radius if inclusion is not None and inclusion.kind == "disk" else 0.5
-    floor_member = partial(_sigma_floor, min(0.5, r_f), max(abs(t) for t in t_values),
-                           target_h)
-    rows, outcome = _parallel_map(_sigma_member, [(base, t) for t in t_values], jobs,
-                                  local=floor_member)
-    floor = (outcome.result() if outcome else floor_member())["delta_trace_Linf"]
+    *rows, floor_row = _parallel_map(
+        [partial(_sigma_member, base, t) for t in t_values]
+        + [partial(_sigma_floor, min(0.5, r_f), max(abs(t) for t in t_values), target_h)],
+        jobs)
+    floor = floor_row["delta_trace_Linf"]
     floors = {"delta_trace_Linf": floor}
 
     excluded = [r["delta_trace_Linf"] <= FLOOR_FACTOR * floor for r in rows]
@@ -330,9 +330,8 @@ def _grad_w_boundary(mesh, u, v):
     return float(np.abs(dn_w).max())
 
 
-def _inclusion_member(args):
+def _inclusion_member(domain, sigma_c, inclusion, target_h):
     """(row, h_max) of one centred disk inclusion."""
-    domain, sigma_c, inclusion, target_h = args
     mesh = generate(domain, inclusion, target_h)
     u = solve_two_phase(mesh, sigma_c)
     v = solve_one_phase(mesh)
@@ -361,13 +360,11 @@ def inclusion_sweep(domain, sigma_c, radii, target_h, window=4, jobs=1) -> Sweep
             raise ValidationError(f"inclusion_radii[{i}]: D touches or exits the "
                                   "domain") from None
     # floor: concentric disks where the boundary flux is radius-independent
-    floor_member = partial(_inclusion_member, (DomainSpec("disk", radius=1.0), sigma_c,
-                                               DomainSpec("disk", radius=radii[-1]), target_h))
-    results, outcome = _parallel_map(_inclusion_member,
-                                     [(domain, sigma_c, d, target_h) for d in disks], jobs,
-                                     local=floor_member)
+    *results, (floor_row, _) = _parallel_map(
+        [partial(_inclusion_member, domain, sigma_c, d, target_h) for d in disks]
+        + [partial(_inclusion_member, DomainSpec("disk", radius=1.0), sigma_c,
+                   DomainSpec("disk", radius=radii[-1]), target_h)], jobs)
     rows = [dict(row, margin=m) for (row, _), m in zip(results, margins)]
-    floor_row, _ = outcome.result() if outcome else floor_member()
     floor = floor_row["grad_w_boundary_Linf"]
     floors = {"grad_w_boundary_Linf": floor}
     excluded = [r["grad_w_boundary_Linf"] <= FLOOR_FACTOR * floor for r in rows]
@@ -404,7 +401,7 @@ def nonexistence_threshold(domain, fitted_C2, fitted_C3, target_h) -> ThresholdR
     for name, value in (("fitted_C2", fitted_C2), ("fitted_C3", fitted_C3)):
         if value <= 0:
             raise ValidationError(f"{name}: must be positive")
-    gap = _stability_member((domain, target_h))[0]["gap"]
+    gap = _stability_member(domain, target_h)[0]["gap"]
     if gap <= FLOOR_FACTOR * target_h ** 2:
         raise ValidationError("domain: indistinguishable from a ball at this resolution")
     return ThresholdReport(gap, gap / fitted_C2, (gap / fitted_C3) ** 2)

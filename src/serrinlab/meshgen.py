@@ -46,13 +46,12 @@ _OFFSETS = ((0.0, 0.0), (0.5, 0.0))
 # minimum triangle angle of a generated mesh; validate_mesh checks it too
 _MIN_ANGLE_DEG = 20.0
 # reach (in pitches) past each clearance band of the points that the early
-# rejection triangulates, and the widest circumcircle it tests.  Soundness
-# rests on counting all points, not only the near ones, in a defect's
-# circumcircle, so no value of either can reject an offset that would mesh;
-# they set only how many doomed offsets are caught before the full
-# triangulation: at these values all 116 on the grid of scripts/mesh_probe.py
+# rejection triangulates, and the widest circumcircle radius it tests.
+# Soundness rests on counting all points, not only the near ones, in a
+# defect's circumcircle, so no value can reject an offset that would mesh; it
+# sets only how many doomed offsets are caught before the full triangulation:
+# at this value all 116 on the grid of scripts/mesh_probe.py
 _NEAR_PITCHES = 1.0
-_NEAR_RADIUS_PITCHES = 2.0
 
 
 @dataclass
@@ -377,7 +376,7 @@ def _certain_defect(points, near, domain, target_h):
     # is wider
     bad &= domain.signed_radial_margin(centroids) > 1e-9 * target_h
     center, radius = _circumcircles(p[bad])
-    small = radius < _NEAR_RADIUS_PITCHES * _PITCH * target_h
+    small = radius < _NEAR_PITCHES * _PITCH * target_h
     if not np.any(small):
         return None
     # the radius reaches all three corners, so a count of 3 is the corners alone

@@ -550,6 +550,16 @@ class TestMain:
         assert main(["--config", str(p)]) == 0
         assert seen == [1]
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_rejected_before_the_config_is_read(self, jobs, tmp_path,
+                                                               capsys, monkeypatch):
+        read = []
+        monkeypatch.setattr(cli_io, "_read_config", lambda path: read.append(path) or {})
+        monkeypatch.setenv("SERRIN_LAB_OUT", str(tmp_path / "root"))
+        assert main(["--config", str(tmp_path / "missing.json"), "--jobs", jobs]) == 2
+        assert capsys.readouterr().err == "error: --jobs: must be at least 1\n"
+        assert read == [] and not (tmp_path / "root").exists()
+
 
 REQUIRED = [(command, name) for command, (_, required, _) in cli_io.COMMANDS.items()
             for name in required]

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -100,22 +101,6 @@ class TestStabilitySweep:
         sweep = one_phase_stability_sweep(family, 0.05, window=3)
         assert sweep.fit is not None
         assert 0.8 <= sweep.fit.slope <= 1.2
-
-    def test_non_monotone_gaps_rejected_before_floor_member(self, monkeypatch):
-        # the members' gaps are the sweep's parameters; the disk floor member
-        # is not built once they fail
-        family = [DomainSpec("ellipse", a=a, b=1.0) for a in (1.2, 1.05, 1.1)]
-        meshed = []
-        real_generate = experiments.generate
-
-        def spy(*args):
-            meshed.append(args)
-            return real_generate(*args)
-
-        monkeypatch.setattr(experiments, "generate", spy)
-        with pytest.raises(ValidationError, match="^family:"):
-            one_phase_stability_sweep(family, 0.1)
-        assert len(meshed) == len(family)
 
 
 class TestSigmaSweep:
@@ -285,11 +270,11 @@ _SIGMA_MEMBER = experiments._sigma_member
 _SET_CALLS = []
 
 
-def _reporting_sigma_member(args):
+def _reporting_sigma_member(*args):
     """The sigma sweep's member, plus this process's pid, thread counts and
     number of set_num_threads calls."""
     pid, counts = _blas_threads()
-    return {**_SIGMA_MEMBER(args), "pid": pid, "counts": counts,
+    return {**_SIGMA_MEMBER(*args), "pid": pid, "counts": counts,
             "set_calls": len(_SET_CALLS)}
 
 
@@ -306,7 +291,8 @@ class TestBlasThreads:
             set_threads(n)
 
     def test_pool_workers_use_one_blas_thread(self):
-        results, _ = experiments._parallel_map(_blas_threads, range(4), jobs=2)
+        # the last call runs in this process, the others in the workers
+        results = experiments._parallel_map([_blas_threads] * 5, jobs=2)[:-1]
         assert all(pid != os.getpid() for pid, _ in results)
         assert all(counts and set(counts) == {1} for _, counts in results)
 
@@ -317,9 +303,9 @@ class TestBlasThreads:
         seen = []
         parallel_map = experiments._parallel_map
 
-        def spy(fn, items, jobs, local=None):
+        def spy(calls, jobs):
             seen.append(set(_blas_threads()[1]))
-            return parallel_map(fn, items, jobs, local)
+            return parallel_map(calls, jobs)
 
         monkeypatch.setattr(experiments, "_parallel_map", spy)
         sigma_sweep(DISK, DomainSpec("disk", radius=0.5), [0.4, 0.2, 0.1], 0.2)
@@ -361,8 +347,14 @@ class TestBlasPin:
                    for row in result.rows)
 
 
+def _failing_last_call():
+    raise ValidationError("last call failed")
+
+
 class TestParallelMap:
-    def test_starts_at_most_one_worker_per_item(self, monkeypatch):
+    @pytest.fixture
+    def started(self, monkeypatch):
+        """The max_workers of each pool _parallel_map starts."""
         started = []
 
         class Spy(ProcessPoolExecutor):
@@ -371,44 +363,41 @@ class TestParallelMap:
                 super().__init__(max_workers=max_workers, **kwargs)
 
         monkeypatch.setattr(experiments, "ProcessPoolExecutor", Spy)
-        assert experiments._parallel_map(abs, [-3, -2, -1], jobs=8) == ([3, 2, 1], None)
+        return started
+
+    def test_starts_at_most_one_worker_per_item(self, started):
+        calls = [partial(abs, x) for x in (-3, -2, -1, 0)]
+        assert experiments._parallel_map(calls, jobs=8) == [3, 2, 1, 0]
         assert started == [3]
 
-    def test_local_runs_here_while_the_items_run_in_workers(self, monkeypatch):
-        started = []
+    def test_last_call_runs_here_and_the_others_in_workers(self, started):
+        for n, jobs, workers in ((2, 2, 1), (2, 8, 1), (5, 2, 2), (4, 8, 3)):
+            started.clear()
+            pids = experiments._parallel_map([os.getpid] * n, jobs=jobs)
+            assert started == [workers]
+            assert pids[-1] == os.getpid()
+            assert os.getpid() not in pids[:-1] and len(set(pids[:-1])) <= workers
 
-        class Spy(ProcessPoolExecutor):
-            def __init__(self, max_workers=None, **kwargs):
-                started.append(max_workers)
-                super().__init__(max_workers=max_workers, **kwargs)
+    def test_results_match_the_serial_list(self, started):
+        calls = [partial(pow, x, 2) for x in range(-3, 4)]
+        serial = [call() for call in calls]
+        assert [experiments._parallel_map(calls, jobs=jobs) for jobs in (1, 2, 3, 4)] \
+            == [serial] * 4
+        assert experiments._parallel_map(calls[:1], jobs=4) == serial[:1]
+        assert experiments._parallel_map([], jobs=4) == []
+        assert started == [2, 3, 4]  # none at jobs 1 or for one call
 
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", Spy)
-        results, outcome = experiments._parallel_map(_blas_threads, [0], jobs=2,
-                                                     local=os.getpid)
-        # one item with local work still goes to one worker
-        assert started == [1] and results[0][0] != os.getpid()
-        assert outcome.result() == os.getpid()
+    def test_pooled_error_wins_over_the_last_call(self):
+        calls = [partial(math.sqrt, 1.0), partial(math.sqrt, -1.0), _failing_last_call]
+        for jobs in (1, 2):
+            with pytest.raises(ValueError, match="math domain error"):
+                experiments._parallel_map(calls, jobs=jobs)
 
-    def test_local_not_called_without_a_pool(self):
-        called = []
-        for jobs in (None, 0, 1):
-            assert experiments._parallel_map(abs, [-2, -1], jobs=jobs,
-                                             local=lambda: called.append(jobs)) \
-                == ([2, 1], None)
-        assert experiments._parallel_map(abs, [], jobs=2, local=called.append) == ([], None)
-        assert called == []
-
-    def test_member_error_raised_before_local_error(self):
-        def local():
-            raise ValidationError("local failed")
-
-        with pytest.raises(ValueError, match="math domain error"):
-            experiments._parallel_map(math.sqrt, [1.0, -1.0], jobs=2, local=local)
-        results, outcome = experiments._parallel_map(math.sqrt, [4.0, 1.0], jobs=2,
-                                                     local=local)
-        assert results == [2.0, 1.0]
-        with pytest.raises(ValidationError, match="^local failed$"):
-            outcome.result()
+    def test_last_call_error_raised_when_the_pooled_calls_succeed(self):
+        calls = [partial(math.sqrt, 4.0), partial(math.sqrt, 1.0), _failing_last_call]
+        for jobs in (1, 2):
+            with pytest.raises(ValidationError, match="^last call failed$"):
+                experiments._parallel_map(calls, jobs=jobs)
 
     def test_sigma_sweep_ships_its_mesh_once_per_worker(self, monkeypatch):
         """Each worker gets one chunk of members, which share one pickled mesh
@@ -438,9 +427,10 @@ def _failing(real, kind, error):
 
 
 class TestPooledErrorOrder:
-    """At jobs > 1 each sweep's floor fixture (on the unit disk) runs in this
-    process while the pool solves the members, and its errors still come in
-    the serial order: a member's, then the family check, then the floor's."""
+    """Each sweep's floor fixture (on the unit disk) is its last call: at jobs
+    > 1 it runs in this process while the pool solves the members.  At any
+    jobs a member's error comes first, then the floor's, then the family
+    check."""
 
     MONOTONE = [DomainSpec("ellipse", a=a, b=1.0) for a in (1.2, 1.1)]
     NON_MONOTONE = [DomainSpec("ellipse", a=a, b=1.0) for a in (1.2, 1.05, 1.1)]
@@ -453,13 +443,13 @@ class TestPooledErrorOrder:
             messages.append(str(exc.value))
         assert messages[0] == messages[1]
 
-    def test_family_check_before_floor_error(self, monkeypatch):
+    def test_floor_error_before_family_check(self, monkeypatch):
         monkeypatch.setattr(experiments, "generate",
                             _failing(experiments.generate, "disk", MeshQualityError))
-        with pytest.raises(ValidationError, match="^family:"):
-            one_phase_stability_sweep(self.NON_MONOTONE, 0.1, jobs=2)
-        with pytest.raises(MeshQualityError, match="^disk failed$"):
-            one_phase_stability_sweep(self.MONOTONE, 0.1, jobs=2)
+        for jobs in (1, 2):
+            for family in (self.NON_MONOTONE, self.MONOTONE):
+                with pytest.raises(MeshQualityError, match="^disk failed$"):
+                    one_phase_stability_sweep(family, 0.1, jobs=jobs)
 
     @pytest.mark.parametrize("sweep,solve", [
         (lambda jobs: one_phase_stability_sweep(TestPooledErrorOrder.MONOTONE, 0.1,

@@ -239,11 +239,16 @@ class TestEarlyRejection:
             pass
         assert sum(any(p is q for q in checked) for p in calls) == full
 
+    PITCH = meshgen._PITCH * 0.1  # at target_h 0.1
+
     def _long_edge(self, with_far_point):
-        # corners 0-2 form the near subset; the triangle's longest edge is 0.3,
-        # twice target_h, and its circumcircle has centre (0.15, -0.0625) and
-        # radius 0.1625; point 3 lies inside that circle but not in the subset
-        points = np.array([[0.0, 0.0], [0.3, 0.0], [0.15, 0.1], [0.15, -0.15]])
+        # corners 0-2 form the near subset, a right triangle whose hypotenuse,
+        # 1.9 pitches, is its longest edge and exceeds 1.5 target_h (1.76
+        # pitches); its circumcircle, centred on the hypotenuse's midpoint, has
+        # radius 0.95 pitch, under the 1-pitch cap; point 3 lies inside that
+        # circle but not in the subset
+        points = self.PITCH * np.array([[0.0, 0.0], [1.9, 0.0], [0.95, 0.95],
+                                        [0.95, -0.5]])
         if not with_far_point:
             points = points[:3]
         return meshgen._certain_defect(points, np.arange(3),
@@ -253,7 +258,7 @@ class TestEarlyRejection:
         assert self._long_edge(with_far_point=True) is None
 
     def test_defect_with_an_empty_circumcircle_is_reported(self):
-        assert "longest edge 0.3000" in self._long_edge(with_far_point=False)
+        assert f"longest edge {1.9 * self.PITCH:.4f}" in self._long_edge(with_far_point=False)
 
 
 @pytest.mark.parametrize("inclusion,perimeters", [(None, 1),

@@ -1,4 +1,5 @@
 import importlib.util
+import os
 import re
 from pathlib import Path
 
@@ -29,3 +30,24 @@ def test_mesh_probe_grid_and_fingerprint():
     first = probe.probe(domain, inclusion, target_h)
     assert re.fullmatch(r"[0-9a-f]{40}", first)
     assert probe.probe(domain, inclusion, target_h) == first
+
+
+def test_example_configs_use_the_clis_jobs_default(tmp_path, monkeypatch, capsys):
+    # under an affinity mask of one core the host's core count would
+    # oversubscribe every pool
+    script = _load("run_example_configs")
+    seen = []
+
+    def run(cfg, jobs):
+        seen.append(jobs)
+        script.run_dir(cfg).mkdir(parents=True)
+        (script.run_dir(cfg) / "manifest.json").write_text(
+            '{"status": "ok", "wall_time_s": 0.0}')
+        return 0
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(script, "run", run)
+    monkeypatch.setenv("SERRIN_LAB_OUT", str(tmp_path))
+    assert script.main() == 0
+    assert seen and set(seen) == {1}
+    assert len(capsys.readouterr().out.splitlines()) == len(seen)
