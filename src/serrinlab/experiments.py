@@ -1,9 +1,13 @@
 """Parameter sweeps and log-log fits that turn the ball-stability estimates
 into desk-scale empirical checks.
 
-Each sweep measures its own numerical floor on an exact-case fixture at the
-same mesh size and excludes points whose metrics sit below 10x that floor, so
-fitted slopes are never contaminated by discretization noise.  The sigma,
+Each sweep leaves the rows at its numerical floor out of the fit, so fitted
+slopes are never contaminated by discretization noise.  The sigma and
+inclusion sweeps measure their metric on concentric disks at the same mesh
+size and exclude rows at or below FLOOR_FACTOR (10) times it; the stability
+sweep excludes a row whose gap or dev_Linf is at or below 10x the unit disk's;
+frechet_check has no fixture and excludes |epsilon| < 1e3 CG_REL_TOLERANCE.
+_sweep_result fits the rest and builds every SweepResult.  The sigma,
 inclusion and stability sweeps hand _parallel_map one call per member and
 their floor fixture as the last call: with jobs > 1 up to jobs worker
 processes solve the members while the calling process solves the floor.  At
@@ -18,7 +22,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import partial
 from typing import Optional
 
@@ -70,12 +74,12 @@ class SweepResult:
     rows: list                      # per parameter, same order: its report.csv columns
     fit: Optional[FitResult]
     window: int
-    floors: dict = dc_field(default_factory=dict)
-    excluded: list = dc_field(default_factory=list)
-    constants: dict = dc_field(default_factory=dict)
-    status: str = "ok"
-    h_max: float = 0.0
-    points: list = dc_field(default_factory=list)
+    floors: dict
+    excluded: list
+    constants: dict
+    status: str
+    h_max: float
+    points: list
 
     def __post_init__(self):
         if self.fit is not None and not (0.0 <= self.fit.r_squared <= 1.0 + 1e-12):
@@ -125,16 +129,28 @@ def slope_fit(points, window=4) -> FitResult:
     return FitResult(slope, intercept, r2, n, used)
 
 
-def _fit_kept(points, excluded, window):
-    """(fit, kept): slope_fit over the points not excluded with x, y > 0, or
-    None when fewer than 3 remain, and those kept points."""
-    kept = [(x, y) for (x, y), ex in zip(points, excluded) if not ex and x > 0 and y > 0]
-    return (slope_fit(kept, window) if len(kept) >= 3 else None), kept
+def _sweep_result(kind, rows, x, y, excluded, window, floors, h_max, constants,
+                  fit_constants, degenerate) -> SweepResult:
+    """The SweepResult of rows with points (|row[x]|, row[y]), fitted over the
+    kept points (not excluded, both coordinates positive) when at least 3 are
+    kept: fit_constants(kept) then joins constants and the status is ok, else
+    it is degenerate."""
+    points = [(abs(r[x]), r[y]) for r in rows]
+    kept = [(px, py) for (px, py), ex in zip(points, excluded)
+            if not ex and px > 0 and py > 0]
+    fit = slope_fit(kept, window) if len(kept) >= 3 else None
+    if fit is not None:
+        constants = {**constants, **fit_constants(kept)}
+    return SweepResult(kind, rows, fit, window, floors, excluded, constants,
+                       "ok" if fit is not None else degenerate, h_max, points)
 
 
 def _check_monotone(name, values):
     """A sweep's rows keep the order of its values and its fit runs against
-    their magnitudes, so both must be strictly monotone."""
+    their magnitudes, so there must be some and both must be strictly
+    monotone."""
+    if not values:
+        raise ValidationError(f"{name}: must not be empty")
     if not (_monotone(values) and _monotone(np.abs(values))):
         raise ValidationError(f"{name}: values and their magnitudes must be "
                               "strictly monotone")
@@ -203,19 +219,13 @@ def one_phase_stability_sweep(family, target_h, window=4, jobs=1) -> SweepResult
               "dev_L2": floor_row["dev_L2"]}
     excluded = [r["gap"] <= FLOOR_FACTOR * floors["gap"]
                 or r["dev_Linf"] <= FLOOR_FACTOR * floors["dev_Linf"] for r in rows]
-    points = [(r["dev_Linf"], r["gap"]) for r in rows]
-    fit, kept = _fit_kept(points, excluded, window)
-    constants = {}
-    if fit is not None:
-        ratios = [y / x for x, y in kept]
-        constants["max_ratio_gap_over_dev"] = max(ratios)
-        constants["ratio_smallest"] = ratios[-1]
-        constants["ratio_largest"] = ratios[0]
-        status = "ok"
-    else:
-        status = "degenerate: exact case" if all(excluded) else "degenerate: too few points"
-    return SweepResult("stability", rows, fit, window, floors, excluded, constants, status,
-                       max(h for _, h in results), points)
+    return _sweep_result(
+        "stability", rows, "dev_Linf", "gap", excluded, window, floors,
+        max(h for _, h in results), {},
+        lambda kept: {"max_ratio_gap_over_dev": max(y / x for x, y in kept),
+                      "ratio_smallest": kept[-1][1] / kept[-1][0],
+                      "ratio_largest": kept[0][1] / kept[0][0]},
+        "degenerate: exact case" if all(excluded) else "degenerate: too few points")
 
 
 # -- sigma_c -> 1 ----------------------------------------------------------
@@ -269,19 +279,12 @@ def sigma_sweep(domain, inclusion, t_values, target_h, window=4, jobs=1) -> Swee
         + [partial(_sigma_floor, min(0.5, r_f), max(abs(t) for t in t_values), target_h)],
         jobs)
     floor = floor_row["delta_trace_Linf"]
-    floors = {"delta_trace_Linf": floor}
-
     excluded = [r["delta_trace_Linf"] <= FLOOR_FACTOR * floor for r in rows]
-    points = [(abs(r["t"]), r["delta_trace_Linf"]) for r in rows]
-    fit, kept = _fit_kept(points, excluded, window)
-    constants = {"dev0_Linf": base_dev}
-    if fit is not None:
-        constants["C7_empirical"] = max(y / x for x, y in kept)
-        status = "ok"
-    else:
-        status = "degenerate: exact solution family"
-    return SweepResult("sigma", rows, fit, window, floors, excluded, constants, status,
-                       mesh.h_max, points)
+    return _sweep_result(
+        "sigma", rows, "t", "delta_trace_Linf", excluded, window,
+        {"delta_trace_Linf": floor}, mesh.h_max, {"dev0_Linf": base_dev},
+        lambda kept: {"C7_empirical": max(y / x for x, y in kept)},
+        "degenerate: exact solution family")
 
 
 # -- Frechet derivative -----------------------------------------------------
@@ -307,36 +310,29 @@ def frechet_check(domain, inclusion, t0, eps_values, target_h, window=4) -> Swee
         rows.append({"epsilon": e,
                      "fd_error_L2": l2_norm(mesh, quotient - u_prime.values)})
     tol_floor = 1e3 * CG_REL_TOLERANCE
-    excluded = [abs(r["epsilon"]) < tol_floor for r in rows]
-    floors = {"epsilon": tol_floor}
-    points = [(abs(r["epsilon"]), r["fd_error_L2"]) for r in rows]
-    fit, _ = _fit_kept(points, excluded, window)
-    status = "ok" if fit is not None else "degenerate: derivative vanishes"
-    return SweepResult("frechet", rows, fit, window, floors, excluded,
-                       {"floor_L2": min((r["fd_error_L2"] for r in rows), default=0.0)},
-                       status, mesh.h_max, points)
+    return _sweep_result(
+        "frechet", rows, "epsilon", "fd_error_L2",
+        [abs(r["epsilon"]) < tol_floor for r in rows], window, {"epsilon": tol_floor},
+        mesh.h_max, {"floor_L2": min(r["fd_error_L2"] for r in rows)}, lambda kept: {},
+        "degenerate: derivative vanishes")
 
 
 # -- |D| -> 0 ----------------------------------------------------------------
 
 
-def _grad_w_boundary(mesh, u, v):
-    """sup over the outer boundary of |grad(u - v)|.
-
-    Both fields vanish on the boundary, so the gradient of w = u - v there is
-    its normal derivative, the difference of the two variational traces.
-    """
-    dn_w = normal_derivative(mesh, u).values - normal_derivative(mesh, v).values
-    return float(np.abs(dn_w).max())
-
-
 def _inclusion_member(domain, sigma_c, inclusion, target_h):
-    """(row, h_max) of one centred disk inclusion."""
+    """(row, h_max) of one centred disk inclusion.
+
+    grad_w_boundary_Linf is the sup over the outer boundary of |grad w|, w =
+    u - v.  Both fields vanish on the boundary, so grad w there is its normal
+    derivative, the difference of the two variational traces.
+    """
     mesh = generate(domain, inclusion, target_h)
     u = solve_two_phase(mesh, sigma_c)
     v = solve_one_phase(mesh)
+    dn_w = normal_derivative(mesh, u).values - normal_derivative(mesh, v).values
     return ({"radius": inclusion.radius, "area_D": exact_area(inclusion),
-             "grad_w_boundary_Linf": _grad_w_boundary(mesh, u, v)}, mesh.h_max)
+             "grad_w_boundary_Linf": float(np.abs(dn_w).max())}, mesh.h_max)
 
 
 def inclusion_sweep(domain, sigma_c, radii, target_h, window=4, jobs=1) -> SweepResult:
@@ -347,6 +343,8 @@ def inclusion_sweep(domain, sigma_c, radii, target_h, window=4, jobs=1) -> Sweep
     margin inside the domain is measured once, before any mesh is built.
     """
     radii = list(radii)
+    if not radii:
+        raise ValidationError("inclusion_radii: must not be empty")
     if any(r <= 0 for r in radii):
         raise ValidationError("inclusion_radii: entries must be positive")
     if any(radii[i] <= radii[i + 1] for i in range(len(radii) - 1)):
@@ -366,19 +364,13 @@ def inclusion_sweep(domain, sigma_c, radii, target_h, window=4, jobs=1) -> Sweep
                    DomainSpec("disk", radius=radii[-1]), target_h)], jobs)
     rows = [dict(row, margin=m) for (row, _), m in zip(results, margins)]
     floor = floor_row["grad_w_boundary_Linf"]
-    floors = {"grad_w_boundary_Linf": floor}
     excluded = [r["grad_w_boundary_Linf"] <= FLOOR_FACTOR * floor for r in rows]
-    points = [(r["area_D"], r["grad_w_boundary_Linf"]) for r in rows]
-    fit, kept = _fit_kept(points, excluded, window)
-    constants = {"M": max(1.0, 1.0 / margins[0]), "slope_floor_coarse": 0.5,
-                 "slope_improved": 1.0}
-    if fit is not None:
-        constants["C3_like_max_ratio"] = max(y / math.sqrt(x) for x, y in kept)
-        status = "ok"
-    else:
-        status = "degenerate: exact solution family"
-    return SweepResult("inclusion", rows, fit, window, floors, excluded, constants, status,
-                       max(h for _, h in results), points)
+    return _sweep_result(
+        "inclusion", rows, "area_D", "grad_w_boundary_Linf", excluded, window,
+        {"grad_w_boundary_Linf": floor}, max(h for _, h in results),
+        {"M": max(1.0, 1.0 / margins[0]), "slope_floor_coarse": 0.5, "slope_improved": 1.0},
+        lambda kept: {"C3_like_max_ratio": max(y / math.sqrt(x) for x, y in kept)},
+        "degenerate: exact solution family")
 
 
 # -- non-existence thresholds -------------------------------------------------

@@ -44,6 +44,14 @@ DIAG_CFG = {"command": "diagnose",
 SIGMA_CFG = {"command": "sweep-sigma", "domain": DIAG_CFG["domain"],
              "inclusion": {"kind": "disk", "radius": 0.3},
              "t_values": [0.4, 0.2, 0.1], "target_h": 0.08}
+INCLUSION_CFG = {"command": "sweep-inclusion", "domain": DIAG_CFG["domain"],
+                 "sigma_c": 2.0, "inclusion_radii": [0.3, 0.2, 0.1], "target_h": 0.1}
+FRECHET_CFG = {"command": "frechet-check", "domain": DIAG_CFG["domain"],
+               "inclusion": {"kind": "disk", "radius": 0.3}, "t0": 0.5,
+               "epsilon_values": [0.2, 0.1, 0.05], "target_h": 0.1}
+STABILITY_CFG = {"command": "sweep-stability", "target_h": 0.1,
+                 "family": [{"kind": "ellipse", "a": 1.2, "b": 1.0},
+                            {"kind": "ellipse", "a": 1.1, "b": 1.0}]}
 
 
 class TestConfigRoundTrip:
@@ -426,15 +434,17 @@ class TestRun:
         assert svg.count("<circle ") == 3
         assert re.search(r">slope=-?\d+\.\d\d<", svg)
 
-    @pytest.mark.parametrize("concentric,fit_keys", [
-        (False, {"intercept", "n_used", "r_squared", "slope", "used_indices"}),
-        (True, None),
-    ], ids=["ok", "degenerate"])
-    def test_fit_json_keys(self, concentric, fit_keys, tmp_path):
-        exact = {"domain": {"kind": "disk", "radius": 1.0},
-                 "inclusion": {"kind": "disk", "radius": 0.5}}
-        cfg = config_from_dict(dict(SIGMA_CFG, **(exact if concentric else {}),
-                                    name="fit", output_dir=str(tmp_path)))
+    @pytest.mark.parametrize("raw,fit_keys", [
+        (SIGMA_CFG, {"intercept", "n_used", "r_squared", "slope", "used_indices"}),
+        (dict(SIGMA_CFG, domain={"kind": "disk", "radius": 1.0},
+              inclusion={"kind": "disk", "radius": 0.5}), None),
+        (INCLUSION_CFG, None),
+        (STABILITY_CFG, None),
+        (FRECHET_CFG, {"intercept", "n_used", "r_squared", "slope", "used_indices"}),
+    ], ids=["ok", "degenerate", "sweep-inclusion", "sweep-stability", "frechet-check"])
+    def test_fit_json_keys(self, raw, fit_keys, tmp_path):
+        # one run per sweep command; sweep-sigma once with a fit and once without
+        cfg = config_from_dict(dict(raw, name="fit", output_dir=str(tmp_path)))
         assert run(cfg, jobs=1) == 0
         fit = json.loads((tmp_path / "fit" / "fit.json").read_text())
         assert set(fit) == {"constants", "excluded", "fit", "floors", "h_max", "kind",
@@ -564,11 +574,6 @@ class TestMain:
 REQUIRED = [(command, name) for command, (_, required, _) in cli_io.COMMANDS.items()
             for name in required]
 
-INCLUSION_CFG = {"command": "sweep-inclusion", "domain": DIAG_CFG["domain"],
-                 "sigma_c": 2.0, "inclusion_radii": [0.3, 0.2, 0.1], "target_h": 0.1}
-FRECHET_CFG = {"command": "frechet-check", "domain": DIAG_CFG["domain"],
-               "inclusion": {"kind": "disk", "radius": 0.3}, "t0": 0.5,
-               "epsilon_values": [0.2, 0.1, 0.05], "target_h": 0.1}
 NONEXISTENCE_CFG = {"command": "nonexistence", "domain": DIAG_CFG["domain"],
                     "fitted_C2": 4.0, "fitted_C3": 2.0, "target_h": 0.1}
 # well-typed values out of range: each once built meshes, ran to exit 0 or
@@ -803,6 +808,5 @@ class TestEmitPlot:
                          r'y2="([-\d.]+)" stroke="#cc3333"', svg)
         x1, y1, x2, y2 = map(float, line.groups())
         for cx, cy in circles:
-            expect = y1 + (cy - y1) * 0  # placeholder for clarity
             t = (cx - x1) / (x2 - x1)
             assert cy == pytest.approx(y1 + t * (y2 - y1), abs=0.1)

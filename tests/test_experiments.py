@@ -91,9 +91,17 @@ class TestStabilitySweep:
 
     def test_single_disk_degenerate(self):
         sweep = one_phase_stability_sweep([DISK], 0.08)
-        assert sweep.status.startswith("degenerate")
+        assert sweep.status == "degenerate: exact case"
         assert sweep.fit is None
         assert all(sweep.excluded)
+
+    def test_two_members_too_few_points(self):
+        # the 1.1/1 ellipse sits at the disk's floor at this mesh size
+        family = [DomainSpec("ellipse", a=a, b=1.0) for a in (1.2, 1.1)]
+        sweep = one_phase_stability_sweep(family, 0.1)
+        assert sweep.excluded == [False, True]
+        assert sweep.status == "degenerate: too few points"
+        assert sweep.fit is None
 
     def test_star_family_slope(self):
         family = [DomainSpec("star", r0=1.0, eps=e, k=3)
@@ -156,6 +164,20 @@ def test_non_monotone_values_rejected_before_meshing(command, field, values, tmp
     assert meshed == []
 
 
+@pytest.mark.parametrize("field,sweep", [
+    ("t_values", lambda: sigma_sweep(ELLIPSE, None, [], 0.1)),
+    ("inclusion_radii", lambda: inclusion_sweep(ELLIPSE, 2.0, [], 0.1)),
+    ("epsilon_values", lambda: frechet_check(ELLIPSE, None, 0.5, [], 0.1)),
+    ("family", lambda: one_phase_stability_sweep([], 0.1)),
+])
+def test_empty_values_rejected_before_meshing(field, sweep, monkeypatch):
+    meshed = []
+    monkeypatch.setattr(experiments, "generate", lambda *a: meshed.append(a))
+    with pytest.raises(ValidationError, match=f"^{field}: must not be empty$"):
+        sweep()
+    assert meshed == []
+
+
 class TestFrechetCheck:
     def test_slope_near_one(self):
         sweep = frechet_check(ELLIPSE, DomainSpec("disk", radius=0.3), 0.5,
@@ -190,11 +212,11 @@ class TestInclusionSweep:
     def test_sigma_one_w_vanishes(self):
         sweep = inclusion_sweep(ELLIPSE, 1.0, [0.3, 0.2, 0.1], 0.08, window=3)
         assert all(r["grad_w_boundary_Linf"] < 1e-9 for r in sweep.rows)
-        assert sweep.status.startswith("degenerate")
+        assert sweep.status == "degenerate: exact solution family"
 
     def test_concentric_degenerate(self):
         sweep = inclusion_sweep(DISK, 2.0, [0.3, 0.2, 0.1], 0.08, window=3)
-        assert sweep.status.startswith("degenerate")
+        assert sweep.status == "degenerate: exact solution family"
 
     def test_radii_must_decrease(self):
         with pytest.raises(ValidationError):
