@@ -6,19 +6,19 @@ preconditioned conjugate-gradient kernel.  On a mesh made by refine() the
 preconditioner is one symmetric multigrid V-cycle down the parent chain,
 interpolating by each level's Mesh.interior_prolongation; on a generated mesh
 it is Jacobi.  Either way CG stops on the same unpreconditioned residual, at the
-fixed relative tolerance CG_REL_TOLERANCE within the fixed cap of
-20 sqrt(unknowns) + 1000 iterations.  Each solve
-assembles its stiffness matrix once, from the element gradients its Mesh
-keeps, and keeps the residual K u - b on the boundary rows, which is all that
-variational flux recovery needs.
+fixed relative tolerance CG_REL_TOLERANCE within the fixed cap of 20
+sqrt(unknowns) + 1000 iterations.  Each solve assembles its stiffness matrix
+once, from the element gradients its Mesh keeps, and keeps the residual
+K u - b on the boundary rows, which is all that variational flux recovery needs.
 A solve has two stages: assembly (stiffness, Dirichlet elimination) and solve
-(V-cycle set-up, CG, the Field).  solve_pair gives the one-phase v and the
-two-phase u of one mesh; with jobs > 1 it assembles u on the calling thread,
-then runs u's solve stage on one worker thread while the caller solves v.
-Each thread runs the serial code on its own arrays, and the only state they
-share, the mesh's cached topology, is filled before the worker starts, so
-both fields are the serial ones bit for bit.  The two overlap because the
-sparse LU, the sparse kernels and numpy release the GIL.
+(V-cycle set-up, CG, the Field).  With jobs > 1 one worker thread runs a solve
+stage assembled here: solve_pair's u while the caller solves v, or
+solve_for_recovery's v while the caller builds the mesh's recovery caches.
+The mesh caches the worker reads are filled before it starts, so every field
+is the serial one bit for bit; the threads overlap because the sparse LU, the
+sparse kernels and numpy release the GIL.  Gradient and Hessian recovery fit
+over vertex patches in two stages: patch moments, kept per Mesh, and the fits
+of the values, a row block at a time.
 Importing this module pins every OpenBLAS bundled with numpy and scipy to one
 thread, and each solve pins it again (a no-op in a pinned process), so CG's
 dot products sum in one order whatever the core count, the number of sweep
@@ -43,7 +43,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .errors import SolverError, ValidationError
-from .meshgen import Mesh
+from .meshgen import Mesh, row_blocks
 
 
 # CG stops at this relative residual, or fails after 20 sqrt(n) + 1000
@@ -235,8 +235,8 @@ def _cycle(levels, bottom, r, k=0):
 def _assemble_dirichlet(mesh, sigma, load, boundary_values):
     """Assembly stage of a Dirichlet solve: the stiffness K of conductivity
     sigma, with the Dirichlet rows eliminated into the reduced SPD system
-    Kii xi = rhs on the interior vertices.  Returns (K, Kii, rhs, x, load), x
-    holding boundary_values on the boundary loop, for _solve_assembled."""
+    Kii xi = rhs on the interior vertices.  Returns (K[bnd], Kii, rhs, x,
+    load[bnd]) for _solve_assembled, x holding boundary_values on bnd."""
     K = stiffness(mesh, sigma)
     bnd = mesh.boundary_loop
     interior = mesh.interior
@@ -244,20 +244,20 @@ def _assemble_dirichlet(mesh, sigma, load, boundary_values):
     x[bnd] = boundary_values
     Ki = K[interior]
     rhs = load[interior] - Ki[:, bnd] @ x[bnd]
-    return K, Ki[:, interior].tocsr(), rhs, x, load
+    return K[bnd], Ki[:, interior].tocsr(), rhs, x, load[bnd]
 
 
 def _solve_assembled(mesh, system, label, sigma_c=1.0):
     """Solve stage: CG on the reduced system of _assemble_dirichlet,
     V-cycle-preconditioned on a refined mesh, on one OpenBLAS thread; the Field
-    keeps its boundary residual and its CG record."""
+    keeps its boundary residual K[bnd] x - load[bnd] and its CG record."""
     pin_one_blas_thread()
-    K, Kii, rhs, x, load = system
+    Kb, Kii, rhs, x, load_b = system
     precond = _vcycle(mesh, Kii) if mesh.parent is not None else None
     max_iter = int(20 * math.sqrt(len(rhs))) + 1000
     xi, its, res = _pcg(Kii, rhs, CG_REL_TOLERANCE, max_iter, precond)
     x[mesh.interior] = xi
-    return Field(mesh, x, label, sigma_c, (K @ x - load)[mesh.boundary_loop], its, res)
+    return Field(mesh, x, label, sigma_c, Kb @ x - load_b, its, res)
 
 
 def _torsion_system(mesh, sigma_c):
@@ -277,28 +277,43 @@ def solve_one_phase(mesh: Mesh) -> Field:
     return _solve_assembled(mesh, _torsion_system(mesh, 1.0), "v")
 
 
-def solve_pair(mesh: Mesh, sigma_c: float, jobs: int = 1):
-    """(v, u): solve_one_phase(mesh) and solve_two_phase(mesh, sigma_c), bit for bit.
-
-    With jobs <= 1 the two run one after the other.  With jobs > 1 u is
-    assembled here, then its solve stage runs on one worker thread while this
-    thread solves v; if both fail, v's error is raised, as in that order.
-    Assembling on the worker would be no faster, and its malloc arena would
-    keep a second copy of the assembly transients.
-    """
-    if jobs <= 1:
-        return solve_one_phase(mesh), solve_two_phase(mesh, sigma_c)
-    system = _torsion_system(mesh, sigma_c)
-    # fill every cache the two threads read, and pin BLAS before either runs
+def _solve_beside(mesh, system, label, sigma_c, work):
+    """(work(), _solve_assembled(mesh, system, label, sigma_c)), the solve on
+    one worker thread while this thread runs work(); if both fail, work's
+    error is raised.  The mesh chain's caches that the solve reads are filled,
+    and BLAS pinned, before the worker starts.  Assembling on the worker would
+    be no faster, and its malloc arena would keep the assembly transients."""
     level = mesh
     while level.parent is not None:
         level.interior_prolongation
         level = level.parent
     pin_one_blas_thread()
     with ThreadPoolExecutor(1) as pool:
-        u = pool.submit(_solve_assembled, mesh, system, "u", sigma_c)
-        v = solve_one_phase(mesh)
-        return v, u.result()
+        field = pool.submit(_solve_assembled, mesh, system, label, sigma_c)
+        return work(), field.result()
+
+
+def solve_pair(mesh: Mesh, sigma_c: float, jobs: int = 1):
+    """(v, u): solve_one_phase(mesh) and solve_two_phase(mesh, sigma_c), bit for bit.
+
+    With jobs <= 1 the two run one after the other.  With jobs > 1 u is
+    assembled here, then its solve stage runs on one worker thread while this
+    thread solves v; if both fail, v's error is raised, as in that order.
+    """
+    if jobs <= 1:
+        return solve_one_phase(mesh), solve_two_phase(mesh, sigma_c)
+    return _solve_beside(mesh, _torsion_system(mesh, sigma_c), "u", sigma_c,
+                         partial(solve_one_phase, mesh))
+
+
+def solve_for_recovery(mesh: Mesh, jobs: int) -> Field:
+    """solve_one_phase(mesh), bit for bit.  With jobs > 1 v's solve stage runs
+    on one worker thread while this thread fills the mesh's edge table, h_max,
+    adjacency and patch moments, which never raises: recovery does, at any jobs."""
+    if jobs <= 1:
+        return solve_one_phase(mesh)
+    return _solve_beside(mesh, _torsion_system(mesh, 1.0), "v", 1.0, lambda: (
+        mesh.h_max, mesh.gradient_patches, mesh.hessian_patches))[1]
 
 
 def solve_harmonic_dirichlet(mesh: Mesh, g: Union[Callable, np.ndarray]) -> Field:
@@ -349,87 +364,52 @@ def normal_derivative(mesh: Mesh, f: Field) -> BoundaryTrace:
     return BoundaryTrace(mesh.vertices[mesh.boundary_loop], lam, 0.5 * lumped)
 
 
-# a patch is degenerate when the determinant of its centred second moments
-# falls to this fraction of their squared trace (collinear samples give 0)
-_DEGENERATE_PATCH = 1e-10
-
-
-def _linear_fits(patches, px, py, x0, y0, values, caller):
-    """Least-squares linear fits c + b . (p - (x0, y0)) of the columns of
-    values, one per row of the CSR matrix patches, in centred moment form.
-
-    Row i lists the samples k of patch i (data ignored) at (px[k], py[k]).
-    With offsets d_k = p_k - (x0[i], y0[i]), their patch mean m and e_k =
-    d_k - m, the slopes solve (sum e e^T) b = sum e values[k] in closed form
-    and c = mean values - b . m.  The sums are reduceat over the 1-D offsets
-    and mat-vecs with the (e_x | e_y | 1, indices, indptr) matrices.  A patch of
-    fewer than 3 samples, or whose determinant is at most _DEGENERATE_PATCH
-    times its squared trace (collinear samples), raises ValidationError.
-    Returns (c, b_x, b_y), each (n, m).
-    """
-    indptr, indices = patches.indptr, patches.indices
-    counts = np.diff(indptr)
-    if np.any(counts < 3):
+def _linear_fits(patches, values, caller):
+    """Value stage of the least-squares linear fits c + b . (p - (x0, y0)) of
+    the columns of values over meshgen.patch_moments' patches: with centred
+    offsets e, (sum e e^T) b = sum e values[k] and c = mean values - b . m,
+    the sums being mat-vecs with the (e_x | e_y | 1, indices, indptr)
+    matrices, a row block at a time.  Returns (c, b_x, b_y), each (n, m)."""
+    if not patches.ok:
         raise ValidationError(f"{caller}: degenerate vertex patch")
-    starts = indptr[:-1]
-    dx = np.take(px, indices) - np.repeat(x0, counts)
-    dy = np.take(py, indices) - np.repeat(y0, counts)
-    mx = np.add.reduceat(dx, starts) / counts
-    my = np.add.reduceat(dy, starts) / counts
-    ex = dx - np.repeat(mx, counts)
-    ey = dy - np.repeat(my, counts)
-    sxx = np.add.reduceat(ex * ex, starts)
-    sxy = np.add.reduceat(ex * ey, starts)
-    syy = np.add.reduceat(ey * ey, starts)
-    det = sxx * syy - sxy * sxy
-    if not np.all(det > _DEGENERATE_PATCH * (sxx + syy) ** 2):
-        raise ValidationError(f"{caller}: degenerate vertex patch")
-    rx, ry, total = (sp.csr_matrix((data, indices, indptr), shape=patches.shape) @ values
-                     for data in (ex, ey, np.ones(len(indices))))
-    bx = (syy[:, None] * rx - sxy[:, None] * ry) / det[:, None]
-    by = (sxx[:, None] * ry - sxy[:, None] * rx) / det[:, None]
-    return total / counts[:, None] - bx * mx[:, None] - by * my[:, None], bx, by
+    c, bx, by = (np.empty((len(patches.mx), values.shape[1])) for _ in range(3))
+    for lo, hi, ptr, entries in row_blocks(patches.indptr):
+        counts, idx = np.diff(ptr), patches.indices[entries]
+        mx, my, sxx, sxy, syy, det = (a[lo:hi] for a in patches[6:12])
+        ex, ey = (np.take(p, idx) - np.repeat(p0[lo:hi], counts) - np.repeat(m, counts)
+                  for p, p0, m in ((patches.px, patches.x0, mx), (patches.py, patches.y0, my)))
+        rx, ry, total = (sp.csr_matrix((data, idx, ptr), shape=(hi - lo, len(values))) @ values
+                         for data in (ex, ey, np.ones(len(idx))))
+        bx[lo:hi] = (syy[:, None] * rx - sxy[:, None] * ry) / det[:, None]
+        by[lo:hi] = (sxx[:, None] * ry - sxy[:, None] * rx) / det[:, None]
+        c[lo:hi] = total / counts[:, None] - bx[lo:hi] * mx[:, None] - by[lo:hi] * my[:, None]
+    return c, bx, by
 
 
 def recovered_gradient(mesh: Mesh, values: np.ndarray) -> np.ndarray:
     """Superconvergent patch recovery of the gradient at each vertex.
 
     Least-squares linear fit of the element-centroid gradients over the
-    incident elements, evaluated at the vertex, by _linear_fits' centred
-    moment sums.  Exact for linear fields on any patch, and for quadratic
-    fields on point-symmetric patches, where the element gradient errors
-    cancel.
+    patches of Mesh.gradient_patches, evaluated at the vertex, by
+    _linear_fits' centred moment sums.  Exact for linear fields on any patch,
+    and for quadratic fields on point-symmetric patches, where the element
+    gradient errors cancel.
     """
-    n = len(mesh.vertices)
     _, gx, gy = mesh.element_geometry
     u = np.take(values, mesh.triangles.T)
     ge = np.stack([gx[0] * u[0] + gx[1] * u[1] + gx[2] * u[2],
                    gy[0] * u[0] + gy[1] * u[1] + gy[2] * u[2]], axis=1)
-    x, y = mesh.vertices.T
-
-    corners = mesh.triangles.ravel()
-    patches = sp.csr_matrix((np.ones(len(corners)),
-                             (corners, np.repeat(np.arange(len(ge)), 3))), shape=(n, len(ge)))
-    starved = np.diff(patches.indptr) < 3
-    if np.any(starved):
-        # starved vertices (2 incident elements on the boundary): widen to the
-        # elements touching any neighbor vertex
-        patches = patches + sp.diags(starved * 1.0) @ mesh.adjacency @ patches
-    return _linear_fits(patches, np.take(x, mesh.triangles).mean(axis=1),
-                        np.take(y, mesh.triangles).mean(axis=1), x, y, ge,
-                        "recovered_gradient")[0]
+    return _linear_fits(mesh.gradient_patches, ge, "recovered_gradient")[0]
 
 
 def hessian_recovery(mesh: Mesh, f: Field) -> np.ndarray:
     """Per-vertex symmetric Hessian: the slopes of least-squares linear fits
-    of the recovered gradient over two-ring vertex patches (the rows of
-    adjacency @ adjacency), by _linear_fits' centred moment sums."""
+    of the recovered gradient over the two-ring vertex patches of
+    Mesh.hessian_patches, by _linear_fits' centred moment sums."""
     if f.mesh is not mesh:
         raise ValidationError("hessian_recovery: field belongs to a different mesh")
     g = recovered_gradient(mesh, f.values)
-    x, y = mesh.vertices.T
-    _, bx, by = _linear_fits(mesh.adjacency @ mesh.adjacency, x, y, x, y, g,
-                             "hessian_recovery")
+    _, bx, by = _linear_fits(mesh.hessian_patches, g, "hessian_recovery")
     # Hv[v, i, j] = d g_j / d x_i
     Hv = np.stack([bx, by], axis=1)
     return 0.5 * (Hv + Hv.transpose(0, 2, 1))

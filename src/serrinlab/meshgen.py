@@ -52,6 +52,11 @@ _MIN_ANGLE_DEG = 20.0
 # sets only how many doomed offsets are caught before the full triangulation:
 # at this value all 116 on the grid of scripts/mesh_probe.py
 _NEAR_PITCHES = 1.0
+# rows per block of patch_moments and fem_core's fits, so no transient spans the mesh
+_BLOCK_ROWS = 4096
+# a patch is degenerate when the determinant of its centred second moments
+# falls to this fraction of their squared trace (collinear samples give 0)
+_DEGENERATE_PATCH = 1e-10
 
 
 @dataclass
@@ -66,10 +71,10 @@ class Mesh:
     parent is the mesh that refine() split into this one (None for a generated
     mesh); the solver builds its multigrid hierarchy from that chain.  The
     topology (edge_table, interior, adjacency, and on a refined mesh the
-    interior restriction of its prolongation), the P1 element_geometry and
-    h_max, the longest edge of the edge table, are computed once, on first
-    use, and left out of pickles.  A mesh is identified by the object
-    itself: fields hold the mesh they live on.
+    interior restriction of its prolongation), the P1 element_geometry, h_max,
+    the longest edge of the edge table, and the recovery patch_moments are
+    computed once, on first use, and left out of pickles.  A mesh is
+    identified by the object itself: fields hold the mesh they live on.
     """
 
     vertices: np.ndarray
@@ -166,10 +171,65 @@ class Mesh:
         area2 = bx[0] * (x[0] - x[2]) + by[0] * (y[0] - y[2])
         return 0.5 * area2, bx / area2, by / area2
 
+    @cached_property
+    def gradient_patches(self):
+        """patch_moments of gradient recovery: each vertex's elements at their
+        centroids, for a starved vertex (on fewer than 3) its neighbours' too."""
+        n, nt = len(self.vertices), len(self.triangles)
+        patches = sp.csr_matrix((np.ones(3 * nt), (self.triangles.ravel(),
+                                 np.repeat(np.arange(nt), 3))), shape=(n, nt))
+        starved = np.diff(patches.indptr) < 3
+        if np.any(starved):
+            patches = patches + sp.diags(starved * 1.0) @ self.adjacency @ patches
+        cx, cy = (c.mean(axis=0) for c in _corners(self.vertices, self.triangles))
+        return patch_moments(patches.indptr, patches.indices, cx, cy, *self.vertices.T)
+
+    @cached_property
+    def hessian_patches(self):
+        """patch_moments of Hessian recovery over the two-ring vertex patches,
+        the rows of adjacency @ adjacency, multiplied out a row block at a time."""
+        A, x, y = self.adjacency, *self.vertices.T
+        ring = [(p.indices, np.diff(p.indptr)) for p in (
+            A[lo:lo + _BLOCK_ROWS] @ A for lo in range(0, len(x), _BLOCK_ROWS))]
+        indptr = np.r_[0, np.cumsum(np.concatenate([c for _, c in ring]))].astype(np.int32)
+        return patch_moments(indptr, np.concatenate([i for i, _ in ring]), x, y, x, y)
+
     def __getstate__(self):
         """Pickle without any cached_property: a pool worker rebuilds what it reads."""
         return {k: v for k, v in vars(self).items()
                 if not isinstance(vars(Mesh).get(k), cached_property)}
+
+
+PatchMoments = namedtuple("PatchMoments", "indptr indices px py x0 y0 mx my sxx sxy syy det ok")
+
+
+def row_blocks(indptr):
+    """(lo, hi, ptr from 0, slice of the samples) per _BLOCK_ROWS CSR rows."""
+    for lo in range(0, len(indptr) - 1, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, len(indptr) - 1)
+        yield lo, hi, indptr[lo:hi + 1] - indptr[lo], slice(indptr[lo], indptr[hi])
+
+
+def patch_moments(indptr, indices, px, py, x0, y0):
+    """Mesh-only stage of fem_core's patch fits, a row block at a time: row i
+    of (indptr, indices) lists the samples k of patch i, at (px[k], py[k]).
+    Of the offsets d_k = p_k - (x0[i], y0[i]) it keeps the mean m = (mx, my),
+    the moments sxx, sxy, syy of e_k = d_k - m (one reduceat segment per row)
+    and their det; ok is False if a patch has under 3 samples or det at most
+    _DEGENERATE_PATCH times its squared trace.  Never raises: the fits do."""
+    counts = np.diff(indptr)
+    mx, my, sxx, sxy, syy = np.zeros((5, len(counts)))
+    if np.all(counts >= 3):
+        for lo, hi, ptr, entries in row_blocks(indptr):
+            c, starts, idx = counts[lo:hi], ptr[:-1], indices[entries]
+            dx, dy = (np.take(p, idx) - np.repeat(p0[lo:hi], c) for p, p0 in ((px, x0), (py, y0)))
+            mx[lo:hi], my[lo:hi] = np.add.reduceat(dx, starts) / c, np.add.reduceat(dy, starts) / c
+            ex, ey = dx - np.repeat(mx[lo:hi], c), dy - np.repeat(my[lo:hi], c)
+            sxx[lo:hi], sxy[lo:hi], syy[lo:hi] = (np.add.reduceat(e * f, starts)
+                                                  for e, f in ((ex, ex), (ex, ey), (ey, ey)))
+    det = sxx * syy - sxy * sxy
+    return PatchMoments(indptr, indices, px, py, x0, y0, mx, my, sxx, sxy, syy, det,
+                        bool(np.all(det > _DEGENERATE_PATCH * (sxx + syy) ** 2)))
 
 
 def _corners(vertices, triangles):

@@ -19,7 +19,7 @@ from .fem_core import (
     Field,
     hessian_recovery,
     normal_derivative,
-    solve_one_phase,
+    solve_for_recovery,
     solve_pair,
 )
 from .geometry import (
@@ -207,16 +207,16 @@ def full_report(domain: DomainSpec, inclusion: Optional[DomainSpec],
                 refine_levels: int = 0, jobs: int = 1) -> SerrinReport:
     """Solve the full pipeline and populate every report field deterministically.
 
-    With an inclusion and sigma_c != 1, v and u are solve_pair's, so with
-    jobs > 1 u's solve runs on a second thread; the report does not depend on
-    jobs.
+    With an inclusion and sigma_c != 1, v and u are solve_pair's, else u is v,
+    from solve_for_recovery; either way with jobs > 1 one solve runs on a
+    second thread.  The report does not depend on jobs.
     """
     mesh = generate(domain, inclusion, target_h)
     for _ in range(refine_levels):
         mesh = refine(mesh)
 
     if inclusion is None or sigma_c == 1.0:  # then u is v
-        v = solve_one_phase(mesh)
+        v = solve_for_recovery(mesh, jobs)
         tr_v = tr_u = normal_derivative(mesh, v)
     else:
         v, u = solve_pair(mesh, sigma_c, jobs)

@@ -6,6 +6,7 @@ config its command workloads (perfbench/bench_cases.py) run must decode."""
 import ast
 import os
 import importlib
+import sys
 import importlib.util
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from serrinlab import cli_io, experiments, fem_core
+from serrinlab import cli_io, experiments, fem_core, serrin_diagnostics
 from serrinlab.geometry import DomainSpec
 from serrinlab.serrin_diagnostics import full_report
 
@@ -76,15 +77,26 @@ def test_bench_case_configs_decode(workload, seed):
 
 def test_serial_report_solves_through_traced_names(monkeypatch):
     # at jobs 1 the tracer's fem_core.solve spans and CG counters come from
-    # one call each to the module attributes solve_one_phase and solve_two_phase
-    calls = {"solve_one_phase": 0, "solve_two_phase": 0}
-    for name in calls:
-        fn = getattr(fem_core, name)
-        monkeypatch.setattr(fem_core, name, lambda *a, _fn=fn, _name=name:
-                            calls.__setitem__(_name, calls[_name] + 1) or _fn(*a))
-    full_report(DomainSpec("ellipse", a=1.2, b=1.0), DomainSpec("disk", radius=0.3), 2.0,
-                0.1, jobs=1)
-    assert calls == {"solve_one_phase": 1, "solve_two_phase": 1}
+    # one call each to the module attributes solve_one_phase and
+    # solve_two_phase (the latter only with an inclusion), and its recovery
+    # and max_point spans from one call each to theirs; like the tracer, the
+    # counters re-point every serrinlab binding of each function
+    names = {"solve_one_phase": fem_core, "solve_two_phase": fem_core,
+             "recovered_gradient": fem_core, "hessian_recovery": fem_core,
+             "max_point": serrin_diagnostics}
+    calls = dict.fromkeys(names, 0)
+    for name, home in names.items():
+        fn = getattr(home, name)
+        counted = (lambda *a, _fn=fn, _name=name:
+                   calls.__setitem__(_name, calls[_name] + 1) or _fn(*a))
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.startswith("serrinlab") and vars(mod).get(name) is fn:
+                monkeypatch.setattr(mod, name, counted)
+    for inclusion in (DomainSpec("disk", radius=0.3), None):
+        calls.update(dict.fromkeys(names, 0))
+        full_report(DomainSpec("ellipse", a=1.2, b=1.0), inclusion, 2.0, 0.1, jobs=1)
+        assert calls == {"solve_one_phase": 1, "solve_two_phase": int(inclusion is not None),
+                         "recovered_gradient": 1, "hessian_recovery": 1, "max_point": 1}
 
 
 def test_serial_runners_call_traced_names_in_serial_order(tmp_path, monkeypatch):

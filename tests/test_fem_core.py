@@ -27,6 +27,7 @@ from serrinlab.fem_core import (
     normal_derivative,
     recovered_gradient,
     solve_harmonic_dirichlet,
+    solve_for_recovery,
     solve_linearized,
     solve_one_phase,
     solve_pair,
@@ -80,11 +81,43 @@ def einsum_stiffness(mesh, sigma):
     return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
 
 
-def einsum_recovered_gradient(mesh, values):
-    """recovered_gradient with the element gradients by einsum, for comparison."""
+def unblocked_linear_fits(patches, px, py, x0, y0, values, caller):
+    """The linear fits over all rows at once, both stages in one pass: the
+    bit-for-bit reference of fem_core's blocked stages."""
+    indptr, indices = patches.indptr, patches.indices
+    counts = np.diff(indptr)
+    if np.any(counts < 3):
+        raise ValidationError(f"{caller}: degenerate vertex patch")
+    starts = indptr[:-1]
+    dx = np.take(px, indices) - np.repeat(x0, counts)
+    dy = np.take(py, indices) - np.repeat(y0, counts)
+    mx = np.add.reduceat(dx, starts) / counts
+    my = np.add.reduceat(dy, starts) / counts
+    ex = dx - np.repeat(mx, counts)
+    ey = dy - np.repeat(my, counts)
+    sxx = np.add.reduceat(ex * ex, starts)
+    sxy = np.add.reduceat(ex * ey, starts)
+    syy = np.add.reduceat(ey * ey, starts)
+    det = sxx * syy - sxy * sxy
+    if not np.all(det > 1e-10 * (sxx + syy) ** 2):
+        raise ValidationError(f"{caller}: degenerate vertex patch")
+    rx, ry, total = (sp.csr_matrix((data, indices, indptr), shape=patches.shape) @ values
+                     for data in (ex, ey, np.ones(len(indices))))
+    bx = (syy[:, None] * rx - sxy[:, None] * ry) / det[:, None]
+    by = (sxx[:, None] * ry - sxy[:, None] * rx) / det[:, None]
+    return total / counts[:, None] - bx * mx[:, None] - by * my[:, None], bx, by
+
+
+def linear_fits(patches, px, py, x0, y0, values, caller):
+    """fem_core's two stages over the rows of the CSR matrix patches."""
+    return fem_core._linear_fits(
+        meshgen.patch_moments(patches.indptr, patches.indices, px, py, x0, y0), values, caller)
+
+
+def unblocked_gradient_fit(mesh, ge):
+    """Recovered gradient of the element gradients ge by unblocked_linear_fits
+    on patches built in place."""
     n = len(mesh.vertices)
-    _, grads = einsum_geometry(mesh)
-    ge = np.einsum("tie,ti->te", grads, values[mesh.triangles])
     x, y = mesh.vertices.T
     corners = mesh.triangles.ravel()
     patches = sp.csr_matrix((np.ones(len(corners)),
@@ -92,9 +125,34 @@ def einsum_recovered_gradient(mesh, values):
     starved = np.diff(patches.indptr) < 3
     if np.any(starved):
         patches = patches + sp.diags(starved * 1.0) @ mesh.adjacency @ patches
-    return fem_core._linear_fits(patches, np.take(x, mesh.triangles).mean(axis=1),
+    return unblocked_linear_fits(patches, np.take(x, mesh.triangles).mean(axis=1),
                                  np.take(y, mesh.triangles).mean(axis=1), x, y, ge,
                                  "recovered_gradient")[0]
+
+
+def unblocked_recovered_gradient(mesh, values):
+    """recovered_gradient with the mesh's element gradients, fitted unblocked."""
+    _, gx, gy = mesh.element_geometry
+    u = np.take(values, mesh.triangles.T)
+    return unblocked_gradient_fit(mesh, np.stack([gx[0] * u[0] + gx[1] * u[1] + gx[2] * u[2],
+                                                  gy[0] * u[0] + gy[1] * u[1] + gy[2] * u[2]],
+                                                 axis=1))
+
+
+def unblocked_hessian(mesh, f):
+    """hessian_recovery by unblocked_linear_fits over the float adjacency @ adjacency."""
+    g = unblocked_recovered_gradient(mesh, f.values)
+    x, y = mesh.vertices.T
+    _, bx, by = unblocked_linear_fits(mesh.adjacency @ mesh.adjacency, x, y, x, y, g,
+                                      "hessian_recovery")
+    Hv = np.stack([bx, by], axis=1)
+    return 0.5 * (Hv + Hv.transpose(0, 2, 1))
+
+
+def einsum_recovered_gradient(mesh, values):
+    """recovered_gradient with the element gradients by einsum, for comparison."""
+    _, grads = einsum_geometry(mesh)
+    return unblocked_gradient_fit(mesh, np.einsum("tie,ti->te", grads, values[mesh.triangles]))
 
 
 def reference_hessian(mesh, f):
@@ -440,6 +498,16 @@ class TestBoundaryResidual:
         ref = self.reference(mesh, element_sigma(mesh, 2.0), up, b)
         assert np.array_equal(up.boundary_residual, ref)
 
+    @pytest.mark.parametrize("name", ["ellipse_mesh", "refined_concentric"])
+    def test_one_and_two_phase_from_boundary_rows(self, name, request):
+        # the system keeps K[bnd] and load[bnd], not the full K
+        mesh = request.getfixturevalue(name)
+        assert fem_core._torsion_system(mesh, 2.0)[0].shape == \
+            (len(mesh.boundary_loop), len(mesh.vertices))
+        for f in (solve_one_phase(mesh), solve_two_phase(mesh, 2.0)):
+            ref = self.reference(mesh, element_sigma(mesh, f.sigma_c), f, load_constant(mesh))
+            assert np.array_equal(f.boundary_residual, ref)
+
     def test_flux_recovery_assembles_nothing(self, concentric_mesh, monkeypatch):
         u = solve_two_phase(concentric_mesh, 2.0)
         calls = []
@@ -683,15 +751,14 @@ class TestDegeneratePatch:
         px, py = (0.1 + 0 * t, 0.2 + t) if slope == np.inf else (t, 0.2 + slope * t)
         patches = sp.csr_matrix(np.ones((1, 4)))
         with pytest.raises(ValidationError, match="^caller: degenerate vertex patch"):
-            fem_core._linear_fits(patches, px, py, np.zeros(1), np.zeros(1),
-                                  np.ones((4, 2)), "caller")
+            linear_fits(patches, px, py, np.zeros(1), np.zeros(1), np.ones((4, 2)), "caller")
 
     def test_fit_of_a_plane_is_exact(self):
         # the same patch off the line fits a linear field exactly
         px, py = np.array([0.1, 0.25, 0.7, 1.3]), np.array([0.2, 0.5, 0.1, 0.9])
         values = np.column_stack([1.0 + 2.0 * px - py, -3.0 * py])
-        c, bx, by = fem_core._linear_fits(sp.csr_matrix(np.ones((1, 4))), px, py,
-                                          np.array([0.5]), np.array([0.5]), values, "fit")
+        c, bx, by = linear_fits(sp.csr_matrix(np.ones((1, 4))), px, py,
+                                np.array([0.5]), np.array([0.5]), values, "fit")
         np.testing.assert_allclose(c, [[1.5, -1.5]], rtol=1e-13)
         np.testing.assert_allclose(bx, [[2.0, 0.0]], atol=1e-13)
         np.testing.assert_allclose(by, [[-1.0, -3.0]], rtol=1e-13)
@@ -731,3 +798,77 @@ class TestHessianRecovery:
         deep = r < 0.5
         assert np.abs(H[deep, 0, 0] + 1.0 / 2.44).max() < 0.05
         assert np.abs(H[deep, 1, 1] + 1.44 / 2.44).max() < 0.05
+
+
+class TestBlockedRecovery:
+    """Recovery fits a row block at a time from per-mesh patch moments, bit
+    for bit the unblocked fits, and keeps no per-sample floats."""
+
+    @pytest.mark.parametrize("name", ["disk_mesh", "concentric_mesh", "refined_concentric",
+                                      "square"])
+    @pytest.mark.parametrize("block_rows", [7, 100, 1 << 20])
+    def test_matches_unblocked_reference(self, name, block_rows, request, monkeypatch):
+        # a fresh copy builds its caches at this block size; the square's
+        # corners are starved, and no row count here is a multiple of 7 or 100
+        base = make_square_mesh() if name == "square" else request.getfixturevalue(name)
+        mesh = replace(base)
+        assert len(mesh.vertices) % block_rows != 0
+        monkeypatch.setattr(meshgen, "_BLOCK_ROWS", block_rows)
+        v = solve_one_phase(mesh)
+        assert np.array_equal(recovered_gradient(mesh, v.values),
+                              unblocked_recovered_gradient(mesh, v.values))
+        assert np.array_equal(hessian_recovery(mesh, v), unblocked_hessian(mesh, v))
+
+    def test_caches_keep_int32_structure_and_row_moments(self, refined_concentric, monkeypatch):
+        monkeypatch.setattr(meshgen, "_BLOCK_ROWS", 100)
+        mesh = replace(refined_concentric)
+        ring = mesh.adjacency @ mesh.adjacency
+        hp = mesh.hessian_patches
+        assert np.array_equal(hp.indptr, ring.indptr) and np.array_equal(hp.indices, ring.indices)
+        for patches in (mesh.gradient_patches, hp):
+            assert patches.indices.dtype == np.int32 and patches.ok
+            per_sample = [k for k, a in patches._asdict().items()
+                          if np.ndim(a) and len(a) == len(patches.indices)]
+            assert per_sample == ["indices"]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_degenerate_patch_raised_by_recovery_at_any_jobs(self, jobs):
+        # building the moments never raises; the fit that reads them does
+        mesh = fan_mesh()
+        v = solve_for_recovery(mesh, jobs)
+        assert not mesh.gradient_patches.ok
+        with pytest.raises(ValidationError, match="^recovered_gradient: degenerate vertex patch"):
+            hessian_recovery(mesh, v)
+
+
+class TestSolveForRecovery:
+    """solve_for_recovery is solve_one_phase bit for bit; with jobs > 1 v's CG
+    runs on the worker thread while the caller fills the recovery caches."""
+
+    @pytest.mark.parametrize("name", ["disk_mesh", "refined_concentric"])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_matches_serial_solve(self, name, jobs, request, monkeypatch):
+        base = request.getfixturevalue(name)
+        ref, mesh = solve_one_phase(base), replace(base)
+        on_main = []
+        pcg = fem_core._pcg
+        monkeypatch.setattr(fem_core, "_pcg", lambda *a: on_main.append(
+            threading.current_thread() is threading.main_thread()) or pcg(*a))
+        v = solve_for_recovery(mesh, jobs)
+        assert on_main == [jobs == 1]
+        if jobs > 1:
+            assert {"edge_table", "h_max", "adjacency", "gradient_patches",
+                    "hessian_patches"} <= set(vars(mesh))
+        assert (v.label, v.sigma_c, v.iterations, v.residual) == \
+            (ref.label, ref.sigma_c, ref.iterations, ref.residual)
+        assert np.array_equal(v.values, ref.values)
+        assert np.array_equal(v.boundary_residual, ref.boundary_residual)
+
+    def test_worker_error_reaches_caller(self, refined_concentric, monkeypatch):
+        err = SolverError("v's CG failed")
+        TestSolvePair.failing_pcg(monkeypatch, {False: err, True: None})
+        threads = threading.active_count()
+        with pytest.raises(SolverError) as info:
+            solve_for_recovery(replace(refined_concentric), 2)
+        assert info.value is err
+        assert threading.active_count() == threads

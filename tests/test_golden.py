@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from serrinlab.cli_io import load_config, run
+from serrinlab.cli_io import config_from_dict, load_config, run
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = sorted((ROOT / "configs").glob("*.json"))
@@ -63,3 +63,23 @@ def test_sweep_artifacts_independent_of_jobs(config, tmp_path, monkeypatch):
         artifacts[jobs] = {name: (out / name).read_bytes()
                            for name in ("report.csv", "fit.json", "plot.svg")}
     assert artifacts[1] == artifacts[2]
+
+
+INCLUSION_DIAGNOSE = {"command": "diagnose", "name": "diagnose-inclusion-refined",
+                      "domain": {"kind": "ellipse", "a": 1.2, "b": 1.0},
+                      "inclusion": {"kind": "disk", "radius": 0.3}, "sigma_c": 2.0,
+                      "target_h": 0.05, "refine_levels": 1}
+
+
+@pytest.mark.parametrize("config", ["diagnose_ellipse", "verify_identity", "inclusion"])
+def test_report_artifacts_independent_of_jobs(config, tmp_path, monkeypatch):
+    """A second solve thread (jobs=2) writes the same bytes as the serial path."""
+    cfg = (config_from_dict(INCLUSION_DIAGNOSE) if config == "inclusion"
+           else load_config(ROOT / "configs" / f"{config}.json"))
+    artifacts = {}
+    for jobs in (1, 2):
+        monkeypatch.setenv("SERRIN_LAB_OUT", str(tmp_path / f"jobs{jobs}"))
+        assert run(cfg, jobs=jobs) == 0
+        out = tmp_path / f"jobs{jobs}" / cfg.name
+        artifacts[jobs] = {name: (out / name).read_bytes() for name in _artifacts(out)}
+    assert artifacts[1] == artifacts[2] and "report.csv" in artifacts[1]

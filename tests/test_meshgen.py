@@ -523,7 +523,8 @@ class TestConnectivity:
         monkeypatch.setattr(Mesh, "extra_cache", extra, raising=False)
         cached = [k for k, v in vars(Mesh).items() if isinstance(v, cached_property)]
         refined_only = {"interior_prolongation"}
-        assert {"edge_table", "interior", "adjacency", "element_geometry"} | refined_only \
+        assert {"edge_table", "interior", "adjacency", "element_geometry", "gradient_patches",
+                "hessian_patches"} | refined_only \
             < set(cached)
         fine = refine(concentric_mesh)
         for mesh in (fine, concentric_mesh):
