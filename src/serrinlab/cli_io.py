@@ -475,9 +475,11 @@ def main(argv=None) -> int:
                         help="path to a JSON run config, which names its command")
     parser.add_argument("--jobs", type=int, default=_usable_cores(),
                         help="parallel workers: sweep members and verify-identity's "
-                             "level 0 in processes, the two-phase solve of diagnose and "
-                             "verify-identity on a thread; at least 1 (default: the "
-                             "cores this process may run on)")
+                             "level 0 in processes; in diagnose and verify-identity one "
+                             "solve stage on a thread (the two-phase solve with an "
+                             "inclusion and sigma_c != 1, else the one-phase solve while "
+                             "recovery is set up); at least 1 (default: the cores this "
+                             "process may run on)")
     args = parser.parse_args(argv)
     if args.jobs < 1:
         print("error: --jobs: must be at least 1", file=sys.stderr)

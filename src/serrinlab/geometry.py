@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.spatial import cKDTree
+from scipy.spatial._ckdtree import cKDTree
 
 from .errors import ValidationError
 

@@ -31,7 +31,8 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.spatial import Delaunay, cKDTree
+from scipy.spatial._ckdtree import cKDTree
+from scipy.spatial._qhull import Delaunay
 
 from .errors import MeshQualityError, ValidationError
 from .geometry import TWO_PI, DomainSpec, curvature_max, exact_perimeter, inclusion_margin

@@ -741,6 +741,66 @@ class TestProcess:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == []
 
+    DEFERRED_NUMPY = ("f2py", "testing", "polynomial", "ctypeslib", "char", "rec")
+    UNLOADED_SCIPY = ("scipy.spatial", "scipy.spatial.distance", "scipy.spatial.transform",
+                      "scipy.special")
+
+    def test_no_command_loads_the_deferred_modules(self, tmp_path):
+        """Importing the CLI leaves scipy.spatial's package and scipy.special
+        unimported and numpy's unused submodules unexecuted, and so do a
+        diagnose and a sweep-sigma run at two jobs in the same process."""
+        for cfg in (DIAG_CFG, SIGMA_CFG):
+            _write(tmp_path, f"{cfg['command']}.json", cfg)
+        probe = f"""if True:
+            import sys, types
+            import numpy, serrinlab.cli_io as cli_io
+
+            def loaded():
+                return ([m for m in {self.UNLOADED_SCIPY!r} if m in sys.modules]
+                        + [m for m in {self.DEFERRED_NUMPY!r}
+                           if type(sys.modules['numpy.' + m]) is types.ModuleType
+                           or vars(numpy)[m] is not sys.modules['numpy.' + m]])
+
+            print(*loaded(), sep=',')
+            for command in ('diagnose', 'sweep-sigma'):
+                assert cli_io.main(['--config', sys.argv[1] + '/' + command + '.json',
+                                    '--jobs', '2']) == 0
+            print(*loaded(), sep=',')
+            """
+        proc = subprocess.run([sys.executable, "-c", probe, str(tmp_path)],
+                              env=self._env(SERRIN_LAB_OUT=str(tmp_path / "out")), cwd=ROOT,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["", ""]
+
+    def test_deferred_modules_work_on_first_use(self):
+        probe = """if True:
+            import numpy, serrinlab.cli_io
+            from serrinlab import geometry, meshgen
+            numpy.testing.assert_allclose(numpy.ma.masked_array([1.0, 9.0], mask=[0, 1]).sum(), 1.0)
+            assert numpy.polynomial.Polynomial([1, 2])(2) == 5
+            import scipy.spatial
+            assert scipy.spatial.Delaunay is meshgen.Delaunay
+            assert scipy.spatial.cKDTree is geometry.cKDTree
+            assert scipy.spatial.distance.euclidean([0, 0], [3, 4]) == 5
+            """
+        proc = subprocess.run([sys.executable, "-c", probe], env=self._env(), cwd=ROOT,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_modules_imported_before_serrinlab_are_kept(self):
+        probe = """if True:
+            import sys, types
+            import numpy.testing
+            before = numpy.testing
+            import serrinlab.cli_io
+            assert sys.modules['numpy.testing'] is before is numpy.testing
+            assert type(before) is types.ModuleType
+            """
+        proc = subprocess.run([sys.executable, "-c", probe], env=self._env(), cwd=ROOT,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
     def test_readme_lists_every_command(self):
         text = (ROOT / "README.md").read_text()
         listed = re.search(r"^Commands: (.*?)\.$", text, re.M | re.S).group(1)
