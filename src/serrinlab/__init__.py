@@ -10,18 +10,23 @@ def _defer_unused_modules():
     execute numpy submodules no command calls (f2py and testing alone are
     most of a process's import time); each is put in place as a lazy module
     that runs on its first attribute read.  numpy.ma is not among them, as
-    every Delaunay call reads numpy.ma.isMaskedArray.  Delaunay and cKDTree
-    are loaded from scipy.spatial's two extension modules under their own
-    names, so the package __init__, with scipy.spatial.distance,
-    scipy.special and scipy.spatial.transform, runs only if something imports
-    scipy.spatial itself; it then reuses these two modules.  Modules already
-    imported are left alone.
+    every Delaunay call reads numpy.ma.isMaskedArray.  Four scipy extension
+    modules are loaded from their files under their own names, so no package
+    __init__ above them runs: Delaunay and cKDTree from scipy.spatial's
+    _qhull and _ckdtree (not scipy.spatial.distance, scipy.special or
+    scipy.spatial.transform), the LAPACK pointers _qhull cimports from
+    scipy.linalg.cython_lapack (not scipy.linalg), and SuperLU from
+    scipy.sparse.linalg's _superlu (not scipy.sparse.linalg).  A later import
+    of one of those packages reuses these modules.  Modules already imported
+    are left alone.
     """
     import importlib.util
+    import os
     import sys
     from importlib.machinery import PathFinder
 
     import numpy
+    import scipy
 
     for attr in ("f2py", "testing", "polynomial", "ctypeslib", "char", "rec"):
         name = f"numpy.{attr}"
@@ -32,10 +37,14 @@ def _defer_unused_modules():
             sys.modules[name] = module
             spec.loader.exec_module(module)
             setattr(numpy, attr, module)
-    spatial = importlib.util.find_spec("scipy.spatial").submodule_search_locations
-    for name in ("scipy.spatial._qhull", "scipy.spatial._ckdtree"):
+    # cython_lapack before _qhull, which cimports it; each search path is
+    # built from scipy's location, since find_spec on a dotted name would
+    # import its parent packages
+    for name in ("scipy.linalg.cython_lapack", "scipy.spatial._qhull",
+                 "scipy.spatial._ckdtree", "scipy.sparse.linalg._dsolve._superlu"):
         if name not in sys.modules:
-            spec = PathFinder.find_spec(name, spatial)
+            path = os.path.join(scipy.__path__[0], *name.split(".")[1:-1])
+            spec = PathFinder.find_spec(name, [path])
             module = importlib.util.module_from_spec(spec)
             sys.modules[name] = module
             spec.loader.exec_module(module)

@@ -10,9 +10,10 @@ frechet_check has no fixture and excludes |epsilon| < 1e3 CG_REL_TOLERANCE.
 _sweep_result fits the rest and builds every SweepResult.  The sigma,
 inclusion and stability sweeps hand _parallel_map one call per member and
 their floor fixture as the last call: with jobs > 1 up to jobs worker
-processes solve the members while the calling process solves the floor.  At
-any jobs the first error in call order is raised (a member's, then the
-floor's), and only then the sweep's own checks.  frechet_check stays serial.
+processes solve the members while the calling process solves the floor, and
+only then are concurrent.futures.process and multiprocessing imported.  At any
+jobs the first error in call order is raised (a member's, then the floor's),
+and only then the sweep's own checks.  frechet_check stays serial.
 Every solve pins one OpenBLAS thread, so a sweep's own solves sum their dot
 products as its pool workers do, and its artifacts do not depend on `jobs`.
 cli_io's verify-identity hands it level 0's report, then level 1's.
@@ -21,7 +22,6 @@ cli_io's verify-identity hands it level 0's report, then level 1's.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import Optional
@@ -172,6 +172,8 @@ def _parallel_map(calls, jobs):
     """
     if jobs <= 1 or len(calls) <= 1:
         return [call() for call in calls]
+    from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+
     *pooled, last = calls
     workers = min(jobs, len(pooled))
     pin_one_blas_thread()  # forked workers inherit the count

@@ -7,9 +7,12 @@ preconditioner is one symmetric multigrid V-cycle down the parent chain,
 interpolating by each level's Mesh.interior_prolongation; on a generated mesh
 it is Jacobi.  Either way CG stops on the same unpreconditioned residual, at the
 fixed relative tolerance CG_REL_TOLERANCE within the fixed cap of 20
-sqrt(unknowns) + 1000 iterations.  Each solve assembles its stiffness matrix
-once, from the element gradients its Mesh keeps, and keeps the residual
-K u - b on the boundary rows, which is all that variational flux recovery needs.
+sqrt(unknowns) + 1000 iterations.  The sparse LU of the cycle's bottom level,
+and of flux recovery's boundary mass system, is splu: SuperLU's gstrf called
+as scipy.sparse.linalg.splu calls it, so scipy.sparse.linalg is never
+imported.  Each solve assembles its stiffness matrix once, from the element
+gradients its Mesh keeps, and keeps the residual K u - b on the boundary rows,
+which is all that variational flux recovery needs.
 A solve has two stages: assembly (stiffness, Dirichlet elimination) and solve
 (V-cycle set-up, CG, the Field).  With jobs > 1 one worker thread runs a solve
 stage assembled here: solve_pair's u while the caller solves v, or
@@ -40,7 +43,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg._dsolve._superlu import gstrf
 
 from .errors import SolverError, ValidationError
 from .meshgen import Mesh, row_blocks
@@ -190,6 +193,18 @@ def _pcg(A, b, tol, max_iter, precond=None):
         f"CG stalled after {max_iter} iterations (relative residual {resid/normb:.3e})")
 
 
+def splu(A, permc_spec):
+    """Sparse LU of the CSC float64 matrix A: SuperLU's gstrf called with the
+    arguments scipy.sparse.linalg.splu(A, permc_spec) passes it on scipy 1.17.1
+    for a permc_spec other than NATURAL, without importing scipy.sparse.linalg.
+    Like splu, sums A's duplicates in place."""
+    A.sum_duplicates()
+    options = dict(DiagPivotThresh=None, ColPerm=permc_spec, PanelSize=None, Relax=None)
+    return gstrf(A.shape[0], A.nnz, A.data, A.indices.astype(np.intc, copy=False),
+                 A.indptr.astype(np.intc, copy=False), csc_construct_func=sp.csc_array,
+                 ilu=False, options=options)
+
+
 # damped-Jacobi smoothing of the V-cycle: weight and sweeps before and after
 # the coarse correction
 _OMEGA = 0.7
@@ -215,7 +230,7 @@ def _vcycle(mesh, A):
         mesh = mesh.parent
     # a partial, not a closure that calls itself: that would be a reference
     # cycle, and each solve's factors would wait for the cyclic collector
-    return partial(_cycle, levels, splu(A.tocsc(), permc_spec="COLAMD"))
+    return partial(_cycle, levels, splu(A.tocsc(), "COLAMD"))
 
 
 def _cycle(levels, bottom, r, k=0):
@@ -359,7 +374,7 @@ def normal_derivative(mesh: Mesh, f: Field) -> BoundaryTrace:
     upper = ell / 6.0
     M = sp.diags([lumped / 3.0, upper, upper, upper[-1:], upper[-1:]],
                  [0, 1, -1, nb - 1, -(nb - 1)], shape=(nb, nb), format="csc")
-    lam = splu(M).solve(f.boundary_residual)
+    lam = splu(M, "COLAMD").solve(f.boundary_residual)
     # arc-length weights int phi_i over the boundary loop (sum = perimeter)
     return BoundaryTrace(mesh.vertices[mesh.boundary_loop], lam, 0.5 * lumped)
 

@@ -11,10 +11,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from serrinlab.analytic_oracle import (
-    RadialTwoPhaseSolution,
-    disk_green_mixed,
-)
+from serrinlab.analytic_oracle import disk_green_mixed
 from serrinlab.cli_io import config_from_dict, run
 from serrinlab.experiments import (
     frechet_check,
@@ -32,6 +29,8 @@ from serrinlab.fem_core import (
 from serrinlab.geometry import DomainSpec
 from serrinlab.meshgen import generate, refine
 from serrinlab.serrin_diagnostics import full_report
+
+from closed_forms import RadialTwoPhaseSolution
 
 ELLIPSE = DomainSpec("ellipse", a=1.2, b=1.0)
 FI_EXACT = math.pi * 1.2 ** 3 * (1.2 ** 2 - 1.0) ** 2 / (8 * (1.2 ** 2 + 1.0) ** 3)

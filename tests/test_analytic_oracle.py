@@ -6,14 +6,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from serrinlab.analytic_oracle import (
-    RadialTwoPhaseSolution,
-    concentric_two_phase,
-    disk_green,
-    disk_green_mixed,
-    ellipse_torsion,
-)
+from serrinlab.analytic_oracle import disk_green_mixed
 from serrinlab.errors import ValidationError
+
+from closed_forms import RadialTwoPhaseSolution, concentric_two_phase, disk_green, ellipse_torsion
 
 
 class TestRadialSolution:

@@ -743,46 +743,77 @@ class TestProcess:
 
     DEFERRED_NUMPY = ("f2py", "testing", "polynomial", "ctypeslib", "char", "rec")
     UNLOADED_SCIPY = ("scipy.spatial", "scipy.spatial.distance", "scipy.spatial.transform",
-                      "scipy.special")
+                      "scipy.special", "scipy.linalg", "scipy.sparse.linalg")
+    POOL_MODULES = ("concurrent.futures.process", "multiprocessing")
+    STAGES = ("import", "diagnose", "solve", "sweep-sigma")
 
-    def test_no_command_loads_the_deferred_modules(self, tmp_path):
-        """Importing the CLI leaves scipy.spatial's package and scipy.special
-        unimported and numpy's unused submodules unexecuted, and so do a
-        diagnose and a sweep-sigma run at two jobs in the same process."""
-        for cfg in (DIAG_CFG, SIGMA_CFG):
+    @pytest.fixture(scope="class")
+    def loaded(self, tmp_path_factory):
+        """Per stage of one fresh process (importing the CLI, then a diagnose,
+        a solve and a sweep-sigma run at two jobs): the deferred modules that
+        have run, and the process-pool modules imported."""
+        tmp_path = tmp_path_factory.mktemp("process")
+        for cfg in (DIAG_CFG, dict(DIAG_CFG, command="solve", sigma_c=2.0,
+                                   inclusion={"kind": "disk", "radius": 0.3}), SIGMA_CFG):
             _write(tmp_path, f"{cfg['command']}.json", cfg)
         probe = f"""if True:
             import sys, types
             import numpy, serrinlab.cli_io as cli_io
 
             def loaded():
-                return ([m for m in {self.UNLOADED_SCIPY!r} if m in sys.modules]
-                        + [m for m in {self.DEFERRED_NUMPY!r}
-                           if type(sys.modules['numpy.' + m]) is types.ModuleType
-                           or vars(numpy)[m] is not sys.modules['numpy.' + m]])
+                deferred = ([m for m in {self.UNLOADED_SCIPY!r} if m in sys.modules]
+                            + [m for m in {self.DEFERRED_NUMPY!r}
+                               if type(sys.modules['numpy.' + m]) is types.ModuleType
+                               or vars(numpy)[m] is not sys.modules['numpy.' + m]])
+                pool = [m for m in {self.POOL_MODULES!r} if m in sys.modules]
+                print(','.join(deferred) + ';' + ','.join(pool))
 
-            print(*loaded(), sep=',')
-            for command in ('diagnose', 'sweep-sigma'):
+            loaded()
+            for command in {self.STAGES[1:]!r}:
                 assert cli_io.main(['--config', sys.argv[1] + '/' + command + '.json',
                                     '--jobs', '2']) == 0
-            print(*loaded(), sep=',')
+                loaded()
             """
         proc = subprocess.run([sys.executable, "-c", probe, str(tmp_path)],
                               env=self._env(SERRIN_LAB_OUT=str(tmp_path / "out")), cwd=ROOT,
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == ["", ""]
+        return dict(zip(self.STAGES, (line.split(";") for line in proc.stdout.splitlines())))
+
+    def test_no_command_loads_the_deferred_modules(self, loaded):
+        """Importing the CLI leaves scipy.spatial's package, scipy.special,
+        scipy.linalg and scipy.sparse.linalg unimported and numpy's unused
+        submodules unexecuted, and so do a diagnose, a solve and a sweep-sigma
+        run at two jobs in the same process."""
+        assert {stage: deferred for stage, (deferred, _) in loaded.items()} \
+            == dict.fromkeys(self.STAGES, "")
+
+    def test_only_a_pool_loads_the_process_pool_modules(self, loaded):
+        """concurrent.futures.process and multiprocessing are imported by the
+        first run that starts worker processes (the sweep), not by import or
+        by a run at two jobs that uses a thread at most."""
+        assert {stage: pool for stage, (_, pool) in loaded.items()} \
+            == dict(dict.fromkeys(self.STAGES, ""), **{"sweep-sigma": ",".join(self.POOL_MODULES)})
 
     def test_deferred_modules_work_on_first_use(self):
         probe = """if True:
-            import numpy, serrinlab.cli_io
+            import sys, numpy, serrinlab.cli_io
             from serrinlab import geometry, meshgen
+            lapack = sys.modules["scipy.linalg.cython_lapack"]
+            superlu = sys.modules["scipy.sparse.linalg._dsolve._superlu"]
             numpy.testing.assert_allclose(numpy.ma.masked_array([1.0, 9.0], mask=[0, 1]).sum(), 1.0)
             assert numpy.polynomial.Polynomial([1, 2])(2) == 5
             import scipy.spatial
             assert scipy.spatial.Delaunay is meshgen.Delaunay
             assert scipy.spatial.cKDTree is geometry.cKDTree
             assert scipy.spatial.distance.euclidean([0, 0], [3, 4]) == 5
+            import scipy.linalg, scipy.sparse, scipy.sparse.linalg
+            A = numpy.array([[4.0, 1.0], [1.0, 3.0]])
+            numpy.testing.assert_allclose(scipy.linalg.solve(A, [1.0, 2.0]) @ A, [1.0, 2.0])
+            x = scipy.sparse.linalg.spsolve(scipy.sparse.csc_array(A), numpy.array([1.0, 2.0]))
+            numpy.testing.assert_allclose(A @ x, [1.0, 2.0])
+            assert sys.modules["scipy.linalg.cython_lapack"] is lapack
+            assert sys.modules["scipy.sparse.linalg._dsolve._superlu"] is superlu
             """
         proc = subprocess.run([sys.executable, "-c", probe], env=self._env(), cwd=ROOT,
                               capture_output=True, text=True, timeout=120)
@@ -792,10 +823,17 @@ class TestProcess:
         probe = """if True:
             import sys, types
             import numpy.testing
+            import scipy.sparse.linalg
             before = numpy.testing
+            lapack = sys.modules['scipy.linalg.cython_lapack']
+            superlu = sys.modules['scipy.sparse.linalg._dsolve._superlu']
             import serrinlab.cli_io
+            from serrinlab import fem_core
             assert sys.modules['numpy.testing'] is before is numpy.testing
             assert type(before) is types.ModuleType
+            assert sys.modules['scipy.linalg.cython_lapack'] is lapack
+            assert sys.modules['scipy.sparse.linalg._dsolve._superlu'] is superlu
+            assert fem_core.gstrf is superlu.gstrf
             """
         proc = subprocess.run([sys.executable, "-c", probe], env=self._env(), cwd=ROOT,
                               capture_output=True, text=True, timeout=120)

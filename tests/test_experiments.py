@@ -1,10 +1,10 @@
 import ast
+import concurrent.futures
 import json
 import math
 import os
 import subprocess
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from pathlib import Path
 
@@ -379,12 +379,13 @@ class TestParallelMap:
         """The max_workers of each pool _parallel_map starts."""
         started = []
 
-        class Spy(ProcessPoolExecutor):
+        class Spy(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, max_workers=None, **kwargs):
                 started.append(max_workers)
                 super().__init__(max_workers=max_workers, **kwargs)
 
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", Spy)
+        # _parallel_map imports the executor from concurrent.futures where it builds the pool
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
         return started
 
     def test_starts_at_most_one_worker_per_item(self, started):

@@ -10,12 +10,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from serrinlab.analytic_oracle import (
-    RadialTwoPhaseSolution,
-    disk_green,
-    ellipse_torsion,
-    ellipse_torsion_gradient,
-)
+from serrinlab.analytic_oracle import ellipse_torsion_gradient
 from serrinlab import fem_core, meshgen
 from serrinlab.errors import SolverError, ValidationError
 from serrinlab.fem_core import (
@@ -37,6 +32,7 @@ from serrinlab.fem_core import (
 from serrinlab.geometry import DomainSpec
 from serrinlab.meshgen import generate, refine
 
+from closed_forms import RadialTwoPhaseSolution, disk_green, ellipse_torsion
 from conftest import make_square_mesh
 
 
@@ -640,6 +636,37 @@ class TestMultigrid:
 
         h = h_field(disk_mesh, v, (0.0, 0.0))
         assert h.iterations is None and h.residual is None
+
+
+class TestSparseLU:
+    def test_factors_exactly_as_scipy_splu(self, ellipse_spec, monkeypatch):
+        """fem_core.splu calls SuperLU as scipy.sparse.linalg.splu does, on the
+        two matrices the program factors: the coarse Galerkin operator at the
+        bottom of a V-cycle and normal_derivative's boundary mass matrix."""
+        factored = []
+
+        def spy(A, permc_spec):
+            factored.append((A.copy(), permc_spec))
+            return program_splu(A, permc_spec)
+
+        program_splu = fem_core.splu
+        monkeypatch.setattr(fem_core, "splu", spy)
+        coarse = generate(ellipse_spec, DomainSpec("disk", radius=0.3), 0.05)
+        fine = refine(coarse)
+        normal_derivative(fine, solve_two_phase(fine, 2.0))
+        assert [(A.shape[0], spec) for A, spec in factored] == [
+            (len(coarse.interior), "COLAMD"), (len(fine.boundary_loop), "COLAMD")]
+        rng = np.random.default_rng(0)
+        for A, _ in factored:
+            ours = program_splu(A.copy(), "COLAMD")
+            ref = splu(A.copy(), permc_spec="COLAMD")
+            assert np.array_equal(ours.perm_r, ref.perm_r)
+            assert np.array_equal(ours.perm_c, ref.perm_c)
+            for mine, theirs in ((ours.L, ref.L), (ours.U, ref.U)):
+                for part in ("indptr", "indices", "data"):
+                    assert np.array_equal(getattr(mine, part), getattr(theirs, part))
+            b = rng.standard_normal(A.shape[0])
+            assert np.array_equal(ours.solve(b), ref.solve(b))
 
 
 class TestNormalDerivative:
