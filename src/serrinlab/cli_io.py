@@ -181,7 +181,6 @@ class RunConfig:
 config_from_dict = partial(spec_from_dict, RunConfig)
 domain_from_dict = partial(spec_from_dict, DomainSpec, path="domain")
 inclusion_from_dict = partial(spec_from_dict, DomainSpec, path="inclusion")
-config_to_dict = domain_to_dict = spec_to_dict
 
 
 def _read_config(path):
@@ -437,7 +436,7 @@ def run(cfg: RunConfig, jobs: int = 1) -> int:
     """Execute one config; returns the process exit code."""
     outdir = run_dir(cfg)
     outdir.mkdir(parents=True, exist_ok=True)
-    manifest = {"config": config_to_dict(cfg), "version": __version__}
+    manifest = {"config": spec_to_dict(cfg), "version": __version__}
     t0 = time.perf_counter()
     try:
         summary = COMMANDS[cfg.command][0](cfg, outdir, jobs)
@@ -476,10 +475,11 @@ def main(argv=None) -> int:
     parser.add_argument("--jobs", type=int, default=_usable_cores(),
                         help="parallel workers: sweep members and verify-identity's "
                              "level 0 in processes; in diagnose and verify-identity one "
-                             "solve stage on a thread (the two-phase solve with an "
-                             "inclusion and sigma_c != 1, else the one-phase solve while "
-                             "recovery is set up); at least 1 (default: the cores this "
-                             "process may run on)")
+                             "solve stage on a thread beside the caller's work (the "
+                             "two-phase solve beside the one-phase solve with an "
+                             "inclusion and sigma_c != 1, else the one-phase solve "
+                             "beside recovery set-up); at least 1 (default: the cores "
+                             "this process may run on)")
     args = parser.parse_args(argv)
     if args.jobs < 1:
         print("error: --jobs: must be at least 1", file=sys.stderr)

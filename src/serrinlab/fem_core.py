@@ -14,11 +14,11 @@ imported.  Each solve assembles its stiffness matrix once, from the element
 gradients its Mesh keeps, and keeps the residual K u - b on the boundary rows,
 which is all that variational flux recovery needs.
 A solve has two stages: assembly (stiffness, Dirichlet elimination) and solve
-(V-cycle set-up, CG, the Field).  With jobs > 1 one worker thread runs a solve
-stage assembled here: solve_pair's u while the caller solves v, or
-solve_for_recovery's v while the caller builds the mesh's recovery caches.
-The mesh caches the worker reads are filled before it starts, so every field
-is the serial one bit for bit; the threads overlap because the sparse LU, the
+(V-cycle set-up, CG, the Field).  solve_beside runs one torsion solve beside
+work its caller picks; with jobs > 1 the solve stage, assembled on the
+caller, runs on one worker thread while the caller runs the work.  The mesh
+caches the worker reads are filled before it starts, so every field is the
+serial one bit for bit; the threads overlap because the sparse LU, the
 sparse kernels and numpy release the GIL.  Gradient and Hessian recovery fit
 over vertex patches in two stages: patch moments, kept per Mesh, and the fits
 of the values, a row block at a time.
@@ -292,43 +292,28 @@ def solve_one_phase(mesh: Mesh) -> Field:
     return _solve_assembled(mesh, _torsion_system(mesh, 1.0), "v")
 
 
-def _solve_beside(mesh, system, label, sigma_c, work):
-    """(work(), _solve_assembled(mesh, system, label, sigma_c)), the solve on
-    one worker thread while this thread runs work(); if both fail, work's
-    error is raised.  The mesh chain's caches that the solve reads are filled,
-    and BLAS pinned, before the worker starts.  Assembling on the worker would
-    be no faster, and its malloc arena would keep the assembly transients."""
+def solve_beside(mesh: Mesh, sigma_c: float, work: Callable, jobs: int):
+    """(work(), the torsion solve at sigma_c): solve_one_phase's at sigma_c 1,
+    else solve_two_phase's, bit for bit.  With jobs <= 1 work runs first, then
+    the solve, by those module attributes.  With jobs > 1 the solve is
+    assembled here and its solve stage runs on one worker thread while this
+    thread runs work(); if both fail, work's error is raised.  The mesh
+    chain's caches that the solve reads are filled, and BLAS pinned, before
+    the worker starts; assembling on the worker would be no faster, and its
+    malloc arena would keep the assembly transients."""
+    if jobs <= 1:
+        return work(), (solve_one_phase(mesh) if sigma_c == 1.0
+                        else solve_two_phase(mesh, sigma_c))
+    system = _torsion_system(mesh, sigma_c)
     level = mesh
     while level.parent is not None:
         level.interior_prolongation
         level = level.parent
     pin_one_blas_thread()
     with ThreadPoolExecutor(1) as pool:
-        field = pool.submit(_solve_assembled, mesh, system, label, sigma_c)
+        field = pool.submit(_solve_assembled, mesh, system,
+                            "v" if sigma_c == 1.0 else "u", sigma_c)
         return work(), field.result()
-
-
-def solve_pair(mesh: Mesh, sigma_c: float, jobs: int = 1):
-    """(v, u): solve_one_phase(mesh) and solve_two_phase(mesh, sigma_c), bit for bit.
-
-    With jobs <= 1 the two run one after the other.  With jobs > 1 u is
-    assembled here, then its solve stage runs on one worker thread while this
-    thread solves v; if both fail, v's error is raised, as in that order.
-    """
-    if jobs <= 1:
-        return solve_one_phase(mesh), solve_two_phase(mesh, sigma_c)
-    return _solve_beside(mesh, _torsion_system(mesh, sigma_c), "u", sigma_c,
-                         partial(solve_one_phase, mesh))
-
-
-def solve_for_recovery(mesh: Mesh, jobs: int) -> Field:
-    """solve_one_phase(mesh), bit for bit.  With jobs > 1 v's solve stage runs
-    on one worker thread while this thread fills the mesh's edge table, h_max,
-    adjacency and patch moments, which never raises: recovery does, at any jobs."""
-    if jobs <= 1:
-        return solve_one_phase(mesh)
-    return _solve_beside(mesh, _torsion_system(mesh, 1.0), "v", 1.0, lambda: (
-        mesh.h_max, mesh.gradient_patches, mesh.hessian_patches))[1]
 
 
 def solve_harmonic_dirichlet(mesh: Mesh, g: Union[Callable, np.ndarray]) -> Field:

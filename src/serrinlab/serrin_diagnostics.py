@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from functools import partial
+from typing import Optional
 
 import numpy as np
 
@@ -19,8 +20,8 @@ from .fem_core import (
     Field,
     hessian_recovery,
     normal_derivative,
-    solve_for_recovery,
-    solve_pair,
+    solve_beside,
+    solve_one_phase,
 )
 from .geometry import (
     DomainSpec,
@@ -203,23 +204,25 @@ def growth_check(mesh: Mesh, v: Field) -> float:
 
 def full_report(domain: DomainSpec, inclusion: Optional[DomainSpec],
                 sigma_c: float, target_h: float,
-                eta: Union[EtaSpec, Callable, None] = None,
+                eta: Optional[EtaSpec] = None,
                 refine_levels: int = 0, jobs: int = 1) -> SerrinReport:
     """Solve the full pipeline and populate every report field deterministically.
 
-    With an inclusion and sigma_c != 1, v and u are solve_pair's, else u is v,
-    from solve_for_recovery; either way with jobs > 1 one solve runs on a
-    second thread.  The report does not depend on jobs.
+    With an inclusion and sigma_c != 1, u's solve runs beside v's, else u is
+    v and v's solve runs beside the set-up of the mesh's recovery caches; both
+    by solve_beside, so with jobs > 1 the solve runs on a second thread.  The
+    report does not depend on jobs.
     """
     mesh = generate(domain, inclusion, target_h)
     for _ in range(refine_levels):
         mesh = refine(mesh)
 
     if inclusion is None or sigma_c == 1.0:  # then u is v
-        v = solve_for_recovery(mesh, jobs)
+        _, v = solve_beside(mesh, 1.0, lambda: (
+            mesh.h_max, mesh.gradient_patches, mesh.hessian_patches), jobs)
         tr_v = tr_u = normal_derivative(mesh, v)
     else:
-        v, u = solve_pair(mesh, sigma_c, jobs)
+        v, u = solve_beside(mesh, sigma_c, partial(solve_one_phase, mesh), jobs)
         tr_v, tr_u = normal_derivative(mesh, v), normal_derivative(mesh, u)
 
     c = serrin_constant(exact_area(domain), exact_perimeter(domain))

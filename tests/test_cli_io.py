@@ -17,12 +17,11 @@ from hypothesis import strategies as st
 from serrinlab.cli_io import (
     RunConfig,
     config_from_dict,
-    config_to_dict,
     domain_from_dict,
-    domain_to_dict,
     emit_plot,
     main,
     run,
+    spec_to_dict,
 )
 from serrinlab import cli_io, experiments, meshgen, serrin_diagnostics
 from serrinlab.errors import SolverError, ValidationError
@@ -74,13 +73,13 @@ class TestConfigRoundTrip:
                       fitted_C2=4.0, fitted_C3=2.0),
         ]
         for cfg in cfgs:
-            assert config_from_dict(config_to_dict(cfg)) == cfg
+            assert config_from_dict(spec_to_dict(cfg)) == cfg
 
     def test_json_round_trip_through_text(self):
         cfg = RunConfig("diagnose", domain=DomainSpec("ellipse", a=1.2, b=1.0),
                         inclusion=DomainSpec("disk", center=(0.1, 0.0), radius=0.2),
                         sigma_c=3.0)
-        text = json.dumps(config_to_dict(cfg), sort_keys=True)
+        text = json.dumps(spec_to_dict(cfg), sort_keys=True)
         assert config_from_dict(json.loads(text)) == cfg
 
     @given(kind=st.sampled_from(["disk", "ellipse", "star"]),
@@ -93,7 +92,7 @@ class TestConfigRoundTrip:
             spec = DomainSpec("ellipse", center=(cx, 0.0), a=size + 0.5, b=size)
         else:
             spec = DomainSpec("star", center=(cx, 0.0), r0=size, eps=0.1, k=4)
-        assert domain_from_dict(domain_to_dict(spec)) == spec
+        assert domain_from_dict(spec_to_dict(spec)) == spec
 
     def test_missing_command(self):
         with pytest.raises(ValidationError, match="command: required"):
@@ -209,7 +208,7 @@ class TestTypedConfig:
             assert cfg.domain is None or cfg.domain.center == (0.0, 0.0)
             assert cfg.family is None or cfg.family[1].a == 1.2
             assert cfg.eta is None or cfg.eta == EtaSpec(0.01, 2, 0.0)
-            encoded = config_to_dict(cfg)
+            encoded = spec_to_dict(cfg)
             assert {k: encoded[k] for k in d} == d
 
     def test_int_accepted_for_float(self):

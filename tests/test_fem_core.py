@@ -3,7 +3,7 @@ import math
 import pickle
 import threading
 from dataclasses import replace
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 import pytest
@@ -21,11 +21,10 @@ from serrinlab.fem_core import (
     load_constant,
     normal_derivative,
     recovered_gradient,
+    solve_beside,
     solve_harmonic_dirichlet,
-    solve_for_recovery,
     solve_linearized,
     solve_one_phase,
-    solve_pair,
     solve_two_phase,
     stiffness,
 )
@@ -221,26 +220,58 @@ class TestElementGeometry:
         np.testing.assert_allclose(area, ellipse_mesh.triangle_areas(), rtol=1e-12)
 
 
-class TestSolvePair:
-    """solve_pair returns the serial (v, u) bit for bit at any jobs."""
+def recovery_caches(mesh):
+    """The one-phase report's work beside v's solve: fill the recovery caches."""
+    return mesh.h_max, mesh.gradient_patches, mesh.hessian_patches
 
-    @pytest.mark.parametrize("name", ["concentric_mesh", "refined_concentric"])
+
+# the two uses of solve_beside's work: v beside u's solve at sigma_c 2, and the
+# recovery caches beside v's solve
+USES = {"pair": (2.0, solve_one_phase), "recovery": (1.0, recovery_caches)}
+
+
+class TestSolveBeside:
+    """solve_beside returns (work(), the serial torsion solve) bit for bit at
+    any jobs; with jobs > 1 the solve's CG runs on the worker thread."""
+
+    @pytest.mark.parametrize("use,name", [("pair", "concentric_mesh"),
+                                          ("pair", "refined_concentric"),
+                                          ("recovery", "disk_mesh"),
+                                          ("recovery", "refined_concentric")])
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_matches_serial_solves(self, name, jobs, request, monkeypatch):
-        mesh = request.getfixturevalue(name)
-        v_ref, u_ref = solve_one_phase(mesh), solve_two_phase(mesh, 2.0)
+    def test_matches_serial_solves(self, use, name, jobs, request, monkeypatch):
+        base = request.getfixturevalue(name)
+        sigma_c, work = USES[use]
+        refs = [solve_one_phase(base)] + ([solve_two_phase(base, sigma_c)] if use == "pair" else [])
+        mesh = replace(base)
         on_main = []
         pcg = fem_core._pcg
         monkeypatch.setattr(fem_core, "_pcg", lambda *a: on_main.append(
             threading.current_thread() is threading.main_thread()) or pcg(*a))
-        v, u = solve_pair(mesh, 2.0, jobs)
-        # with jobs > 1 one of the two CG runs on the worker thread
-        assert sorted(on_main) == ([True, True] if jobs == 1 else [False, True])
-        for got, ref in ((v, v_ref), (u, u_ref)):
-            assert (got.label, got.sigma_c, got.iterations, got.residual) == \
+        done, field = solve_beside(mesh, sigma_c, partial(work, mesh), jobs)
+        if use == "pair":
+            # with jobs > 1 one of the two CG runs on the worker thread
+            assert sorted(on_main) == ([True, True] if jobs == 1 else [False, True])
+            got = [done, field]
+        else:
+            assert on_main == [jobs == 1]
+            assert {"edge_table", "h_max", "adjacency", "gradient_patches",
+                    "hessian_patches"} <= set(vars(mesh))
+            got = [field]
+        for f, ref in zip(got, refs):
+            assert (f.label, f.sigma_c, f.iterations, f.residual) == \
                 (ref.label, ref.sigma_c, ref.iterations, ref.residual)
-            assert np.array_equal(got.values, ref.values)
-            assert np.array_equal(got.boundary_residual, ref.boundary_residual)
+            assert np.array_equal(f.values, ref.values)
+            assert np.array_equal(f.boundary_residual, ref.boundary_residual)
+
+    @pytest.mark.parametrize("sigma_c", [1.0, 2.0])
+    def test_work_runs_before_solve_at_one_job(self, sigma_c, disk_mesh, monkeypatch):
+        order = []
+        pcg = fem_core._pcg
+        monkeypatch.setattr(fem_core, "_pcg", lambda *a: order.append("solve") or pcg(*a))
+        done, field = solve_beside(disk_mesh, sigma_c, lambda: order.append("work") or 7, 1)
+        assert (done, field.label, order) == (7, "v" if sigma_c == 1.0 else "u",
+                                              ["work", "solve"])
 
     @staticmethod
     def failing_pcg(monkeypatch, errors):
@@ -254,28 +285,32 @@ class TestSolvePair:
             return pcg(*args)
         monkeypatch.setattr(fem_core, "_pcg", fake)
 
-    def test_worker_error_reaches_caller(self, refined_concentric, monkeypatch):
-        err = SolverError("u's CG failed")
+    @pytest.mark.parametrize("use", ["pair", "recovery"])
+    def test_worker_error_reaches_caller(self, use, refined_concentric, monkeypatch):
+        err = SolverError("the worker's CG failed")
         self.failing_pcg(monkeypatch, {False: err, True: None})
+        sigma_c, work = USES[use]
+        mesh = replace(refined_concentric)
         threads = threading.active_count()
         with pytest.raises(SolverError) as info:
-            solve_pair(refined_concentric, 2.0, 2)
+            solve_beside(mesh, sigma_c, partial(work, mesh), 2)
         assert info.value is err
         assert threading.active_count() == threads
 
-    def test_both_failing_raise_v_error(self, refined_concentric, monkeypatch):
+    def test_both_failing_raise_work_error(self, refined_concentric, monkeypatch):
         v_err, u_err = SolverError("v's CG failed"), SolverError("u's CG failed")
         self.failing_pcg(monkeypatch, {False: u_err, True: v_err})
         threads = threading.active_count()
         with pytest.raises(SolverError) as info:
-            solve_pair(refined_concentric, 2.0, 2)
+            solve_beside(refined_concentric, 2.0, partial(solve_one_phase, refined_concentric), 2)
         assert info.value is v_err
         assert threading.active_count() == threads
 
     def test_sigma_nonpositive_rejected(self, concentric_mesh):
         for jobs in (1, 2):
-            with pytest.raises(ValidationError, match="sigma_c"):
-                solve_pair(concentric_mesh, 0.0, jobs)
+            for work in (partial(solve_one_phase, concentric_mesh), lambda: None):
+                with pytest.raises(ValidationError, match="sigma_c"):
+                    solve_beside(concentric_mesh, 0.0, work, jobs)
 
 
 class TestTwoPhase:
@@ -589,7 +624,7 @@ class TestMultigrid:
         counted.__set_name__(meshgen.Mesh, "interior_prolongation")
         monkeypatch.setattr(meshgen.Mesh, "interior_prolongation", counted)
         fine = refine(refine(disk_mesh))
-        solve_pair(fine, 2.0, jobs)
+        solve_beside(fine, 2.0, partial(solve_one_phase, fine), jobs)
         P, R = vars(fine)["interior_prolongation"]
         solve_two_phase(fine, 3.0)
         assert calls == [fine, fine.parent]
@@ -862,40 +897,7 @@ class TestBlockedRecovery:
     def test_degenerate_patch_raised_by_recovery_at_any_jobs(self, jobs):
         # building the moments never raises; the fit that reads them does
         mesh = fan_mesh()
-        v = solve_for_recovery(mesh, jobs)
+        _, v = solve_beside(mesh, 1.0, partial(recovery_caches, mesh), jobs)
         assert not mesh.gradient_patches.ok
         with pytest.raises(ValidationError, match="^recovered_gradient: degenerate vertex patch"):
             hessian_recovery(mesh, v)
-
-
-class TestSolveForRecovery:
-    """solve_for_recovery is solve_one_phase bit for bit; with jobs > 1 v's CG
-    runs on the worker thread while the caller fills the recovery caches."""
-
-    @pytest.mark.parametrize("name", ["disk_mesh", "refined_concentric"])
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_matches_serial_solve(self, name, jobs, request, monkeypatch):
-        base = request.getfixturevalue(name)
-        ref, mesh = solve_one_phase(base), replace(base)
-        on_main = []
-        pcg = fem_core._pcg
-        monkeypatch.setattr(fem_core, "_pcg", lambda *a: on_main.append(
-            threading.current_thread() is threading.main_thread()) or pcg(*a))
-        v = solve_for_recovery(mesh, jobs)
-        assert on_main == [jobs == 1]
-        if jobs > 1:
-            assert {"edge_table", "h_max", "adjacency", "gradient_patches",
-                    "hessian_patches"} <= set(vars(mesh))
-        assert (v.label, v.sigma_c, v.iterations, v.residual) == \
-            (ref.label, ref.sigma_c, ref.iterations, ref.residual)
-        assert np.array_equal(v.values, ref.values)
-        assert np.array_equal(v.boundary_residual, ref.boundary_residual)
-
-    def test_worker_error_reaches_caller(self, refined_concentric, monkeypatch):
-        err = SolverError("v's CG failed")
-        TestSolvePair.failing_pcg(monkeypatch, {False: err, True: None})
-        threads = threading.active_count()
-        with pytest.raises(SolverError) as info:
-            solve_for_recovery(replace(refined_concentric), 2)
-        assert info.value is err
-        assert threading.active_count() == threads
