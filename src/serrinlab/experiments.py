@@ -38,16 +38,9 @@ from .fem_core import (
     solve_one_phase,
     solve_two_phase,
 )
-from .geometry import (
-    DomainSpec,
-    exact_area,
-    exact_perimeter,
-    inclusion_margin,
-    rho_bounds,
-    serrin_constant,
-)
+from .geometry import DomainSpec, exact_area, inclusion_margin, serrin_constant
 from .meshgen import generate
-from .serrin_diagnostics import deviation_norms, max_point
+from .serrin_diagnostics import deviation_norms, max_point, stability_row
 
 FLOOR_FACTOR = 10.0
 
@@ -194,12 +187,8 @@ def _stability_member(domain, target_h):
     """(row, h_max) of one family member."""
     mesh = generate(domain, None, target_h)
     v = solve_one_phase(mesh)
-    tr = normal_derivative(mesh, v)
-    c = serrin_constant(exact_area(domain), exact_perimeter(domain))
-    dev_l2, dev_linf = deviation_norms(tr, c)
-    z = max_point(mesh, v)
-    rho_i, rho_e = rho_bounds(domain, z)
-    return {"gap": rho_e - rho_i, "dev_L2": dev_l2, "dev_Linf": dev_linf}, mesh.h_max
+    row = stability_row(domain, normal_derivative(mesh, v), max_point(mesh, v))
+    return {k: row[k] for k in ("gap", "dev_L2", "dev_Linf")}, mesh.h_max
 
 
 def one_phase_stability_sweep(family, target_h, window=4, jobs=1) -> SweepResult:
@@ -210,15 +199,13 @@ def one_phase_stability_sweep(family, target_h, window=4, jobs=1) -> SweepResult
     """
     if len(family) < 1:
         raise ValidationError("family: must not be empty")
-    *results, (floor_row, _) = _parallel_map(
+    *results, (floors, _) = _parallel_map(
         [partial(_stability_member, d, target_h) for d in family]
         + [partial(_stability_member, DomainSpec("disk", radius=1.0), target_h)], jobs)
     rows = [row for row, _ in results]
     # the gaps are the sweep's parameters, known only once the members are solved
     if not _monotone([r["gap"] for r in rows]):
         raise ValidationError("family: member gaps must be strictly monotone")
-    floors = {"gap": floor_row["gap"], "dev_Linf": floor_row["dev_Linf"],
-              "dev_L2": floor_row["dev_L2"]}
     excluded = [r["gap"] <= FLOOR_FACTOR * floors["gap"]
                 or r["dev_Linf"] <= FLOOR_FACTOR * floors["dev_Linf"] for r in rows]
     return _sweep_result(
@@ -237,7 +224,7 @@ def _sigma_base(domain, inclusion, target_h):
     """(mesh, one-phase trace values, base dev_Linf, c) that the members share."""
     mesh = generate(domain, inclusion, target_h)
     base = normal_derivative(mesh, solve_one_phase(mesh))
-    c = serrin_constant(exact_area(domain), exact_perimeter(domain))
+    c = serrin_constant(domain)
     _, base_dev = deviation_norms(base, c)
     return mesh, base.values, base_dev, c
 

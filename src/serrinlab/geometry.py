@@ -181,11 +181,9 @@ class DomainSpec:
 InclusionSpec = DomainSpec
 
 
-def serrin_constant(area: float, perimeter: float) -> float:
+def serrin_constant(spec: DomainSpec) -> float:
     """c = -area/perimeter, the only value compatible with the overdetermined flux."""
-    if area <= 0 or perimeter <= 0:
-        raise ValidationError("serrin_constant: area and perimeter must be positive")
-    return -area / perimeter
+    return -exact_area(spec) / exact_perimeter(spec)
 
 
 def exact_area(spec: DomainSpec) -> float:

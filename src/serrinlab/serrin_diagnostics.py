@@ -27,8 +27,6 @@ from .geometry import (
     DomainSpec,
     diameter,
     distance_to_boundary,
-    exact_area,
-    exact_perimeter,
     rho_bounds,
     serrin_constant,
 )
@@ -72,11 +70,9 @@ class SerrinReport:
     h_max: float
 
     def __post_init__(self):
-        if self.gap < -1e-12:
-            raise ValidationError("report: gap must be nonnegative")
         for name in ("FI_lhs", "FI_rhs", "FI_gap"):
             if not math.isfinite(getattr(self, name)):
-                raise ValidationError(f"report: {name} not finite")
+                raise DiagnosticError(f"report: finiteness of {name} violated")
 
 
 def max_point(mesh: Mesh, v: Field) -> np.ndarray:
@@ -123,6 +119,22 @@ def deviation_norms(trace: BoundaryTrace, c: float,
         resid = resid - eta
     l2 = math.sqrt(float((resid ** 2 * w).sum()))
     return l2, float(np.abs(resid).max())
+
+
+def stability_row(domain: DomainSpec, trace: BoundaryTrace, z, eta=None) -> dict:
+    """SerrinReport's columns c to gap: the trace's deviation from c (+ eta, its weighted
+    mean removed) and the ball radii about z.  Checks gap >= 0 and the L2/Linf bridge."""
+    c, w = serrin_constant(domain), trace.weights
+    if eta is not None:
+        eta = eta - float((eta * w).sum() / w.sum())
+    dev_l2, dev_linf = deviation_norms(trace, c, eta)
+    if dev_l2 > math.sqrt(float(w.sum())) * dev_linf + 1e-12:  # exact in the discrete norms
+        raise DiagnosticError("stability_row: discrete L2/Linf deviation bridge violated")
+    rho_i, rho_e = rho_bounds(domain, z)
+    if rho_e - rho_i < -1e-12:
+        raise DiagnosticError("stability_row: gap = rho_e - rho_i >= 0 violated")
+    return {"c": c, "dev_L2": dev_l2, "dev_Linf": dev_linf, "z_x": float(z[0]),
+            "z_y": float(z[1]), "rho_i": rho_i, "rho_e": rho_e, "gap": rho_e - rho_i}
 
 
 def h_field(mesh: Mesh, v: Field, z) -> Field:
@@ -225,33 +237,16 @@ def full_report(domain: DomainSpec, inclusion: Optional[DomainSpec],
         v, u = solve_beside(mesh, sigma_c, partial(solve_one_phase, mesh), jobs)
         tr_v, tr_u = normal_derivative(mesh, v), normal_derivative(mesh, u)
 
-    c = serrin_constant(exact_area(domain), exact_perimeter(domain))
-
-    eta_vals = None
-    if eta is not None:
-        theta = mesh.boundary_params
-        raw = np.asarray(eta(theta), dtype=float)
-        w = tr_u.weights
-        eta_vals = raw - float((raw * w).sum() / w.sum())  # project to zero mean
-    dev_l2, dev_linf = deviation_norms(tr_u, c, eta_vals)
-
     z = max_point(mesh, v)
-    rho_i, rho_e = rho_bounds(domain, z)
+    row = stability_row(domain, tr_u, z,
+                        None if eta is None else eta(mesh.boundary_params))
     h = h_field(mesh, v, z)
-    lhs, rhs, fi_gap = fundamental_identity(mesh, v, tr_v, z, c)
+    lhs, rhs, fi_gap = fundamental_identity(mesh, v, tr_v, z, row["c"])
     d_omega = diameter(domain)
-    osc = osc_check(h.values[mesh.boundary_loop], rho_i, rho_e, d_omega,
+    osc = osc_check(h.values[mesh.boundary_loop], row["rho_i"], row["rho_e"], d_omega,
                     slack=10.0 * mesh.h_max ** 2)
     if not osc.bound_holds:
         raise DiagnosticError("osc_check: oscillation bound violated beyond mesh slack")
     growth_min = growth_check(mesh, v)
-
-    report = SerrinReport(
-        c=c, dev_L2=dev_l2, dev_Linf=dev_linf, z_x=float(z[0]), z_y=float(z[1]),
-        rho_i=rho_i, rho_e=rho_e, gap=rho_e - rho_i, osc_h=osc.osc,
-        FI_lhs=lhs, FI_rhs=rhs, FI_gap=fi_gap, growth_min=growth_min,
-        h_max=mesh.h_max)
-    # the L2/Linf deviation bridge holds exactly in the discrete norms
-    if report.dev_L2 > math.sqrt(float(tr_u.weights.sum())) * report.dev_Linf + 1e-12:
-        raise DiagnosticError("report: discrete L2/Linf deviation bridge violated")
-    return report
+    return SerrinReport(**row, osc_h=osc.osc, FI_lhs=lhs, FI_rhs=rhs, FI_gap=fi_gap,
+                        growth_min=growth_min, h_max=mesh.h_max)

@@ -455,10 +455,15 @@ class TestRun:
         (serrin_diagnostics, "osc_check", lambda *a, **k: OscCheck(0.0, False),
          DIAG_CFG),
         (serrin_diagnostics, "deviation_norms", lambda *a: (1.0, 1e-6), DIAG_CFG),
+        (serrin_diagnostics, "deviation_norms", lambda *a: (1.0, 1e-6), STABILITY_CFG),
+        (serrin_diagnostics, "rho_bounds", lambda *a: (1.0, 0.5), DIAG_CFG),
+        (serrin_diagnostics, "fundamental_identity", lambda *a: (math.nan,) * 3,
+         DIAG_CFG),
         (experiments, "deviation_norms", _true_for_base_only(),
          {"command": "sweep-sigma", "domain": DIAG_CFG["domain"], "target_h": 0.1,
           "t_values": [0.2, 0.1, 0.05]}),
-    ], ids=["osc-bound", "L2-Linf-bridge", "sigma-triangle"])
+    ], ids=["osc-bound", "L2-Linf-bridge", "stability-L2-Linf-bridge", "gap-nonnegative",
+            "FI-finite", "sigma-triangle"])
     def test_failed_self_check_exit_3_with_manifest(self, module, name, fake, cfg,
                                                     tmp_path, monkeypatch):
         monkeypatch.setattr(module, name, fake)

@@ -11,8 +11,7 @@ from serrinlab import fem_core, serrin_diagnostics
 from serrinlab.cli_io import _write_csv
 from serrinlab.errors import ValidationError
 from serrinlab.fem_core import normal_derivative, solve_one_phase, stiffness
-from serrinlab.geometry import (DomainSpec, distance_to_boundary, exact_area, exact_perimeter,
-                                serrin_constant)
+from serrinlab.geometry import DomainSpec, distance_to_boundary, serrin_constant
 from serrinlab.meshgen import generate, refine
 from serrinlab.serrin_diagnostics import (
     EtaSpec,
@@ -127,7 +126,7 @@ class TestHField:
 def _identity(mesh, v, z):
     """fundamental_identity with v's boundary trace and the domain's Serrin
     constant, as full_report passes them."""
-    c = serrin_constant(exact_area(mesh.domain), exact_perimeter(mesh.domain))
+    c = serrin_constant(mesh.domain)
     return fundamental_identity(mesh, v, normal_derivative(mesh, v), z, c)
 
 

@@ -26,6 +26,7 @@ from serrinlab.experiments import (
 )
 from serrinlab.geometry import DomainSpec, inclusion_margin
 from serrinlab.meshgen import Mesh
+from serrinlab.serrin_diagnostics import full_report
 
 ELLIPSE = DomainSpec("ellipse", a=1.2, b=1.0)
 DISK = DomainSpec("disk", radius=1.0)
@@ -109,6 +110,15 @@ class TestStabilitySweep:
         sweep = one_phase_stability_sweep(family, 0.05, window=3)
         assert sweep.fit is not None
         assert 0.8 <= sweep.fit.slope <= 1.2
+
+    @pytest.mark.parametrize("domain", [ELLIPSE, DomainSpec("star", r0=1.0, eps=0.1, k=3)],
+                             ids=["ellipse", "star"])
+    def test_member_columns_match_full_report_bit_for_bit(self, domain):
+        # the one-phase sweep and the two-phase report measure the same columns
+        row, _ = experiments._stability_member(domain, 0.1)
+        report = full_report(domain, None, 1.0, 0.1)
+        assert {k: v.hex() for k, v in row.items()} == {
+            k: getattr(report, k).hex() for k in ("gap", "dev_L2", "dev_Linf")}
 
 
 class TestSigmaSweep:
