@@ -74,10 +74,6 @@ class SweepResult:
     h_max: float
     points: list
 
-    def __post_init__(self):
-        if self.fit is not None and not (0.0 <= self.fit.r_squared <= 1.0 + 1e-12):
-            raise ValidationError("sweep: R^2 out of [0, 1]")
-
 
 def _monotone(x):
     """Whether x is strictly increasing or strictly decreasing."""

@@ -91,13 +91,12 @@ class Field:
     boundary_residual is (K u - b)[boundary_loop] of the variational problem the
     field solves, the boundary load that variational flux recovery inverts;
     iterations and residual are the CG iteration count and final relative
-    residual of that solve.  All three are None for derived fields, which
-    solve no problem.
+    residual of that solve.  All three are None for fields built from values,
+    which solve no problem.
     """
 
     mesh: Mesh
     values: np.ndarray
-    label: str
     sigma_c: float = 1.0
     boundary_residual: Optional[np.ndarray] = None
     iterations: Optional[int] = None
@@ -262,7 +261,7 @@ def _assemble_dirichlet(mesh, sigma, load, boundary_values):
     return K[bnd], Ki[:, interior].tocsr(), rhs, x, load[bnd]
 
 
-def _solve_assembled(mesh, system, label, sigma_c=1.0):
+def _solve_assembled(mesh, system, sigma_c=1.0):
     """Solve stage: CG on the reduced system of _assemble_dirichlet,
     V-cycle-preconditioned on a refined mesh, on one OpenBLAS thread; the Field
     keeps its boundary residual K[bnd] x - load[bnd] and its CG record."""
@@ -272,7 +271,7 @@ def _solve_assembled(mesh, system, label, sigma_c=1.0):
     max_iter = int(20 * math.sqrt(len(rhs))) + 1000
     xi, its, res = _pcg(Kii, rhs, CG_REL_TOLERANCE, max_iter, precond)
     x[mesh.interior] = xi
-    return Field(mesh, x, label, sigma_c, Kb @ x - load_b, its, res)
+    return Field(mesh, x, sigma_c, Kb @ x - load_b, its, res)
 
 
 def _torsion_system(mesh, sigma_c):
@@ -284,12 +283,12 @@ def _torsion_system(mesh, sigma_c):
 
 def solve_two_phase(mesh: Mesh, sigma_c: float) -> Field:
     """Galerkin solution of -div(sigma grad u) = 1, u = 0 on the outer boundary."""
-    return _solve_assembled(mesh, _torsion_system(mesh, sigma_c), "u", sigma_c)
+    return _solve_assembled(mesh, _torsion_system(mesh, sigma_c), sigma_c)
 
 
 def solve_one_phase(mesh: Mesh) -> Field:
     """Torsion function: -Laplace(v) = 1 with zero Dirichlet data."""
-    return _solve_assembled(mesh, _torsion_system(mesh, 1.0), "v")
+    return _solve_assembled(mesh, _torsion_system(mesh, 1.0))
 
 
 def solve_beside(mesh: Mesh, sigma_c: float, work: Callable, jobs: int):
@@ -311,8 +310,7 @@ def solve_beside(mesh: Mesh, sigma_c: float, work: Callable, jobs: int):
         level = level.parent
     pin_one_blas_thread()
     with ThreadPoolExecutor(1) as pool:
-        field = pool.submit(_solve_assembled, mesh, system,
-                            "v" if sigma_c == 1.0 else "u", sigma_c)
+        field = pool.submit(_solve_assembled, mesh, system, sigma_c)
         return work(), field.result()
 
 
@@ -323,7 +321,7 @@ def solve_harmonic_dirichlet(mesh: Mesh, g: Union[Callable, np.ndarray]) -> Fiel
     if gb.shape != (len(mesh.boundary_loop),) or not np.all(np.isfinite(gb)):
         raise ValidationError("harmonic data: need finite values at all boundary vertices")
     system = _assemble_dirichlet(mesh, 1.0, np.zeros(len(mesh.vertices)), gb)
-    return _solve_assembled(mesh, system, "h")
+    return _solve_assembled(mesh, system)
 
 
 def solve_linearized(mesh: Mesh, sigma_c: float, u_base: Field) -> Field:
@@ -339,7 +337,7 @@ def solve_linearized(mesh: Mesh, sigma_c: float, u_base: Field) -> Field:
         raise ValidationError("solve_linearized: u_base was solved with another sigma_c")
     K_d = stiffness(mesh, np.where(mesh.region == 1, 1.0, 0.0))
     system = _assemble_dirichlet(mesh, element_sigma(mesh, sigma_c), -(K_d @ u_base.values), 0.0)
-    return _solve_assembled(mesh, system, "u_prime", sigma_c)
+    return _solve_assembled(mesh, system, sigma_c)
 
 
 def normal_derivative(mesh: Mesh, f: Field) -> BoundaryTrace:

@@ -26,9 +26,9 @@ from serrinlab.cli_io import (
 from serrinlab import cli_io, experiments, meshgen, serrin_diagnostics
 from serrinlab.errors import SolverError, ValidationError
 from serrinlab.experiments import FitResult, SweepResult
-from serrinlab.fem_core import solve_two_phase
+from serrinlab.fem_core import hessian_recovery, solve_two_phase
 from serrinlab.geometry import DomainSpec
-from serrinlab.serrin_diagnostics import EtaSpec, OscCheck, SerrinReport
+from serrinlab.serrin_diagnostics import EtaSpec, SerrinReport
 
 
 def _write(tmp_path, name, obj):
@@ -451,26 +451,33 @@ class TestRun:
         assert (fit["fit"] if fit_keys is None else set(fit["fit"])) == fit_keys
 
 
-    @pytest.mark.parametrize("module,name,fake,cfg", [
-        (serrin_diagnostics, "osc_check", lambda *a, **k: OscCheck(0.0, False),
-         DIAG_CFG),
-        (serrin_diagnostics, "deviation_norms", lambda *a: (1.0, 1e-6), DIAG_CFG),
-        (serrin_diagnostics, "deviation_norms", lambda *a: (1.0, 1e-6), STABILITY_CFG),
-        (serrin_diagnostics, "rho_bounds", lambda *a: (1.0, 0.5), DIAG_CFG),
-        (serrin_diagnostics, "fundamental_identity", lambda *a: (math.nan,) * 3,
-         DIAG_CFG),
+    # each fake makes one self-check fail; check names the function that
+    # raises.  osc-bound: a diameter of 1e9 leaves the ellipse's gap 0.2
+    # against the slack 10 h_max^2 (0.127 at target_h 0.08)
+    @pytest.mark.parametrize("module,name,fake,cfg,check", [
+        (serrin_diagnostics, "diameter", lambda *a: 1e9, DIAG_CFG, "osc_check"),
+        (serrin_diagnostics, "deviation_norms", lambda *a: (1.0, 1e-6), DIAG_CFG,
+         "stability_row"),
+        (serrin_diagnostics, "deviation_norms", lambda *a: (1.0, 1e-6), STABILITY_CFG,
+         "stability_row"),
+        (serrin_diagnostics, "rho_bounds", lambda *a: (1.0, 0.5), DIAG_CFG,
+         "stability_row"),
+        (serrin_diagnostics, "hessian_recovery",
+         lambda mesh, f: hessian_recovery(mesh, f) * math.nan, DIAG_CFG,
+         "fundamental_identity"),
         (experiments, "deviation_norms", _true_for_base_only(),
          {"command": "sweep-sigma", "domain": DIAG_CFG["domain"], "target_h": 0.1,
-          "t_values": [0.2, 0.1, 0.05]}),
+          "t_values": [0.2, 0.1, 0.05]}, "sigma sweep"),
     ], ids=["osc-bound", "L2-Linf-bridge", "stability-L2-Linf-bridge", "gap-nonnegative",
             "FI-finite", "sigma-triangle"])
-    def test_failed_self_check_exit_3_with_manifest(self, module, name, fake, cfg,
+    def test_failed_self_check_exit_3_with_manifest(self, module, name, fake, cfg, check,
                                                     tmp_path, monkeypatch):
         monkeypatch.setattr(module, name, fake)
         cfg = config_from_dict(dict(cfg, name="check", output_dir=str(tmp_path)))
         assert run(cfg, jobs=1) == 3
         manifest = json.loads((tmp_path / "check" / "manifest.json").read_text())
         assert manifest["status"] == "solver-failure"
+        assert manifest["error"].startswith(f"{check}: ")
         assert "violated" in manifest["error"]
 
     def test_internal_error_exit_4_with_traceback(self, tmp_path, monkeypatch):

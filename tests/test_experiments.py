@@ -79,6 +79,18 @@ class TestSlopeFit:
         assert fit.slope == pytest.approx(k, abs=1e-9)
         assert fit.r_squared == pytest.approx(1.0, abs=1e-9)
 
+    @given(xs=st.lists(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+                       min_size=3, max_size=8, unique=True),
+           ys=st.lists(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+                       min_size=8, max_size=8),
+           decreasing=st.booleans(), constant=st.booleans())
+    @settings(max_examples=200)
+    def test_r_squared_in_unit_interval(self, xs, ys, decreasing, constant):
+        # 1.0 for constant log y, else max(0, 1 - ss_res/ss_tot) with ss_res >= 0
+        xs = sorted(xs, reverse=decreasing)
+        ys = [ys[0]] * len(xs) if constant else ys[:len(xs)]
+        assert 0.0 <= slope_fit(list(zip(xs, ys))).r_squared <= 1.0
+
 
 class TestStabilitySweep:
     def test_ellipse_family_slope(self):

@@ -259,19 +259,23 @@ class TestSolveBeside:
                     "hessian_patches"} <= set(vars(mesh))
             got = [field]
         for f, ref in zip(got, refs):
-            assert (f.label, f.sigma_c, f.iterations, f.residual) == \
-                (ref.label, ref.sigma_c, ref.iterations, ref.residual)
+            assert (f.sigma_c, f.iterations, f.residual) == \
+                (ref.sigma_c, ref.iterations, ref.residual)
             assert np.array_equal(f.values, ref.values)
             assert np.array_equal(f.boundary_residual, ref.boundary_residual)
 
     @pytest.mark.parametrize("sigma_c", [1.0, 2.0])
     def test_work_runs_before_solve_at_one_job(self, sigma_c, disk_mesh, monkeypatch):
+        # at one job the solve is the module attribute's: solve_one_phase at
+        # sigma_c 1, else solve_two_phase
         order = []
-        pcg = fem_core._pcg
-        monkeypatch.setattr(fem_core, "_pcg", lambda *a: order.append("solve") or pcg(*a))
+        for name in ("solve_one_phase", "solve_two_phase"):
+            real = getattr(fem_core, name)
+            monkeypatch.setattr(fem_core, name, lambda *a, name=name, real=real:
+                                order.append(name) or real(*a))
         done, field = solve_beside(disk_mesh, sigma_c, lambda: order.append("work") or 7, 1)
-        assert (done, field.label, order) == (7, "v" if sigma_c == 1.0 else "u",
-                                              ["work", "solve"])
+        solve = "solve_one_phase" if sigma_c == 1.0 else "solve_two_phase"
+        assert (done, field.sigma_c, order) == (7, sigma_c, ["work", solve])
 
     @staticmethod
     def failing_pcg(monkeypatch, errors):
@@ -667,9 +671,9 @@ class TestMultigrid:
         assert v.iterations > 0 and 0.0 < v.residual <= 1e-10
         up = solve_linearized(concentric_mesh, 2.0, solve_two_phase(concentric_mesh, 2.0))
         assert up.iterations > 0 and up.residual <= 1e-10
-        from serrinlab.serrin_diagnostics import h_field
+        from serrinlab.fem_core import Field
 
-        h = h_field(disk_mesh, v, (0.0, 0.0))
+        h = Field(disk_mesh, v.values + (disk_mesh.vertices ** 2).sum(axis=1) / 4.0)
         assert h.iterations is None and h.residual is None
 
 
@@ -757,7 +761,7 @@ class TestNormalDerivative:
     def test_derived_field_rejected(self, disk_mesh):
         from serrinlab.fem_core import Field
 
-        bogus = Field(disk_mesh, np.zeros(len(disk_mesh.vertices)), "h")
+        bogus = Field(disk_mesh, np.zeros(len(disk_mesh.vertices)))
         with pytest.raises(ValidationError):
             normal_derivative(disk_mesh, bogus)
 
@@ -830,7 +834,7 @@ class TestHessianRecovery:
     def test_quadratic_x2(self, disk_mesh):
         from serrinlab.fem_core import Field
 
-        f = Field(disk_mesh, disk_mesh.vertices[:, 0] ** 2, "custom")
+        f = Field(disk_mesh, disk_mesh.vertices[:, 0] ** 2)
         H = hessian_recovery(disk_mesh, f)
         r = np.hypot(*disk_mesh.vertices.T)
         deep = r < 0.6
@@ -841,7 +845,7 @@ class TestHessianRecovery:
         from serrinlab.fem_core import Field
 
         f = Field(disk_mesh, 3.0 * disk_mesh.vertices[:, 0]
-                  - 2.0 * disk_mesh.vertices[:, 1], "custom")
+                  - 2.0 * disk_mesh.vertices[:, 1])
         H = hessian_recovery(disk_mesh, f)
         assert np.abs(H).max() < 1e-10
 
