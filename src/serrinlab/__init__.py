@@ -6,16 +6,13 @@ __version__ = "0.1.0"
 def _defer_unused_modules():
     """Keep start-up to the modules a command runs.
 
-    scipy's array-API layer reads every public name of numpy, which would
-    execute numpy submodules no command calls (f2py and testing alone are
-    most of a process's import time); each is put in place as a lazy module
-    that runs on its first attribute read.  numpy.ma is not among them, as
-    every Delaunay call reads numpy.ma.isMaskedArray.  Four scipy extension
-    modules are loaded from their files under their own names, so no package
-    __init__ above them runs: Delaunay and cKDTree from scipy.spatial's
-    _qhull and _ckdtree (not scipy.spatial.distance, scipy.special or
+    Four scipy extension modules are loaded from their files under their own
+    names, so no package __init__ above them runs: Delaunay from
+    scipy.spatial's _qhull (not scipy.spatial, scipy.special or
     scipy.spatial.transform), the LAPACK pointers _qhull cimports from
-    scipy.linalg.cython_lapack (not scipy.linalg), and SuperLU from
+    scipy.linalg.cython_lapack (not scipy.linalg), the sparse kernels of
+    serrinlab.csr from scipy.sparse's _sparsetools (not scipy.sparse, whose
+    import runs scipy's array-API layer and numpy.random) and SuperLU from
     scipy.sparse.linalg's _superlu (not scipy.sparse.linalg).  A later import
     of one of those packages reuses these modules.  Modules already imported
     are left alone.
@@ -25,23 +22,13 @@ def _defer_unused_modules():
     import sys
     from importlib.machinery import PathFinder
 
-    import numpy
     import scipy
 
-    for attr in ("f2py", "testing", "polynomial", "ctypeslib", "char", "rec"):
-        name = f"numpy.{attr}"
-        if name not in sys.modules and attr not in vars(numpy):
-            spec = importlib.util.find_spec(name)
-            spec.loader = importlib.util.LazyLoader(spec.loader)
-            module = importlib.util.module_from_spec(spec)
-            sys.modules[name] = module
-            spec.loader.exec_module(module)
-            setattr(numpy, attr, module)
     # cython_lapack before _qhull, which cimports it; each search path is
     # built from scipy's location, since find_spec on a dotted name would
     # import its parent packages
     for name in ("scipy.linalg.cython_lapack", "scipy.spatial._qhull",
-                 "scipy.spatial._ckdtree", "scipy.sparse.linalg._dsolve._superlu"):
+                 "scipy.sparse._sparsetools", "scipy.sparse.linalg._dsolve._superlu"):
         if name not in sys.modules:
             path = os.path.join(scipy.__path__[0], *name.split(".")[1:-1])
             spec = PathFinder.find_spec(name, [path])

@@ -85,6 +85,8 @@ def slope_fit(points, window=4) -> FitResult:
     """Least squares on (log x, log y) over the trailing window (0: all points).
 
     Nonpositive coordinates exclude the point (flagged via used_indices).
+    The logs of the x used must be strictly monotone, and their spread must
+    survive rounding (denominator > 0).
     """
     if window < 0:
         raise ValidationError("window: must be >= 0 (0 fits all points)")
@@ -106,6 +108,10 @@ def slope_fit(points, window=4) -> FitResult:
     sxx = float(lx @ lx)
     sxy = float(lx @ ly)
     denom = n * sxx - sx * sx
+    # strictly monotone x can have logs that round equal (1000.0 and its next
+    # floats), which leave no slope to fit
+    if not (_monotone(lx) and denom > 0):
+        raise ValidationError("slope_fit: log x must be strictly monotone")
     slope = (n * sxy - sx * sy) / denom
     intercept = (sy - slope * sx) / n
     resid = ly - (intercept + slope * lx)

@@ -7,12 +7,15 @@ preconditioner is one symmetric multigrid V-cycle down the parent chain,
 interpolating by each level's Mesh.interior_prolongation; on a generated mesh
 it is Jacobi.  Either way CG stops on the same unpreconditioned residual, at the
 fixed relative tolerance CG_REL_TOLERANCE within the fixed cap of 20
-sqrt(unknowns) + 1000 iterations.  The sparse LU of the cycle's bottom level,
-and of flux recovery's boundary mass system, is splu: SuperLU's gstrf called
-as scipy.sparse.linalg.splu calls it, so scipy.sparse.linalg is never
-imported.  Each solve assembles its stiffness matrix once, from the element
-gradients its Mesh keeps, and keeps the residual K u - b on the boundary rows,
-which is all that variational flux recovery needs.
+sqrt(unknowns) + 1000 iterations.  Every matrix is a serrinlab.csr CSR,
+whose operations are scipy's compiled sparse kernels called as scipy.sparse
+calls them.  The sparse LU of the cycle's bottom level, and of flux
+recovery's cyclic tridiagonal boundary mass system, is splu: SuperLU's gstrf
+called as scipy.sparse.linalg.splu calls it.  So neither scipy.sparse nor
+scipy.sparse.linalg is imported.  Each solve assembles its stiffness matrix
+once, from the element gradients its Mesh keeps, and keeps the residual
+K u - b on the boundary rows, which is all that variational flux recovery
+needs.
 A solve has two stages: assembly (stiffness, Dirichlet elimination) and solve
 (V-cycle set-up, CG, the Field).  solve_beside runs one torsion solve beside
 work its caller picks; with jobs > 1 the solve stage, assembled on the
@@ -42,9 +45,9 @@ from pathlib import Path
 from typing import Callable, Optional, Union
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.sparse.linalg._dsolve._superlu import gstrf
 
+from .csr import CSR
 from .errors import SolverError, ValidationError
 from .meshgen import Mesh, row_blocks
 
@@ -116,12 +119,12 @@ def element_sigma(mesh, sigma_c):
     return np.where(mesh.region == 1, float(sigma_c), 1.0)
 
 
-def stiffness(mesh: Mesh, sigma=1.0) -> sp.csr_matrix:
+def stiffness(mesh: Mesh, sigma=1.0) -> CSR:
     """Assemble the P1 stiffness matrix; sigma is a scalar or per-element array.
 
     Entry (i, j) of element t is (gx_i gx_j + gy_i gy_j) sigma area, from the
     mesh's element_geometry; the entries run element by element, row-major in
-    (i, j), so tocsr sums each vertex pair's duplicates in one fixed order.
+    (i, j), so CSR.from_coo sums each vertex pair's duplicates in one fixed order.
     """
     area, gx, gy = mesh.element_geometry
     weight = np.asarray(sigma, dtype=float) * area
@@ -134,17 +137,17 @@ def stiffness(mesh: Mesh, sigma=1.0) -> sp.csr_matrix:
     rows = np.repeat(tri, 3, axis=1).ravel()
     cols = np.tile(tri, (1, 3)).ravel()
     n = len(mesh.vertices)
-    return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    return CSR.from_coo(rows, cols, local.ravel(), (n, n))
 
 
-def mass_matrix(mesh: Mesh) -> sp.csr_matrix:
+def mass_matrix(mesh: Mesh) -> CSR:
     area = mesh.triangle_areas()
     local = (np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0)
     vals = local[None, :, :] * area[:, None, None]
     rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
     cols = np.tile(mesh.triangles, (1, 3)).ravel()
     n = len(mesh.vertices)
-    return sp.coo_matrix((vals.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    return CSR.from_coo(rows, cols, vals.ravel(), (n, n))
 
 
 def load_constant(mesh: Mesh) -> np.ndarray:
@@ -192,16 +195,22 @@ def _pcg(A, b, tol, max_iter, precond=None):
         f"CG stalled after {max_iter} iterations (relative residual {resid/normb:.3e})")
 
 
-def splu(A, permc_spec):
-    """Sparse LU of the CSC float64 matrix A: SuperLU's gstrf called with the
-    arguments scipy.sparse.linalg.splu(A, permc_spec) passes it on scipy 1.17.1
-    for a permc_spec other than NATURAL, without importing scipy.sparse.linalg.
-    Like splu, sums A's duplicates in place."""
-    A.sum_duplicates()
+def _csc_array(*args, **kwargs):
+    """scipy.sparse.csc_array, for SuperLU to build its L or U factor from:
+    imported on that first read, which no command makes."""
+    from scipy.sparse import csc_array
+    return csc_array(*args, **kwargs)
+
+
+def splu(A: CSR, permc_spec):
+    """Sparse LU of A: SuperLU's gstrf called on A's CSC arrays with the
+    arguments scipy.sparse.linalg.splu(A.tocsc(), permc_spec) passes it on
+    scipy 1.17.1 for a permc_spec other than NATURAL, without importing
+    scipy.sparse.linalg.  A holds no duplicate entries."""
+    csc = A.transpose()
     options = dict(DiagPivotThresh=None, ColPerm=permc_spec, PanelSize=None, Relax=None)
-    return gstrf(A.shape[0], A.nnz, A.data, A.indices.astype(np.intc, copy=False),
-                 A.indptr.astype(np.intc, copy=False), csc_construct_func=sp.csc_array,
-                 ilu=False, options=options)
+    return gstrf(A.shape[0], len(csc.data), csc.data, csc.indices, csc.indptr,
+                 csc_construct_func=_csc_array, ilu=False, options=options)
 
 
 # damped-Jacobi smoothing of the V-cycle: weight and sweeps before and after
@@ -225,11 +234,11 @@ def _vcycle(mesh, A):
     while mesh.parent is not None:
         P, R = mesh.interior_prolongation
         levels.append((A, _OMEGA / A.diagonal(), P, R))
-        A = (R @ A @ P).tocsr()
+        A = R @ A @ P
         mesh = mesh.parent
     # a partial, not a closure that calls itself: that would be a reference
     # cycle, and each solve's factors would wait for the cyclic collector
-    return partial(_cycle, levels, splu(A.tocsc(), "COLAMD"))
+    return partial(_cycle, levels, splu(A, "COLAMD"))
 
 
 def _cycle(levels, bottom, r, k=0):
@@ -256,9 +265,9 @@ def _assemble_dirichlet(mesh, sigma, load, boundary_values):
     interior = mesh.interior
     x = np.zeros(len(mesh.vertices))
     x[bnd] = boundary_values
-    Ki = K[interior]
-    rhs = load[interior] - Ki[:, bnd] @ x[bnd]
-    return K[bnd], Ki[:, interior].tocsr(), rhs, x, load[bnd]
+    Ki = K.rows(interior)
+    rhs = load[interior] - Ki.columns(bnd) @ x[bnd]
+    return K.rows(bnd), Ki.columns(interior), rhs, x, load[bnd]
 
 
 def _solve_assembled(mesh, system, sigma_c=1.0):
@@ -355,8 +364,11 @@ def normal_derivative(mesh: Mesh, f: Field) -> BoundaryTrace:
     nb = len(ell)
     lumped = ell + np.roll(ell, 1)
     upper = ell / 6.0
-    M = sp.diags([lumped / 3.0, upper, upper, upper[-1:], upper[-1:]],
-                 [0, 1, -1, nb - 1, -(nb - 1)], shape=(nb, nb), format="csc")
+    # cyclic tridiagonal: ell_i / 6 at (i, i + 1) and (i + 1, i), indices mod nb
+    i = np.arange(nb)
+    M = CSR.from_coo(np.repeat(i, 3), np.stack([i - 1, i, i + 1], axis=1).ravel() % nb,
+                     np.stack([np.roll(upper, 1), lumped / 3.0, upper], axis=1).ravel(),
+                     (nb, nb))
     lam = splu(M, "COLAMD").solve(f.boundary_residual)
     # arc-length weights int phi_i over the boundary loop (sum = perimeter)
     return BoundaryTrace(mesh.vertices[mesh.boundary_loop], lam, 0.5 * lumped)
@@ -376,7 +388,7 @@ def _linear_fits(patches, values, caller):
         mx, my, sxx, sxy, syy, det = (a[lo:hi] for a in patches[6:12])
         ex, ey = (np.take(p, idx) - np.repeat(p0[lo:hi], counts) - np.repeat(m, counts)
                   for p, p0, m in ((patches.px, patches.x0, mx), (patches.py, patches.y0, my)))
-        rx, ry, total = (sp.csr_matrix((data, idx, ptr), shape=(hi - lo, len(values))) @ values
+        rx, ry, total = (CSR(ptr, idx, data, (hi - lo, len(values))) @ values
                          for data in (ex, ey, np.ones(len(idx))))
         bx[lo:hi] = (syy[:, None] * rx - sxy[:, None] * ry) / det[:, None]
         by[lo:hi] = (sxx[:, None] * ry - sxy[:, None] * rx) / det[:, None]

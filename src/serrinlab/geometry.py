@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.spatial._ckdtree import cKDTree
 
 from .errors import ValidationError
 
@@ -34,6 +33,9 @@ _AGM_GAP = 1e-15
 _STAR_NODES_MIN = 16
 _STAR_NODES_MAX = 1 << 16
 _STAR_AGREEMENT = 1e-14
+# rows per block of the nearest-sample search, meshgen's patch moments and
+# fem_core's fits, so no transient spans the mesh
+_BLOCK_ROWS = 4096
 
 
 def _newton_root(fn, x, half_width):
@@ -278,25 +280,47 @@ def curvature_max(spec: DomainSpec) -> float:
     return float((np.abs(cross) / np.hypot(v[:, 0], v[:, 1]) ** 3).max())
 
 
+def _sample_balls(samples, pts, half_chord):
+    """Nearest samples of pts by squared distances to all samples, _BLOCK_ROWS
+    points at a time: the ids js (q, 4) of each point's 4 nearest, nearest
+    first and equal distances by sample id (a stable sort), their distances
+    dist, the ball radius hypot(dist[:, 0], half_chord), and, for each point
+    whose 4 nearest all lie in its ball, every sample in the ball as (point,
+    sample) pairs in row-major order.  These are the results of cKDTree's
+    query and query_ball_point bit for bit, but for the kd-tree's own order
+    among equal distances."""
+    blocks = []
+    for lo in range(0, len(pts) or 1, _BLOCK_ROWS):
+        p = pts[lo:lo + _BLOCK_ROWS]
+        dx, dy = (p[:, k, None] - samples[:, k] for k in (0, 1))
+        d2 = dx * dx + dy * dy
+        near = np.argsort(d2, axis=1, kind="stable")[:, :4]
+        d = np.sqrt(np.take_along_axis(d2, near, axis=1))
+        radius = np.hypot(d[:, 0], half_chord)
+        full = np.flatnonzero(d[:, 3] <= radius)
+        i, j = np.nonzero(d2[full] <= (radius[full] ** 2)[:, None])
+        blocks.append((near, d, radius, lo + full[i], j))
+    return tuple(np.concatenate(a) for a in zip(*blocks))
+
+
 def _nearest_foot(spec: DomainSpec, pts) -> np.ndarray:
     """Foot-point parameters of pts: _foot_point in t_j +- 2 pi/n from the
-    nearest of n = _BOUNDARY_SAMPLES samples (kd-tree), at distance
-    d_s, and from every sample beyond one spacing of it within sqrt(d_s^2 +
-    (l_max/2)^2), l_max the longest sample chord (near the medial axis the
-    nearest foot may lie on another branch); the nearest foot wins."""
+    nearest of n = _BOUNDARY_SAMPLES samples, at distance d_s, and from every
+    sample beyond one spacing of it within sqrt(d_s^2 + (l_max/2)^2), l_max
+    the longest sample chord (near the medial axis the nearest foot may lie on
+    another branch); the nearest foot wins.  The samples come from
+    _sample_balls."""
     n = _BOUNDARY_SAMPLES
     t = TWO_PI * np.arange(n) / n
     samples = spec.point(t)
-    tree = cKDTree(samples)
-    dist, js = tree.query(pts, k=4)
+    half_chord = np.hypot(*(np.roll(samples, -1, axis=0) - samples).T).max() / 2
+    js, dist, radius, ball_owner, ball_j = _sample_balls(samples, pts, half_chord)
     theta = _foot_point(spec, pts, t[js[:, 0]], TWO_PI / n)
-    radius = np.hypot(dist[:, 0], np.hypot(*(np.roll(samples, -1, axis=0) - samples).T).max() / 2)
     # the samples in each ball: among the 4 nearest, unless all 4 lie in it
     full = dist[:, 3] <= radius
     owner, col = np.nonzero((dist[:, 1:] <= radius[:, None]) & ~full[:, None])
-    hits = tree.query_ball_point(pts[full], radius[full])
-    owner = np.concatenate([owner, np.repeat(np.flatnonzero(full), [len(h) for h in hits])])
-    j = np.concatenate([js[owner[:len(col)], col + 1], *map(np.asarray, hits)]).astype(np.int64)
+    owner = np.concatenate([owner, ball_owner])
+    j = np.concatenate([js[owner[:len(col)], col + 1], ball_j])
     far = (j - js[owner, 0] + 1) % n > 2
     who = np.concatenate([np.arange(len(pts)), owner[far]])
     cand = np.concatenate([theta, _foot_point(spec, pts[owner[far]], t[j[far]], TWO_PI / n)])

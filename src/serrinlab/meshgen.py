@@ -9,12 +9,14 @@ one of poor quality, and the next lattice offset is tried; a retry re-lays
 only the lattice.  Conductivity is then constant per element by construction.
 An offset is rejected before the full triangulation when the Delaunay
 triangulation of the near-curve points alone holds a defect whose
-circumcircle is empty of all points, since the full one then holds it too;
-every mesh kept still comes from the full triangulation, so this cannot change
-a mesh.  Each Mesh builds its edge table, interior vertex index, vertex
-adjacency and P1 element geometry once, on first use; a refined mesh also
-keeps the restriction to interior vertices of its prolongation from the
-parent, built from the vertex numbering refine() defines.  The edge
+circumcircle is empty of all points, since the full one then holds it too
+(the points in each circle are counted by a slab search of the x-sorted
+points); every mesh kept still comes from the full triangulation, so this
+cannot change a mesh.  Each Mesh builds its edge table, interior vertex
+index, vertex adjacency and P1 element geometry once, on first use; a refined
+mesh also keeps the restriction to interior vertices of its prolongation from
+the parent, built from the vertex numbering refine() defines.  The sparse
+ones are serrinlab.csr CSR matrices.  The edge
 table costs one sort per mesh: edges are numbered by first appearance in O(n)
 from that sort's groups, and the table keeps the order of its edges by key, so
 every boundary or interface loop lookup is a searchsorted on it.  The module
@@ -30,12 +32,12 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.spatial._ckdtree import cKDTree
 from scipy.spatial._qhull import Delaunay
 
+from .csr import CSR
 from .errors import MeshQualityError, ValidationError
-from .geometry import TWO_PI, DomainSpec, curvature_max, exact_perimeter, inclusion_margin
+from .geometry import (_BLOCK_ROWS, TWO_PI, DomainSpec, curvature_max, exact_perimeter,
+                       inclusion_margin)
 
 # lattice pitch and ring spacing relative to target_h; clearance band half-width
 # relative to local ring spacing (tuned so the worst band triangle keeps its
@@ -53,8 +55,6 @@ _MIN_ANGLE_DEG = 20.0
 # sets only how many doomed offsets are caught before the full triangulation:
 # at this value all 116 on the grid of scripts/mesh_probe.py
 _NEAR_PITCHES = 1.0
-# rows per block of patch_moments and fem_core's fits, so no transient spans the mesh
-_BLOCK_ROWS = 4096
 # a patch is degenerate when the determinant of its centred second moments
 # falls to this fraction of their squared trace (collinear samples give 0)
 _DEGENERATE_PATCH = 1e-10
@@ -129,17 +129,15 @@ class Mesh:
 
     @cached_property
     def adjacency(self):
-        """Sparse A + I of the vertex adjacency, CSR with sorted indices."""
+        """A + I of the vertex adjacency, a CSR with sorted rows."""
         edges = self.edge_table[0]
         n = len(self.vertices)
         rows = np.concatenate([edges[:, 0], edges[:, 1], np.arange(n)])
         cols = np.concatenate([edges[:, 1], edges[:, 0], np.arange(n)])
-        adj = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
-        adj.sort_indices()
-        return adj
+        return CSR.from_coo(rows, cols, np.ones(len(rows)), (n, n))
 
     def prolongation(self):
-        """Sparse (V, V_parent) interpolation from the parent of a refined mesh.
+        """CSR (V, V_parent) interpolation from the parent of a refined mesh.
 
         refine() keeps parent vertex i as vertex i and puts the midpoint of
         edge e of the parent's edge table at V_parent + e, so that row is half
@@ -151,15 +149,15 @@ class Mesh:
         rows = np.concatenate([np.arange(V), np.repeat(V + np.arange(len(edges)), 2)])
         cols = np.concatenate([np.arange(V), edges.ravel()])
         vals = np.concatenate([np.ones(V), np.full(2 * len(edges), 0.5)])
-        return sp.csr_matrix((vals, (rows, cols)), shape=(len(self.vertices), V))
+        return CSR.from_coo(rows, cols, vals, (len(self.vertices), V))
 
     @cached_property
     def interior_prolongation(self):
         """(P, R) of a refined mesh: the prolongation restricted to this mesh's
         interior rows and its parent's interior columns, and its transpose,
         both CSR; every solve's V-cycle on this mesh shares them."""
-        P = self.prolongation()[self.interior][:, self.parent.interior].tocsr()
-        return P, P.T.tocsr()
+        P = self.prolongation().rows(self.interior).columns(self.parent.interior)
+        return P, P.transpose()
 
     @cached_property
     def element_geometry(self):
@@ -177,11 +175,13 @@ class Mesh:
         """patch_moments of gradient recovery: each vertex's elements at their
         centroids, for a starved vertex (on fewer than 3) its neighbours' too."""
         n, nt = len(self.vertices), len(self.triangles)
-        patches = sp.csr_matrix((np.ones(3 * nt), (self.triangles.ravel(),
-                                 np.repeat(np.arange(nt), 3))), shape=(n, nt))
-        starved = np.diff(patches.indptr) < 3
-        if np.any(starved):
-            patches = patches + sp.diags(starved * 1.0) @ self.adjacency @ patches
+        patches = CSR.from_coo(self.triangles.ravel(), np.repeat(np.arange(nt), 3),
+                               np.ones(3 * nt), (n, nt))
+        starved = np.flatnonzero(np.diff(patches.indptr) < 3)
+        if len(starved):
+            # D A P for the 0/1 diagonal D of the starved vertices
+            D = CSR.from_coo(starved, starved, np.ones(len(starved)), (n, n))
+            patches = patches + D @ self.adjacency @ patches
         cx, cy = (c.mean(axis=0) for c in _corners(self.vertices, self.triangles))
         return patch_moments(patches.indptr, patches.indices, cx, cy, *self.vertices.T)
 
@@ -191,7 +191,8 @@ class Mesh:
         the rows of adjacency @ adjacency, multiplied out a row block at a time."""
         A, x, y = self.adjacency, *self.vertices.T
         ring = [(p.indices, np.diff(p.indptr)) for p in (
-            A[lo:lo + _BLOCK_ROWS] @ A for lo in range(0, len(x), _BLOCK_ROWS))]
+            A.rows(np.arange(lo, min(lo + _BLOCK_ROWS, len(x)))) @ A
+            for lo in range(0, len(x), _BLOCK_ROWS))]
         indptr = np.r_[0, np.cumsum(np.concatenate([c for _, c in ring]))].astype(np.int32)
         return patch_moments(indptr, np.concatenate([i for i, _ in ring]), x, y, x, y)
 
@@ -441,8 +442,7 @@ def _certain_defect(points, near, domain, target_h):
     if not np.any(small):
         return None
     # the radius reaches all three corners, so a count of 3 is the corners alone
-    counts = cKDTree(points).query_ball_point(center[small], radius[small] * (1 + 1e-7),
-                                              return_length=True)
+    counts = _count_within(points, center[small], radius[small] * (1 + 1e-7))
     certain = np.flatnonzero(bad)[small][counts == 3]
     if not len(certain):
         return None
@@ -450,6 +450,25 @@ def _certain_defect(points, near, domain, target_h):
     return (f"min angle {smallest[k]:.2f} deg, longest edge {longest[k]:.4f} "
             f"(target {target_h}) at ({centroids[k, 0]:.4f}, {centroids[k, 1]:.4f}), "
             f"found before the full triangulation")
+
+
+def _count_within(points, center, radius):
+    """Number of points at squared distance d^2 <= r^2 from each centre, as
+    cKDTree's query_ball_point counts them: the distance is tested for the
+    points of the slab |x - c_x| <= r (widened past rounding) of the x-sorted
+    points."""
+    order = np.argsort(points[:, 0])
+    xs = points[order, 0]
+    reach = radius * (1 + 1e-6)
+    lo = np.searchsorted(xs, center[:, 0] - reach, side="left")
+    n = np.searchsorted(xs, center[:, 0] + reach, side="right") - lo
+    owner = np.repeat(np.arange(len(center)), n)
+    # entry k of circle c's slab is lo[c] + k in the sorted order
+    k = np.arange(n.sum()) - (np.cumsum(n) - n)[owner]
+    p = points[order[lo[owner] + k]]
+    dx, dy = (p[:, k] - center[owner, k] for k in (0, 1))
+    inside = dx * dx + dy * dy <= (radius ** 2)[owner]
+    return np.bincount(owner[inside], minlength=len(center))
 
 
 def _circumcircles(p):

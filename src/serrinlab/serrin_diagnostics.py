@@ -76,9 +76,9 @@ def max_point(mesh: Mesh, v: Field) -> np.ndarray:
     if i in set(mesh.boundary_loop.tolist()):
         raise ValidationError("max_point: maximum on the boundary")
     # i with its neighbors, widened to the two-ring when too few for the fit
-    patch = mesh.adjacency[i].indices
+    patch = mesh.adjacency.rows([i]).indices
     if len(patch) < 6:
-        patch = np.unique(mesh.adjacency[patch].indices)
+        patch = np.unique(mesh.adjacency.rows(patch).indices)
     x0 = mesh.vertices[i]
     d = mesh.vertices[patch] - x0
     A = np.column_stack([np.ones(len(patch)), d[:, 0], d[:, 1],

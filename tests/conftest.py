@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from serrinlab.geometry import DomainSpec
 from serrinlab.meshgen import Mesh, generate
+
+
+def scipy_csr(A):
+    """The program's CSR matrix A as a scipy.sparse csr_matrix on its arrays,
+    to compare with what scipy computes."""
+    return sp.csr_matrix((A.data, A.indices, A.indptr), shape=A.shape)
 
 
 @pytest.fixture(scope="session")

@@ -752,32 +752,33 @@ class TestProcess:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == []
 
-    DEFERRED_NUMPY = ("f2py", "testing", "polynomial", "ctypeslib", "char", "rec")
-    UNLOADED_SCIPY = ("scipy.spatial", "scipy.spatial.distance", "scipy.spatial.transform",
-                      "scipy.special", "scipy.linalg", "scipy.sparse.linalg")
+    UNEXECUTED_NUMPY = ("f2py", "testing", "polynomial", "ctypeslib", "char", "rec")
+    UNLOADED = ("scipy.spatial", "scipy.spatial.distance", "scipy.spatial.transform",
+                "scipy.spatial._ckdtree", "scipy.special", "scipy.linalg", "scipy.sparse",
+                "scipy.sparse.linalg", "scipy._lib._array_api", "numpy.random", "_hashlib")
     POOL_MODULES = ("concurrent.futures.process", "multiprocessing")
     STAGES = ("import", "diagnose", "solve", "sweep-sigma")
 
     @pytest.fixture(scope="class")
     def loaded(self, tmp_path_factory):
         """Per stage of one fresh process (importing the CLI, then a diagnose,
-        a solve and a sweep-sigma run at two jobs): the deferred modules that
-        have run, and the process-pool modules imported."""
+        a solve and a sweep-sigma run at two jobs): the unloaded modules and
+        unexecuted numpy submodules that are loaded, and the process-pool
+        modules imported."""
         tmp_path = tmp_path_factory.mktemp("process")
         for cfg in (DIAG_CFG, dict(DIAG_CFG, command="solve", sigma_c=2.0,
                                    inclusion={"kind": "disk", "radius": 0.3}), SIGMA_CFG):
             _write(tmp_path, f"{cfg['command']}.json", cfg)
         probe = f"""if True:
-            import sys, types
-            import numpy, serrinlab.cli_io as cli_io
+            import sys
+            import serrinlab.cli_io as cli_io
 
             def loaded():
-                deferred = ([m for m in {self.UNLOADED_SCIPY!r} if m in sys.modules]
-                            + [m for m in {self.DEFERRED_NUMPY!r}
-                               if type(sys.modules['numpy.' + m]) is types.ModuleType
-                               or vars(numpy)[m] is not sys.modules['numpy.' + m]])
+                unloaded = [m for m in {self.UNLOADED!r} if m in sys.modules]
+                unexecuted = [m for m in {self.UNEXECUTED_NUMPY!r}
+                              if 'numpy.' + m in sys.modules]
                 pool = [m for m in {self.POOL_MODULES!r} if m in sys.modules]
-                print(','.join(deferred) + ';' + ','.join(pool))
+                print(','.join(unloaded + unexecuted) + ';' + ','.join(pool))
 
             loaded()
             for command in {self.STAGES[1:]!r}:
@@ -792,11 +793,12 @@ class TestProcess:
         return dict(zip(self.STAGES, (line.split(";") for line in proc.stdout.splitlines())))
 
     def test_no_command_loads_the_deferred_modules(self, loaded):
-        """Importing the CLI leaves scipy.spatial's package, scipy.special,
-        scipy.linalg and scipy.sparse.linalg unimported and numpy's unused
+        """Importing the CLI leaves scipy.spatial's and scipy.sparse's packages,
+        cKDTree's module, scipy.special, scipy.linalg, scipy's array-API layer,
+        numpy.random and OpenSSL's _hashlib unimported and numpy's unused
         submodules unexecuted, and so do a diagnose, a solve and a sweep-sigma
         run at two jobs in the same process."""
-        assert {stage: deferred for stage, (deferred, _) in loaded.items()} \
+        assert {stage: unloaded for stage, (unloaded, _) in loaded.items()} \
             == dict.fromkeys(self.STAGES, "")
 
     def test_only_a_pool_loads_the_process_pool_modules(self, loaded):
@@ -807,24 +809,29 @@ class TestProcess:
             == dict(dict.fromkeys(self.STAGES, ""), **{"sweep-sigma": ",".join(self.POOL_MODULES)})
 
     def test_deferred_modules_work_on_first_use(self):
+        """A later import of scipy.spatial, scipy.sparse or a package above
+        them works and reuses the extension modules serrinlab loaded."""
         probe = """if True:
             import sys, numpy, serrinlab.cli_io
-            from serrinlab import geometry, meshgen
-            lapack = sys.modules["scipy.linalg.cython_lapack"]
-            superlu = sys.modules["scipy.sparse.linalg._dsolve._superlu"]
+            from serrinlab import csr, meshgen
+            loaded = {name: sys.modules[name] for name in (
+                "scipy.linalg.cython_lapack", "scipy.spatial._qhull",
+                "scipy.sparse._sparsetools", "scipy.sparse.linalg._dsolve._superlu")}
             numpy.testing.assert_allclose(numpy.ma.masked_array([1.0, 9.0], mask=[0, 1]).sum(), 1.0)
             assert numpy.polynomial.Polynomial([1, 2])(2) == 5
             import scipy.spatial
             assert scipy.spatial.Delaunay is meshgen.Delaunay
-            assert scipy.spatial.cKDTree is geometry.cKDTree
+            assert scipy.spatial.cKDTree([[0.0, 0.0], [3.0, 4.0]]).query([3.0, 4.5])[1] == 1
             assert scipy.spatial.distance.euclidean([0, 0], [3, 4]) == 5
             import scipy.linalg, scipy.sparse, scipy.sparse.linalg
+            assert scipy.sparse._coo.coo_tocsr is csr.coo_tocsr
             A = numpy.array([[4.0, 1.0], [1.0, 3.0]])
+            numpy.testing.assert_allclose(scipy.sparse.coo_array(A).tocsr() @ [1.0, 2.0],
+                                          A @ [1.0, 2.0])
             numpy.testing.assert_allclose(scipy.linalg.solve(A, [1.0, 2.0]) @ A, [1.0, 2.0])
             x = scipy.sparse.linalg.spsolve(scipy.sparse.csc_array(A), numpy.array([1.0, 2.0]))
             numpy.testing.assert_allclose(A @ x, [1.0, 2.0])
-            assert sys.modules["scipy.linalg.cython_lapack"] is lapack
-            assert sys.modules["scipy.sparse.linalg._dsolve._superlu"] is superlu
+            assert all(sys.modules[name] is module for name, module in loaded.items())
             """
         proc = subprocess.run([sys.executable, "-c", probe], env=self._env(), cwd=ROOT,
                               capture_output=True, text=True, timeout=120)
@@ -837,13 +844,16 @@ class TestProcess:
             import scipy.sparse.linalg
             before = numpy.testing
             lapack = sys.modules['scipy.linalg.cython_lapack']
+            sparsetools = sys.modules['scipy.sparse._sparsetools']
             superlu = sys.modules['scipy.sparse.linalg._dsolve._superlu']
             import serrinlab.cli_io
-            from serrinlab import fem_core
+            from serrinlab import csr, fem_core
             assert sys.modules['numpy.testing'] is before is numpy.testing
             assert type(before) is types.ModuleType
             assert sys.modules['scipy.linalg.cython_lapack'] is lapack
+            assert sys.modules['scipy.sparse._sparsetools'] is sparsetools
             assert sys.modules['scipy.sparse.linalg._dsolve._superlu'] is superlu
+            assert csr.coo_tocsr is sparsetools.coo_tocsr
             assert fem_core.gstrf is superlu.gstrf
             """
         proc = subprocess.run([sys.executable, "-c", probe], env=self._env(), cwd=ROOT,

@@ -24,6 +24,8 @@ from serrinlab.serrin_diagnostics import (
     osc_check,
 )
 
+from conftest import scipy_csr
+
 ELLIPSE_FI_EXACT = math.pi * 1.2 ** 3 * (1.2 ** 2 - 1.0) ** 2 / (8 * (1.2 ** 2 + 1.0) ** 3)
 
 
@@ -245,7 +247,7 @@ class TestGrowthCheck:
         values = np.zeros(len(mesh.vertices))
         values[interior] = delta ** 2
         argmin = interior[np.argmin(delta)]
-        assert np.intersect1d(mesh.adjacency[argmin].indices, mesh.boundary_loop).size
+        assert np.intersect1d(scipy_csr(mesh.adjacency)[argmin].indices, mesh.boundary_loop).size
         sizes = []
 
         def spy(spec, pts):

@@ -32,6 +32,16 @@ ELLIPSE = DomainSpec("ellipse", a=1.2, b=1.0)
 DISK = DomainSpec("disk", radius=1.0)
 
 
+def accepted_fit(points, window=4):
+    """slope_fit(points, window), or None if it refuses x whose logs leave no
+    slope, the one refusal left for strictly monotone positive points."""
+    try:
+        return slope_fit(points, window)
+    except ValidationError as exc:
+        assert str(exc) == "slope_fit: log x must be strictly monotone"
+        return None
+
+
 class TestSlopeFit:
     def test_linear(self):
         fit = slope_fit([(1, 3), (2, 6), (4, 12), (8, 24)])
@@ -89,7 +99,37 @@ class TestSlopeFit:
         # 1.0 for constant log y, else max(0, 1 - ss_res/ss_tot) with ss_res >= 0
         xs = sorted(xs, reverse=decreasing)
         ys = [ys[0]] * len(xs) if constant else ys[:len(xs)]
-        assert 0.0 <= slope_fit(list(zip(xs, ys))).r_squared <= 1.0
+        fit = accepted_fit(list(zip(xs, ys)))
+        assert fit is None or 0.0 <= fit.r_squared <= 1.0
+
+    def test_logs_that_round_equal_rejected(self):
+        # three consecutive floats from 1000.0 are strictly increasing, but
+        # their logs leave a zero denominator: the fit was inf and -inf
+        xs = [1000.0]
+        for _ in range(2):
+            xs.append(math.nextafter(xs[-1], math.inf))
+        with pytest.raises(ValidationError, match="^slope_fit: log x must be strictly monotone$"):
+            slope_fit([(x, 2.0 * x) for x in xs])
+
+    @given(x0=st.floats(1e-300, 1e290),
+           steps=st.lists(st.one_of(st.integers(1, 4), st.floats(1.0, 10.0, exclude_min=True)),
+                          min_size=2, max_size=7),
+           ys=st.lists(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+                       min_size=8, max_size=8),
+           window=st.sampled_from([0, 3, 4]))
+    @settings(max_examples=300)
+    def test_accepted_fits_are_finite(self, x0, steps, ys, window):
+        # each step goes up from the last x by a few ulps (an int) or by a
+        # factor (a float), at least one ulp
+        xs = [x0]
+        for step in steps:
+            x = math.nextafter(xs[-1], math.inf)
+            if isinstance(step, int):
+                for _ in range(step - 1):
+                    x = math.nextafter(x, math.inf)
+            xs.append(x if isinstance(step, int) else max(x, xs[-1] * step))
+        fit = accepted_fit(list(zip(xs, ys)), window)
+        assert fit is None or (math.isfinite(fit.slope) and math.isfinite(fit.intercept))
 
 
 class TestStabilitySweep:

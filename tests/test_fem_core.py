@@ -12,6 +12,7 @@ from scipy.sparse.linalg import splu
 
 from serrinlab.analytic_oracle import ellipse_torsion_gradient
 from serrinlab import fem_core, meshgen
+from serrinlab.csr import CSR
 from serrinlab.errors import SolverError, ValidationError
 from serrinlab.fem_core import (
     element_sigma,
@@ -32,7 +33,7 @@ from serrinlab.geometry import DomainSpec
 from serrinlab.meshgen import generate, refine
 
 from closed_forms import RadialTwoPhaseSolution, disk_green, ellipse_torsion
-from conftest import make_square_mesh
+from conftest import make_square_mesh, scipy_csr
 
 
 def reference_gradient(mesh, values):
@@ -119,7 +120,7 @@ def unblocked_gradient_fit(mesh, ge):
                              (corners, np.repeat(np.arange(len(ge)), 3))), shape=(n, len(ge)))
     starved = np.diff(patches.indptr) < 3
     if np.any(starved):
-        patches = patches + sp.diags(starved * 1.0) @ mesh.adjacency @ patches
+        patches = patches + sp.diags(starved * 1.0) @ scipy_csr(mesh.adjacency) @ patches
     return unblocked_linear_fits(patches, np.take(x, mesh.triangles).mean(axis=1),
                                  np.take(y, mesh.triangles).mean(axis=1), x, y, ge,
                                  "recovered_gradient")[0]
@@ -138,7 +139,8 @@ def unblocked_hessian(mesh, f):
     """hessian_recovery by unblocked_linear_fits over the float adjacency @ adjacency."""
     g = unblocked_recovered_gradient(mesh, f.values)
     x, y = mesh.vertices.T
-    _, bx, by = unblocked_linear_fits(mesh.adjacency @ mesh.adjacency, x, y, x, y, g,
+    adjacency = scipy_csr(mesh.adjacency)
+    _, bx, by = unblocked_linear_fits(adjacency @ adjacency, x, y, x, y, g,
                                       "hessian_recovery")
     Hv = np.stack([bx, by], axis=1)
     return 0.5 * (Hv + Hv.transpose(0, 2, 1))
@@ -559,7 +561,7 @@ class TestMultigrid:
     @staticmethod
     def reduced_system(mesh, sigma):
         interior = mesh.interior
-        K = stiffness(mesh, sigma)
+        K = scipy_csr(stiffness(mesh, sigma))
         return K[interior][:, interior].tocsr(), load_constant(mesh)[interior], interior
 
     @staticmethod
@@ -617,7 +619,7 @@ class TestMultigrid:
         assert calls == [fine] and "interior_prolongation" in vars(fine)
         full = (len(fine.vertices), len(concentric_mesh.vertices))
         assert built(fine).shape == full
-        assert not any(sp.issparse(v) and v.shape == full for v in vars(fine).values())
+        assert not any(isinstance(v, CSR) and v.shape == full for v in vars(fine).values())
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_interior_prolongation_built_once_per_mesh(self, disk_mesh, jobs, monkeypatch):
@@ -634,12 +636,12 @@ class TestMultigrid:
         assert calls == [fine, fine.parent]
         assert vars(fine)["interior_prolongation"][0] is P
         assert P.shape == (len(fine.interior), len(fine.parent.interior))
-        assert np.array_equal(R.toarray(), P.T.toarray())
+        assert np.array_equal(scipy_csr(R).toarray(), scipy_csr(P).T.toarray())
         assert "interior_prolongation" not in vars(pickle.loads(pickle.dumps(fine)))
 
     def test_vcycle_is_symmetric_positive_definite(self, disk_mesh):
         fine = refine(refine(disk_mesh))
-        Kii, _, _ = self.reduced_system(fine, 1.0)
+        _, Kii, _, _, _ = fem_core._torsion_system(fine, 1.0)
         B = fem_core._vcycle(fine, Kii)
         rng = np.random.default_rng(0)
         x, y = rng.standard_normal((2, Kii.shape[0]))
@@ -662,7 +664,7 @@ class TestMultigrid:
         from serrinlab.errors import SolverError
 
         fine = refine(disk_mesh)
-        Kii, b, _ = self.reduced_system(fine, 1.0)
+        _, Kii, b, _, _ = fem_core._torsion_system(fine, 1.0)
         with pytest.raises(SolverError, match="residual"):
             fem_core._pcg(Kii, b, 1e-14, 2, fem_core._vcycle(fine, Kii))
 
@@ -685,7 +687,7 @@ class TestSparseLU:
         factored = []
 
         def spy(A, permc_spec):
-            factored.append((A.copy(), permc_spec))
+            factored.append((A, permc_spec))
             return program_splu(A, permc_spec)
 
         program_splu = fem_core.splu
@@ -697,8 +699,8 @@ class TestSparseLU:
             (len(coarse.interior), "COLAMD"), (len(fine.boundary_loop), "COLAMD")]
         rng = np.random.default_rng(0)
         for A, _ in factored:
-            ours = program_splu(A.copy(), "COLAMD")
-            ref = splu(A.copy(), permc_spec="COLAMD")
+            ours = program_splu(A, "COLAMD")
+            ref = splu(scipy_csr(A).tocsc(), permc_spec="COLAMD")
             assert np.array_equal(ours.perm_r, ref.perm_r)
             assert np.array_equal(ours.perm_c, ref.perm_c)
             for mine, theirs in ((ours.L, ref.L), (ours.U, ref.U)):
@@ -888,7 +890,7 @@ class TestBlockedRecovery:
     def test_caches_keep_int32_structure_and_row_moments(self, refined_concentric, monkeypatch):
         monkeypatch.setattr(meshgen, "_BLOCK_ROWS", 100)
         mesh = replace(refined_concentric)
-        ring = mesh.adjacency @ mesh.adjacency
+        ring = scipy_csr(mesh.adjacency) @ scipy_csr(mesh.adjacency)
         hp = mesh.hessian_patches
         assert np.array_equal(hp.indptr, ring.indptr) and np.array_equal(hp.indices, ring.indices)
         for patches in (mesh.gradient_patches, hp):

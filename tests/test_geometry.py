@@ -362,6 +362,76 @@ class TestDistanceToBoundary:
             reference_distance_to_boundary(ellipse_mesh.domain, pts), rtol=1e-12)
 
 
+def kdtree_sample_balls(samples, pts, half_chord):
+    """geometry._sample_balls by cKDTree's query and query_ball_point, as the
+    search ran before it was written in numpy."""
+    tree = cKDTree(samples)
+    dist, js = tree.query(pts, k=4)
+    radius = np.hypot(dist[:, 0], half_chord)
+    full = np.flatnonzero(dist[:, 3] <= radius)
+    hits = tree.query_ball_point(pts[full], radius[full])
+    owner = np.repeat(full, [len(h) for h in hits])
+    j = np.concatenate([np.asarray(h, dtype=np.intp) for h in hits] + [np.empty(0, np.intp)])
+    return js, dist, radius, owner, j
+
+
+SPECS = [DomainSpec("disk", radius=1.0), DomainSpec("ellipse", a=1.2, b=1.0),
+         DomainSpec("star", r0=1.0, eps=0.1, k=3), DomainSpec("star", r0=1.0, eps=0.3, k=6)]
+
+
+class TestNearestSamples:
+    """The nearest-sample search of _nearest_foot, by squared distances to
+    all samples, is the kd-tree search it replaced."""
+
+    @staticmethod
+    def samples(spec):
+        t = TWO_PI * np.arange(geometry._BOUNDARY_SAMPLES) / geometry._BOUNDARY_SAMPLES
+        samples = spec.point(t)
+        return samples, np.hypot(*(np.roll(samples, -1, axis=0) - samples).T).max() / 2
+
+    @staticmethod
+    def tie_points():
+        # the centre and the axes, where mirror samples lie at equal distances
+        xs = np.linspace(-1.1, 1.1, 23)
+        return np.concatenate([np.stack([xs, 0 * xs], axis=1), np.stack([0 * xs, xs], axis=1)])
+
+    @pytest.mark.parametrize("spec", SPECS, ids=["disk", "ellipse", "star", "deep-star"])
+    @pytest.mark.parametrize("block_rows", [64, 4096])
+    def test_random_points_match_kdtree(self, spec, block_rows, monkeypatch):
+        monkeypatch.setattr(geometry, "_BLOCK_ROWS", block_rows)
+        samples, half_chord = self.samples(spec)
+        pts = np.random.default_rng(3).uniform(-1.4, 1.4, (1000, 2))
+        ours = geometry._sample_balls(samples, pts, half_chord)
+        for mine, theirs in zip(ours, kdtree_sample_balls(samples, pts, half_chord)):
+            assert np.array_equal(mine, theirs)
+
+    @pytest.mark.parametrize("spec", SPECS, ids=["disk", "ellipse", "star", "deep-star"])
+    def test_exact_ties_match_kdtree(self, spec):
+        # on ties the kd-tree's order among equal distances is its own: the
+        # distances, radii and balls are the same, and each point's 4 nearest
+        # differ only by samples at the same distance as the one they replace
+        samples, half_chord = self.samples(spec)
+        pts = self.tie_points()
+        js, dist, *balls = geometry._sample_balls(samples, pts, half_chord)
+        ref_js, ref_dist, *ref_balls = kdtree_sample_balls(samples, pts, half_chord)
+        assert np.array_equal(dist, ref_dist)
+        for mine, theirs in zip(balls, ref_balls):
+            assert np.array_equal(mine, theirs)
+        d2 = ((samples[js] - pts[:, None]) ** 2).sum(axis=-1)
+        assert np.array_equal(d2, ((samples[ref_js] - pts[:, None]) ** 2).sum(axis=-1))
+        # the numpy search orders ties by sample id
+        ties = d2[:, 1:] == d2[:, :-1]
+        assert np.all(js[:, 1:][ties] > js[:, :-1][ties])
+
+    @pytest.mark.parametrize("spec", SPECS, ids=["disk", "ellipse", "star", "deep-star"])
+    def test_distances_match_kdtree_search(self, spec, monkeypatch):
+        pts = np.concatenate([self.tie_points(),
+                              np.random.default_rng(4).uniform(-1.4, 1.4, (500, 2))])
+        d = distance_to_boundary(spec, pts)
+        monkeypatch.setattr(geometry, "_sample_balls", kdtree_sample_balls)
+        assert np.array_equal(d, distance_to_boundary(spec, pts))
+
+
 class TestInclusionMargin:
     def test_concentric(self):
         m = inclusion_margin(DomainSpec("disk", radius=1.0),

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scipy.spatial import Delaunay
+from scipy.spatial import Delaunay, cKDTree
 
 from serrinlab import meshgen
 from serrinlab.errors import MeshQualityError, ValidationError
@@ -24,7 +24,7 @@ from serrinlab.meshgen import (
     validate_mesh,
 )
 
-from conftest import make_square_mesh
+from conftest import make_square_mesh, scipy_csr
 
 
 def inside_area(mesh):
@@ -254,6 +254,29 @@ class TestEarlyRejection:
         return meshgen._certain_defect(points, np.arange(3),
                                        DomainSpec("disk", radius=1.0), 0.1)
 
+    def test_counts_match_kdtree_on_every_early_case(self, monkeypatch):
+        """The circle counts are cKDTree's query_ball_point counts on every
+        call the early cases make."""
+        count_within, calls = meshgen._count_within, []
+        monkeypatch.setattr(meshgen, "_count_within",
+                            lambda *a: calls.append(a) or count_within(*a))
+        for case in EARLY_CASES:
+            _generate_bytes(*case)
+        assert len(calls) >= len(EARLY_CASES)
+        for points, center, radius in calls:
+            ref = cKDTree(points).query_ball_point(center, radius, return_length=True)
+            assert np.array_equal(count_within(points, center, radius), ref)
+
+    def test_counts_include_points_on_the_circle(self):
+        # lattice points at exactly the radius, and in the slab but outside
+        g = np.arange(-4, 5.0)
+        points = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
+        center = np.array([[0.0, 0.0], [0.5, 0.5], [1.0, -2.0], [4.0, 4.0], [9.0, 0.0]])
+        radius = np.array([1.0, 0.5 * math.sqrt(2.0), 2.0, 3.0, 0.5])
+        ref = cKDTree(points).query_ball_point(center, radius, return_length=True)
+        assert np.array_equal(meshgen._count_within(points, center, radius), ref)
+        assert ref.tolist() == [5, 4, 13, 11, 0]
+
     def test_defect_with_a_point_in_its_circumcircle_is_not_reported(self):
         assert self._long_edge(with_far_point=True) is None
 
@@ -436,7 +459,7 @@ class TestConnectivity:
             assert not {"edge_table", "interior", "adjacency"} & set(vars(mesh))
         np.testing.assert_array_equal(copy.vertices, fine.vertices)
         np.testing.assert_array_equal(copy.interior, fine.interior)
-        assert (copy.adjacency != fine.adjacency).nnz == 0
+        assert (scipy_csr(copy.adjacency) != scipy_csr(fine.adjacency)).nnz == 0
         for a, b in zip(copy.parent.edge_table, concentric_mesh.edge_table):
             np.testing.assert_array_equal(a, b)
 
