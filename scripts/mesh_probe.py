@@ -5,10 +5,11 @@ Prints one line per case: its label, then either the MeshQualityError text of
 generate or one sha1 over the generated mesh, its refinement and how they are
 checked: the arrays of both meshes (vertices, triangles, region, both loops
 and their curve parameters), both edge tables, and the outcome of
-validate_mesh on the refined mesh.  Run it in two checkouts and `diff` the
-outputs: equal output means generate, refine, edge_table and validate_mesh
-give bit-identical results and fail identically.  Takes no options; runs in
-about 13 s in one process.
+validate_mesh on the refined mesh.  Index arrays are hashed as int64, so a
+line identifies the values of the mesh and not the width they are stored
+at.  Run it in two checkouts and `diff` the outputs: equal output means
+generate, refine, edge_table and validate_mesh give bit-identical results
+and fail identically.  Takes no options; runs in about 13 s in one process.
 """
 
 import hashlib
@@ -43,7 +44,8 @@ CASES = [(f"{dname} {iname} h={h}", domain, inclusion, h)
 
 def fingerprint(mesh):
     """sha1 over every array that defines the mesh and refine(mesh), the edge
-    tables of both, and the outcome of validate_mesh(refine(mesh))."""
+    tables of both, and the outcome of validate_mesh(refine(mesh)); int32 and
+    int64 index arrays are hashed as int64."""
     fine = refine(mesh)
     try:
         validate_mesh(fine)
@@ -55,6 +57,8 @@ def fingerprint(mesh):
         for arr in (m.vertices, m.triangles, m.region, m.boundary_loop, m.boundary_params,
                     m.interface_loop, m.interface_params, *m.edge_table):
             if arr is not None:
+                if arr.dtype in (np.int32, np.int64):
+                    arr = arr.astype(np.int64)
                 sha.update(np.ascontiguousarray(arr).tobytes())
     sha.update(outcome.encode())
     return sha.hexdigest()

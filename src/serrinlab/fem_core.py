@@ -133,9 +133,8 @@ def stiffness(mesh: Mesh, sigma=1.0) -> CSR:
         for j in range(i, 3):
             # (j, i) is the same product, bit for bit
             local[:, 3 * i + j] = local[:, 3 * j + i] = (gx[i] * gx[j] + gy[i] * gy[j]) * weight
-    tri = mesh.triangles.astype(np.int32)
-    rows = np.repeat(tri, 3, axis=1).ravel()
-    cols = np.tile(tri, (1, 3)).ravel()
+    rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
+    cols = np.tile(mesh.triangles, (1, 3)).ravel()
     n = len(mesh.vertices)
     return CSR.from_coo(rows, cols, local.ravel(), (n, n))
 

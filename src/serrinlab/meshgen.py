@@ -16,11 +16,15 @@ cannot change a mesh.  Each Mesh builds its edge table, interior vertex
 index, vertex adjacency and P1 element geometry once, on first use; a refined
 mesh also keeps the restriction to interior vertices of its prolongation from
 the parent, built from the vertex numbering refine() defines.  The sparse
-ones are serrinlab.csr CSR matrices.  The edge
-table costs one sort per mesh: edges are numbered by first appearance in O(n)
-from that sort's groups, and the table keeps the order of its edges by key, so
-every boundary or interface loop lookup is a searchsorted on it.  The module
-does no I/O: cli_io writes a mesh, with the field on it, to field.txt.
+ones are serrinlab.csr CSR matrices: the adjacency and the element patches
+of gradient recovery are bool patterns, the prolongation is float64.  All
+topology is int32, the CSR's index width: triangles, loops, edge table and
+interior index, so no kernel or gather copies an index array down.  The
+edge table costs one sort per mesh: edges are numbered by first appearance
+in O(n) from that sort's runs of equal keys, and the table keeps the order
+of its edges by key, so every boundary or interface loop lookup is a
+searchsorted on it.  The module does no I/O: cli_io writes a mesh, with the
+field on it, to field.txt.
 """
 
 from __future__ import annotations
@@ -65,6 +69,8 @@ class Mesh:
     """Immutable-by-convention conforming triangle mesh.
 
     triangles are CCW; region is 1 on elements inside the inclusion, else 0.
+    triangles and the loops hold int32 vertex ids on a generated mesh, and
+    refine() keeps the index dtype of the mesh it splits.
     boundary_* arrays follow one CCW loop around the outer boundary; interface_*
     likewise around the inclusion (when present); the length and outward normal
     of each loop edge are derived from the loop.  Curve parameters of on-curve
@@ -107,7 +113,9 @@ class Mesh:
         return 0.5 * ((x[1] - x[0]) * (y[2] - y[0]) - (x[2] - x[0]) * (y[1] - y[0]))
 
     def min_angle_deg(self):
-        return float(np.min(_tri_angles_deg(_edge_lengths(self.vertices, self.triangles))))
+        """Smallest corner angle: the arccos of the largest corner cosine."""
+        cosines = _corner_cosines(_edge_lengths(self.vertices, self.triangles))
+        return float(np.degrees(np.arccos(cosines.max())))
 
     @cached_property
     def edge_table(self):
@@ -125,16 +133,18 @@ class Mesh:
         """Sorted ids of the vertices off the boundary loop."""
         off_loop = np.ones(len(self.vertices), dtype=bool)
         off_loop[self.boundary_loop] = False
-        return np.flatnonzero(off_loop)
+        return np.flatnonzero(off_loop).astype(np.int32)
 
     @cached_property
     def adjacency(self):
-        """A + I of the vertex adjacency, a CSR with sorted rows."""
+        """The pattern of A + I of the vertex adjacency: a bool CSR, every
+        entry True, with sorted rows."""
         edges = self.edge_table[0]
         n = len(self.vertices)
-        rows = np.concatenate([edges[:, 0], edges[:, 1], np.arange(n)])
-        cols = np.concatenate([edges[:, 1], edges[:, 0], np.arange(n)])
-        return CSR.from_coo(rows, cols, np.ones(len(rows)), (n, n))
+        diagonal = np.arange(n, dtype=np.int32)
+        rows = np.concatenate([edges[:, 0], edges[:, 1], diagonal])
+        cols = np.concatenate([edges[:, 1], edges[:, 0], diagonal])
+        return CSR.from_coo(rows, cols, np.ones(len(rows), dtype=bool), (n, n))
 
     def prolongation(self):
         """CSR (V, V_parent) interpolation from the parent of a refined mesh.
@@ -146,8 +156,9 @@ class Mesh:
         """
         V = len(self.parent.vertices)
         edges = self.parent.edge_table[0]
-        rows = np.concatenate([np.arange(V), np.repeat(V + np.arange(len(edges)), 2)])
-        cols = np.concatenate([np.arange(V), edges.ravel()])
+        kept = np.arange(V, dtype=np.int32)
+        rows = np.concatenate([kept, np.repeat(np.arange(V, V + len(edges), dtype=np.int32), 2)])
+        cols = np.concatenate([kept, edges.ravel()])
         vals = np.concatenate([np.ones(V), np.full(2 * len(edges), 0.5)])
         return CSR.from_coo(rows, cols, vals, (len(self.vertices), V))
 
@@ -173,14 +184,15 @@ class Mesh:
     @cached_property
     def gradient_patches(self):
         """patch_moments of gradient recovery: each vertex's elements at their
-        centroids, for a starved vertex (on fewer than 3) its neighbours' too."""
+        centroids, for a starved vertex (on fewer than 3) its neighbours' too.
+        The patches are bool patterns, like the adjacency."""
         n, nt = len(self.vertices), len(self.triangles)
-        patches = CSR.from_coo(self.triangles.ravel(), np.repeat(np.arange(nt), 3),
-                               np.ones(3 * nt), (n, nt))
+        patches = CSR.from_coo(self.triangles.ravel(), np.repeat(np.arange(nt, dtype=np.int32), 3),
+                               np.ones(3 * nt, dtype=bool), (n, nt))
         starved = np.flatnonzero(np.diff(patches.indptr) < 3)
         if len(starved):
-            # D A P for the 0/1 diagonal D of the starved vertices
-            D = CSR.from_coo(starved, starved, np.ones(len(starved)), (n, n))
+            # D A P for the diagonal pattern D of the starved vertices
+            D = CSR.from_coo(starved, starved, np.ones(len(starved), dtype=bool), (n, n))
             patches = patches + D @ self.adjacency @ patches
         cx, cy = (c.mean(axis=0) for c in _corners(self.vertices, self.triangles))
         return patch_moments(patches.indptr, patches.indices, cx, cy, *self.vertices.T)
@@ -245,14 +257,14 @@ def _edge_lengths(vertices, triangles):
     return np.hypot(np.roll(x, -1, axis=0) - x, np.roll(y, -1, axis=0) - y)
 
 
-def _tri_angles_deg(ell):
-    """(3, T) angles in degrees, from the (3, T) side lengths of _edge_lengths."""
+def _corner_cosines(ell):
+    """(3, T) cosines of the corner angles, clipped to [-1, 1], from the (3, T)
+    side lengths of _edge_lengths.  arccos decreases, so the smallest angle
+    is the arccos of the largest cosine: one arccos instead of three."""
     a, b, c = ell
-    angles = []
-    for opp, s1, s2 in ((b, c, a), (c, a, b), (a, b, c)):
-        cosang = np.clip((s1 ** 2 + s2 ** 2 - opp ** 2) / (2 * s1 * s2), -1.0, 1.0)
-        angles.append(np.degrees(np.arccos(cosang)))
-    return np.stack(angles)
+    return np.clip(np.stack([(s1 ** 2 + s2 ** 2 - opp ** 2) / (2 * s1 * s2)
+                             for opp, s1, s2 in ((b, c, a), (c, a, b), (a, b, c))]),
+                   -1.0, 1.0)
 
 
 def _hex_lattice(center, extent, pitch, offset):
@@ -387,7 +399,7 @@ def _generate_once(domain, inclusion, target_h, rings, layers, offset):
     tri = Delaunay(points)
     if len(tri.coplanar):
         raise MeshQualityError("Delaunay dropped input points")
-    triangles = _orient_ccw(points, tri.simplices.astype(np.int64))
+    triangles = _orient_ccw(points, tri.simplices.astype(np.int32))
 
     # drop triangles outside the domain (non-convex boundaries leave pockets
     # between the convex hull and the sampled curve); tag those inside D
@@ -430,7 +442,7 @@ def _certain_defect(points, near, domain, target_h):
     p = points[triangles]
     ell = _edge_lengths(points, triangles)
     longest = ell.max(axis=0)
-    smallest = _tri_angles_deg(ell).min(axis=0)
+    smallest = np.degrees(np.arccos(_corner_cosines(ell).max(axis=0)))
     centroids = p.mean(axis=1)
     bad = (longest > 1.5 * target_h * (1 + 1e-9)) | (smallest < _MIN_ANGLE_DEG - 1e-6)
     # centroid inside by more than the rounding of another corner order, and a
@@ -497,7 +509,7 @@ def _orient_ccw(points, triangles):
 
 class EdgeTable(tuple):
     """(edges, tri_edges, counts) as edge_table() returns them; by_key holds
-    the edge ids in increasing key order (int32), the sorter of loop lookups."""
+    the edge ids in increasing key order, the sorter of loop lookups."""
 
 
 def edge_table(triangles):
@@ -505,36 +517,44 @@ def edge_table(triangles):
 
     The sides of each triangle (a, b, c) are visited as (a, b), (b, c), (c, a),
     triangle by triangle, and each edge keeps the orientation of its first
-    visit.  Returns the (E, 2) edges, the (T, 3) edge id of each side, and the
-    number of triangles on each edge, as an EdgeTable.
+    visit.  Returns the (E, 2) edges (of the triangles' dtype), the (T, 3)
+    edge id of each side, and the number of triangles on each edge, as an
+    EdgeTable; ids and counts are int32.
     """
     sides = np.stack([triangles, np.roll(triangles, -1, axis=1)], axis=-1).reshape(-1, 2)
-    # one unstable sort groups the sides by key; the first side of each group
-    # and its rank among the first sides then number the edges in O(n)
-    _, inverse, counts = np.unique(_pair_keys(sides), return_inverse=True,
-                                   return_counts=True)
-    first = np.full(len(counts), len(sides))
-    np.minimum.at(first, inverse, np.arange(len(sides)))
+    # one unstable sort groups the sides by key into runs; the first side of
+    # each run and its rank among the first sides then number the edges
+    keys = _pair_keys(sides)
+    order = np.argsort(keys).astype(np.int32)
+    keys = keys[order]
+    run_start = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=run_start[1:])
+    starts = np.flatnonzero(run_start)
+    counts = np.diff(starts, append=len(keys)).astype(np.int32)
+    first = np.minimum.reduceat(order, starts)
     is_first = np.zeros(len(sides), dtype=bool)
     is_first[first] = True
-    rank = (np.cumsum(is_first) - 1)[first]
+    rank = (np.cumsum(is_first, dtype=np.int32) - 1)[first]
     by_id = np.empty_like(counts)
     by_id[rank] = counts
-    table = EdgeTable((np.compress(is_first, sides, axis=0), rank[inverse].reshape(-1, 3),
-                       by_id))
-    table.by_key = rank.astype(np.int32)
+    tri_edges = np.empty(len(sides), dtype=np.int32)
+    tri_edges[order] = np.repeat(rank, counts)
+    table = EdgeTable((np.compress(is_first, sides, axis=0), tri_edges.reshape(-1, 3), by_id))
+    table.by_key = rank
     return table
 
 
 def _pair_keys(pairs):
     """Orientation-free int64 key of each vertex pair."""
-    pairs = np.asarray(pairs, dtype=np.int64)
-    return (np.minimum(pairs[:, 0], pairs[:, 1]) << 32) | np.maximum(pairs[:, 0], pairs[:, 1])
+    a, b = pairs[:, 0], pairs[:, 1]
+    return (np.minimum(a, b).astype(np.int64) << 32) | np.maximum(a, b)
 
 
 def _drop_orphans(points, triangles):
+    """The used points, and the triangles and the int32 old-to-new vertex map
+    (-1 for a dropped point) in the new numbering."""
     used = np.bincount(triangles.ravel(), minlength=len(points)) > 0
-    remap = np.where(used, np.cumsum(used) - 1, -1)
+    remap = np.where(used, np.cumsum(used, dtype=np.int32) - 1, -1)
     return np.compress(used, points, axis=0), remap[triangles], remap
 
 

@@ -24,6 +24,17 @@ def assert_same(ours, ref):
         assert np.array_equal(mine, theirs)
 
 
+def assert_same_pattern(ours, ref):
+    """The bool pattern ours has the indptr, indices and shape of the scipy
+    matrix ref, and every entry True."""
+    assert isinstance(ours, CSR) and ours.shape == ref.shape
+    for part in ("indptr", "indices"):
+        mine, theirs = getattr(ours, part), getattr(ref, part)
+        assert mine.dtype == theirs.dtype
+        assert np.array_equal(mine, theirs)
+    assert ours.data.dtype == bool and len(ours.data) == ref.nnz and np.all(ours.data)
+
+
 @pytest.fixture(scope="module")
 def inclusion_mesh():
     """The refined ellipse 1.2/1 mesh with a disk of radius 0.3."""
@@ -56,8 +67,8 @@ class TestKernels:
         edges = mesh.edge_table[0]
         rows = np.concatenate([edges[:, 0], edges[:, 1], np.arange(n)])
         cols = np.concatenate([edges[:, 1], edges[:, 0], np.arange(n)])
-        assert_same(mesh.adjacency,
-                    sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n)))
+        assert_same_pattern(mesh.adjacency,
+                            sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n)))
         area = mesh.triangle_areas()
         local = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
         rows, cols, _ = coo(mesh, np.random.default_rng(0))
@@ -111,6 +122,28 @@ class TestKernels:
             s = np.flatnonzero(starved)
             D = CSR.from_coo(s, s, np.ones(len(s)), (n, n))
             assert_same(patches_csr + D @ mesh.adjacency @ patches_csr, ref)
+
+    def test_bool_patterns_give_the_float_patches(self, mesh):
+        # the patches from the bool adjacency equal those from a float one
+        # of ones, index for index: the same two-ring and starved patches
+        A = mesh.adjacency
+        F = CSR(A.indptr, A.indices, np.ones(len(A.indices)), A.shape)
+        ring, float_ring = A @ A, F @ F
+        assert ring.data.dtype == bool and float_ring.data.dtype == np.float64
+        for part in ("indptr", "indices"):
+            assert np.array_equal(getattr(ring, part), getattr(float_ring, part))
+            assert np.array_equal(getattr(mesh.hessian_patches, part), getattr(float_ring, part))
+        n, nt = len(mesh.vertices), len(mesh.triangles)
+        rows, cols = mesh.triangles.ravel(), np.repeat(np.arange(nt), 3)
+        patches = CSR.from_coo(rows, cols, np.ones(3 * nt), (n, nt))
+        starved = np.flatnonzero(np.diff(patches.indptr) < 3)
+        # the square's corners are starved, no vertex of the refined mesh is
+        assert (len(starved) > 0) == (mesh.parent is None)
+        if len(starved):
+            D = CSR.from_coo(starved, starved, np.ones(len(starved)), (n, n))
+            patches = patches + D @ F @ patches
+        for part in ("indptr", "indices"):
+            assert np.array_equal(getattr(mesh.gradient_patches, part), getattr(patches, part))
 
 
 class TestRefinedOperators:

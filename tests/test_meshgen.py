@@ -1,7 +1,9 @@
+import importlib.util
 import math
 import pickle
 from dataclasses import fields, replace
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +27,8 @@ from serrinlab.meshgen import (
 )
 
 from conftest import make_square_mesh, scipy_csr
+
+PROBE = Path(__file__).resolve().parents[1] / "scripts" / "mesh_probe.py"
 
 
 def inside_area(mesh):
@@ -60,6 +64,8 @@ def reference_refine(mesh):
     interface_loop, interface_params).
     """
     V = len(mesh.vertices)
+    # refine keeps the index width of its mesh: int32 on a generated mesh
+    index = mesh.triangles.dtype
     param_omega = dict(zip(mesh.boundary_loop.tolist(), mesh.boundary_params.tolist()))
     param_iface = (dict(zip(mesh.interface_loop.tolist(), mesh.interface_params.tolist()))
                    if mesh.interface_loop is not None else {})
@@ -109,9 +115,9 @@ def reference_refine(mesh):
             m = midpoint_of[frozenset((a, b))][0]
             out.extend([a, m])
             out_params.extend([params[i], new_param[m]])
-        return np.array(out, dtype=np.int64), np.array(out_params)
+        return np.array(out, dtype=index), np.array(out_params)
 
-    return (vertices, np.array(tris, dtype=np.int64), np.array(regions, dtype=np.int8),
+    return (vertices, np.array(tris, dtype=index), np.array(regions, dtype=np.int8),
             *split(mesh.boundary_loop, mesh.boundary_params),
             *split(mesh.interface_loop, mesh.interface_params))
 
@@ -124,6 +130,30 @@ class TestGenerate:
         assert onb.max() < 1e-12
         assert disk_mesh.min_angle_deg() >= 20.0
         assert disk_mesh.h_max <= 1.5 * 0.1
+
+    def test_min_angle_is_the_smallest_of_three_arccos(self):
+        # one arccos of the largest corner cosine against the smallest of the
+        # 3T corner angles, on the generated and refined meshes of the cases
+        # of scripts/mesh_probe.py at its two largest target_h
+        spec = importlib.util.spec_from_file_location("mesh_probe", PROBE)
+        probe = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(probe)
+        checked = 0
+        for _, domain, inclusion, target_h in probe.CASES:
+            if target_h < 0.04:
+                continue
+            try:
+                mesh = generate(domain, inclusion, target_h)
+            except MeshQualityError:
+                continue
+            for m in (mesh, refine(mesh)):
+                a, b, c = meshgen._edge_lengths(m.vertices, m.triangles)
+                three = min(float(np.degrees(np.arccos(np.clip(
+                    (s1 ** 2 + s2 ** 2 - opp ** 2) / (2 * s1 * s2), -1.0, 1.0))).min())
+                    for opp, s1, s2 in ((b, c, a), (c, a, b), (a, b, c)))
+                assert m.min_angle_deg() == three
+                checked += 1
+        assert checked >= 40
 
     def test_inclusion_area_convergence(self, concentric_mesh):
         validate_mesh(concentric_mesh)
@@ -372,16 +402,18 @@ def _undirected_edges(triangles):
 
 
 def reference_edge_table(triangles):
-    """edge_table numbered through np.unique's return_index, for comparison."""
+    """edge_table numbered through np.unique's return_index, for comparison;
+    the ids and counts are int32, the edges of the triangles' dtype."""
     sides = np.stack([triangles, np.roll(triangles, -1, axis=1)], axis=-1).reshape(-1, 2)
-    pairs = np.sort(sides, axis=1)
+    pairs = np.sort(sides, axis=1).astype(np.int64)
     _, first, inverse, counts = np.unique((pairs[:, 0] << 32) | pairs[:, 1],
                                           return_index=True, return_inverse=True,
                                           return_counts=True)
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
-    return sides[first[order]], rank[inverse].reshape(-1, 3), counts[order]
+    return (sides[first[order]], rank[inverse].reshape(-1, 3).astype(np.int32),
+            counts[order].astype(np.int32))
 
 
 def reference_loop_edge_ids(triangles, loop):
@@ -406,11 +438,12 @@ def reference_tag_check(mesh):
 
 @st.composite
 def triangle_arrays(draw):
-    """Triangles with three distinct corners among a few vertices, so that
-    edges repeat, in both orientations and on more than two triangles."""
+    """int32 triangles, as generate makes them, with three distinct corners
+    among a few vertices, so that edges repeat, in both orientations and on
+    more than two triangles."""
     n = draw(st.integers(3, 10))
     corners = st.lists(st.integers(0, n - 1), min_size=3, max_size=3, unique=True)
-    return np.array(draw(st.lists(corners, min_size=1, max_size=30)), dtype=np.int64)
+    return np.array(draw(st.lists(corners, min_size=1, max_size=30)), dtype=np.int32)
 
 
 class TestConnectivity:
@@ -463,6 +496,18 @@ class TestConnectivity:
         for a, b in zip(copy.parent.edge_table, concentric_mesh.edge_table):
             np.testing.assert_array_equal(a, b)
 
+    def test_topology_stays_int32_through_refine_and_pickle(self, ellipse_spec):
+        # the CSR's index width, so no kernel or gather copies an index array down
+        mesh = generate(ellipse_spec, DomainSpec("disk", radius=0.3), 0.1)
+        fine = refine(mesh)
+        copy = pickle.loads(pickle.dumps(fine))
+        for m in (mesh, fine, copy, copy.parent):
+            table = m.edge_table
+            for a in (m.triangles, m.boundary_loop, m.interface_loop, *table, table.by_key,
+                      m.interior, m.adjacency.indptr, m.adjacency.indices):
+                assert a.dtype == np.int32
+            assert m.adjacency.data.dtype == bool
+
     @given(triangle_arrays())
     @settings(max_examples=200, deadline=None)
     def test_edge_table_matches_unique_return_index(self, triangles):
@@ -494,7 +539,7 @@ class TestConnectivity:
         V = int(triangles.max()) + 1 + unused
         points = np.arange(2.0 * V).reshape(V, 2)
         used = np.unique(triangles)
-        remap = -np.ones(V, dtype=np.int64)
+        remap = -np.ones(V, dtype=np.int32)
         remap[used] = np.arange(len(used))
         for got, want in zip(meshgen._drop_orphans(points, triangles),
                              (points[used], remap[triangles], remap)):
@@ -507,7 +552,7 @@ class TestConnectivity:
         square = make_square_mesh(n=4)
         mesh = replace(square, boundary_loop=np.array(loop, dtype=np.int64),
                        boundary_params=np.zeros(len(loop)))
-        want = np.setdiff1d(np.arange(len(square.vertices)), mesh.boundary_loop)
+        want = np.setdiff1d(np.arange(len(square.vertices)), mesh.boundary_loop).astype(np.int32)
         assert mesh.interior.dtype == want.dtype
         np.testing.assert_array_equal(mesh.interior, want)
 
